@@ -25,15 +25,16 @@ from .tokenization import (
     Vocabulary,
     byte_vocabulary,
 )
-from .model import LanguageModel, NgramModel, TableModel, mask_invalid, train_ngram
+from .model import LanguageModel, NgramModel, TableModel, train_ngram
 from .reduction import (
     DEFAULT_TOP_K,
     CoverEntry,
     ReductionSession,
     RelativeCover,
+    Step,
     SubTokenDistribution,
+    decode,
     naive_restriction_dist,
-    new_session,
 )
 from .mcv import McvResult, build_mcv, intersect_vocabs, restrict_merges
 from .ensemble import (

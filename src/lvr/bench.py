@@ -13,13 +13,11 @@ from __future__ import annotations
 import time
 from typing import Sequence
 
-import numpy as np
-
 from .ensemble import EnsembleSpec
 from .errors import LvrError
 from .mcv import build_mcv
 from .model import LanguageModel
-from .reduction import ReductionSession
+from .reduction import ReductionSession, decode
 from .tokenization import (
     BpeTokenizer,
     DeterministicTokenizer,
@@ -32,21 +30,18 @@ from .tokenization import (
 def _generate_until(
     spec: EnsembleSpec, target_bytes: int, seed: int, max_steps: int
 ) -> tuple[bytes, int, float]:
-    rng = np.random.default_rng(seed)
     vocab = spec.members[0].nested.vocab
     eos = vocab.eos_id
     out = bytearray()
     steps = 0
     start = time.perf_counter()
-    while len(out) < target_bytes and steps < max_steps:
-        dist = spec.next_dist()
-        cum = np.cumsum(dist.probs)
-        choice = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
-        spec.step(choice)
+    budget = max_steps if target_bytes > 0 else 0
+    for s in decode(spec.next_dist, spec.step, eos, budget, "sample", seed):
         steps += 1
-        if eos is not None and choice == eos:
+        if s.chosen != eos:
+            out.extend(vocab.surface(s.chosen))
+        if len(out) >= target_bytes:
             break
-        out.extend(vocab.surface(choice))
     return bytes(out), steps, time.perf_counter() - start
 
 

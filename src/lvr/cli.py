@@ -3,7 +3,9 @@
 Subcommands: ``tokenize``, ``reduce-generate``, ``build-mcv``,
 ``ensemble-generate``, ``verify-lossless``, ``bench``.  Generation commands
 can write a JSON-lines trace with one record per step (step index, chosen
-sub-token, unnormalized marginals, normalizer, dropped top-K mass).
+sub-token, unnormalized marginals, normalizer, dropped top-K mass); each
+record is written as its step completes, so a failed run keeps the records
+of the steps before the failure.
 
 Exit codes: 0 on success (and verification PASS), 1 on runtime failure or
 verification FAIL, 2 on usage or file-format errors.
@@ -14,9 +16,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from pathlib import Path
-
-import numpy as np
 
 from .bench import run_bench
 from .ensemble import EnsembleSpec
@@ -33,7 +34,7 @@ from .files import (
 from .mcv import build_mcv
 from .model import train_ngram
 from .oracle import lossless_check
-from .reduction import DEFAULT_TOP_K, ReductionSession
+from .reduction import DEFAULT_TOP_K, ReductionSession, decode
 from .tokenization import (
     BpeTokenizer,
     GreedyTokenizer,
@@ -83,36 +84,24 @@ def _resolve_inner(subvocab: str, outer_tokenizers):
 
 
 def _run_generation(next_dist, step_fn, vocab, args) -> bytes:
-    rng = np.random.default_rng(args.seed) if args.decoding == "sample" else None
     eos = vocab.eos_id
-    records = []
     out = bytearray()
-    for i in range(args.max_steps):
-        dist = next_dist()
-        if rng is None:
-            choice = int(np.argmax(dist.probs))
-        else:
-            cum = np.cumsum(dist.probs)
-            choice = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
-        if args.trace is not None:
-            records.append(
-                {
-                    "step": i,
-                    "chosen": choice,
-                    "chosen_surface": escape_bytes(vocab.surface(choice)),
-                    "ptilde": [float(v) for v in dist.raw_marginals],
-                    "normalizer": dist.normalizer,
-                    "dropped_mass": dist.dropped_mass,
+    steps = decode(next_dist, step_fn, eos, args.max_steps, args.decoding, args.seed)
+    sink = nullcontext() if args.trace is None else open(args.trace, "w", buffering=1)
+    with sink as trace:
+        for s in steps:
+            if trace is not None:
+                record = {
+                    "step": s.index,
+                    "chosen": s.chosen,
+                    "chosen_surface": escape_bytes(vocab.surface(s.chosen)),
+                    "ptilde": [float(v) for v in s.dist.raw_marginals],
+                    "normalizer": s.dist.normalizer,
+                    "dropped_mass": s.dist.dropped_mass,
                 }
-            )
-        step_fn(choice)
-        if eos is not None and choice == eos:
-            break
-        out.extend(vocab.surface(choice))
-    if args.trace is not None:
-        Path(args.trace).write_text(
-            "".join(json.dumps(r) + "\n" for r in records)
-        )
+                trace.write(json.dumps(record) + "\n")
+            if s.chosen != eos:
+                out.extend(vocab.surface(s.chosen))
     return bytes(out)
 
 

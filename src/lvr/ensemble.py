@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import EnsembleError, ZeroProductError
 from .model import LanguageModel
-from .reduction import ReductionSession, SubTokenDistribution
+from .reduction import ReductionSession, SubTokenDistribution, decode
 from .tokenization import DeterministicTokenizer, TokenSeq, Vocabulary
 
 
@@ -96,24 +96,10 @@ def ensemble_generate(
     seed: int | None = None,
 ) -> TokenSeq:
     """Generate sub-tokens by combining member distributions each step and
-    stepping all members with the same choice."""
-    if decoding not in ("greedy", "sample"):
-        raise EnsembleError(f"unknown decoding mode {decoding!r}")
-    rng = np.random.default_rng(seed) if decoding == "sample" else None
-    eos = spec.members[0].nested.vocab.eos_id
-    out: list[int] = []
-    for _ in range(max_subtokens):
-        dist = spec.next_dist()
-        if rng is None:
-            choice = int(np.argmax(dist.probs))
-        else:
-            cum = np.cumsum(dist.probs)
-            choice = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
-        spec.step(choice)
-        out.append(choice)
-        if eos is not None and choice == eos:
-            break
-    return tuple(out)
+    stepping all members with the same choice; see :func:`decode`."""
+    return tuple(s.chosen for s in decode(
+        spec.next_dist, spec.step, spec.members[0].nested.vocab.eos_id,
+        max_subtokens, decoding, seed))
 
 
 def union_vocab(vocabs: Sequence[Vocabulary]) -> Vocabulary:

@@ -19,12 +19,11 @@ from .tokenization import BpeTokenizer, Vocabulary
 
 @dataclass
 class McvResult:
-    """Common vocabulary, its restricted merge list, and the index of the
-    tokenizer the merges came from (always 0, the first)."""
+    """Common vocabulary and its merge list, restricted from the first
+    tokenizer's."""
 
     vocab: Vocabulary
     merges: list[tuple[int, int]]
-    source: int = 0
 
 
 def intersect_vocabs(vocabs: Sequence[Vocabulary]) -> Vocabulary:
@@ -90,5 +89,4 @@ def build_mcv(tokenizers: Sequence[BpeTokenizer]) -> tuple[McvResult, BpeTokeniz
             raise TokenizationError("tokenizers must share one alphabet")
     vocab = intersect_vocabs([t.vocab for t in tokenizers])
     merges = restrict_merges(tokenizers[0], vocab)
-    result = McvResult(vocab=vocab, merges=merges, source=0)
-    return result, BpeTokenizer(vocab, merges)
+    return McvResult(vocab, merges), BpeTokenizer(vocab, merges)

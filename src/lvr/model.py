@@ -19,31 +19,6 @@ from .errors import ModelError
 from .tokenization import DeterministicTokenizer, TokenSeq
 
 
-def mask_invalid(
-    tokenizer: DeterministicTokenizer,
-    prefix: Sequence[int],
-    raw: np.ndarray,
-    renormalize: bool = True,
-) -> np.ndarray:
-    """Zero out every continuation ``x`` for which ``prefix + (x,)`` is not a
-    valid sequence, then (by default) renormalize proportionally.
-
-    Raises ``ModelError`` if masking removes all probability mass.  The call
-    is idempotent: re-masking a masked distribution changes nothing.
-    """
-    raw = np.asarray(raw, dtype=float)
-    mask = tokenizer.valid_continuations(prefix)
-    out = np.where(mask, raw, 0.0)
-    total = out.sum()
-    if total <= 0.0:
-        raise ModelError(
-            f"all probability mass fell on invalid continuations of {tuple(prefix)}"
-        )
-    if renormalize:
-        out = out / total
-    return out
-
-
 class LanguageModel:
     """Base class: subclasses supply the raw (unmasked) conditional table."""
 

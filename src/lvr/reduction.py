@@ -25,7 +25,7 @@ extensions and reports the marginal mass it dropped.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -49,7 +49,6 @@ class CoverEntry(NamedTuple):
 class RelativeCover:
     """Relative cover of one sub-token prefix."""
 
-    key: TokenSeq
     entries: list[CoverEntry] = field(default_factory=list)
 
     def sequences(self) -> set[TokenSeq]:
@@ -80,9 +79,9 @@ class ReductionSession:
     retokenization enter the cover at each step.  The attribute is read at
     each distribution computation, so it may be changed between steps.
 
-    A session is a single-owner mutable object.  Models and tokenizers are
-    immutable and may be shared across sessions and threads; distinct
-    sessions over one model may run in parallel.
+    A session is a single-owner mutable object.  Several sessions may share
+    one model and tokenizer, but a model is not immutable: every new prefix
+    it is queried on adds entries to its distribution and mask caches.
     """
 
     def __init__(
@@ -102,7 +101,7 @@ class ReductionSession:
         self.topk = topk
         self.prefix: TokenSeq = ()
         self.cover_cache: dict[TokenSeq, RelativeCover] = {
-            (): RelativeCover((), [CoverEntry((), (), 1.0)])
+            (): RelativeCover([CoverEntry((), (), 1.0)])
         }
         self.prob_cache: dict[TokenSeq, float] = {(): 1.0}
         self._pending: dict[int, RelativeCover] | None = None
@@ -155,7 +154,7 @@ class ReductionSession:
                 y = e.nested[k]
                 bucket = pending.get(y)
                 if bucket is None:
-                    bucket = pending.setdefault(y, RelativeCover(self.prefix + (y,)))
+                    bucket = pending[y] = RelativeCover()
                 bucket.entries.append(e)
                 sums[y] += e.marginal
         size = len(ext)
@@ -174,7 +173,7 @@ class ReductionSession:
             entry = CoverEntry(retok + (x,), self.prefix + mapping[x], float(ext[x]))
             bucket = pending.get(first)
             if bucket is None:
-                bucket = pending.setdefault(first, RelativeCover(self.prefix + (first,)))
+                bucket = pending[first] = RelativeCover()
             bucket.entries.append(entry)
             sums[first] += entry.marginal
         return self._finish(sums, pending, dropped)
@@ -203,7 +202,7 @@ class ReductionSession:
                     entries.append(entry)
                     collected += entry.marginal
             if entries:
-                pending[y] = RelativeCover(self.prefix + (y,), entries)
+                pending[y] = RelativeCover(entries)
             sums[y] = collected
         return self._finish(sums, pending, 0.0)
 
@@ -212,7 +211,7 @@ class ReductionSession:
     def _adopt(self, chosen: int) -> None:
         pending = self._pending or {}
         new_prefix = self.prefix + (chosen,)
-        new_cover = pending.get(chosen) or RelativeCover(new_prefix)
+        new_cover = pending.get(chosen) or RelativeCover()
         pruned: dict[TokenSeq, float] = {(): 1.0}
         for e in new_cover.entries:
             pruned[e.seq] = e.marginal
@@ -243,15 +242,9 @@ class ReductionSession:
         untouched; requires a computed distribution, like :meth:`step`."""
         if self._last is None or self._pending is None:
             raise ReductionError("compute a distribution before branching")
-        clone = object.__new__(ReductionSession)
-        clone.model = self.model
-        clone.nested = self.nested
-        clone.topk = self.topk
-        clone.prefix = self.prefix
-        clone.cover_cache = self.cover_cache
-        clone.prob_cache = self.prob_cache
-        clone._pending = self._pending
-        clone._last = self._last
+        # shallow copy; _adopt rebinds the shared caches, never mutates them
+        clone = object.__new__(type(self))
+        clone.__dict__.update(self.__dict__)
         clone._adopt(chosen)
         return clone
 
@@ -272,7 +265,7 @@ class ReductionSession:
             walker.next_subtoken_dist()
             if i + 1 == len(rest):
                 assert walker._pending is not None
-                return walker._pending.get(y) or RelativeCover(y_prefix)
+                return walker._pending.get(y) or RelativeCover()
             walker = walker.branch(y)
         raise AssertionError("unreachable")
 
@@ -282,36 +275,58 @@ class ReductionSession:
         decoding: str = "greedy",
         seed: int | None = None,
     ) -> TokenSeq:
-        """Generate sub-tokens until the terminator or the budget.
+        """Generate sub-tokens until the terminator or the budget; see
+        :func:`decode`."""
+        return tuple(s.chosen for s in decode(
+            self.next_subtoken_dist, self.step, self.nested.vocab.eos_id,
+            max_subtokens, decoding, seed))
 
-        Greedy decoding breaks probability ties by lowest token id; sampling
-        uses a seeded generator and is reproducible run to run.
-        """
-        if decoding not in ("greedy", "sample"):
-            raise ReductionError(f"unknown decoding mode {decoding!r}")
-        rng = np.random.default_rng(seed) if decoding == "sample" else None
-        eos = self.nested.vocab.eos_id
-        out: list[int] = []
-        for _ in range(max_subtokens):
-            dist = self.next_subtoken_dist()
+
+class Step(NamedTuple):
+    """One committed decoding step: its index, the chosen sub-token, and the
+    distribution it was chosen from."""
+
+    index: int
+    chosen: int
+    dist: SubTokenDistribution
+
+
+def decode(
+    next_dist: Callable[[], SubTokenDistribution],
+    step: Callable[[int], None],
+    eos: int | None,
+    max_steps: int,
+    decoding: str = "greedy",
+    seed: int | None = None,
+) -> Iterator[Step]:
+    """Auto-regressive decoding from any next-distribution source, such as a
+    :class:`ReductionSession` or an ensemble of them.
+
+    Each step calls ``next_dist()``, picks a sub-token, commits it with
+    ``step(chosen)`` and then yields a :class:`Step`.  Decoding stops after
+    the terminator ``eos`` or after ``max_steps`` steps.  Greedy decoding
+    breaks probability ties by lowest token id; sampling draws by inverse
+    CDF from ``np.random.default_rng(seed)`` and is reproducible run to run.
+    An unknown ``decoding`` raises at the call, before any step.
+    """
+    if decoding not in ("greedy", "sample"):
+        raise ReductionError(f"unknown decoding mode {decoding!r}")
+    rng = np.random.default_rng(seed) if decoding == "sample" else None
+
+    def steps() -> Iterator[Step]:
+        for index in range(max_steps):
+            dist = next_dist()
             if rng is None:
-                choice = int(np.argmax(dist.probs))
+                chosen = int(np.argmax(dist.probs))
             else:
                 cum = np.cumsum(dist.probs)
-                choice = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
-            self.step(choice)
-            out.append(choice)
-            if eos is not None and choice == eos:
-                break
-        return tuple(out)
+                chosen = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
+            step(chosen)
+            yield Step(index, chosen, dist)
+            if chosen == eos:
+                return
 
-
-def new_session(
-    model: LanguageModel, nested: NestedTokenizer, topk: int | None = DEFAULT_TOP_K
-) -> ReductionSession:
-    """Fresh session with the empty prefix; its cover cache is seeded with
-    the empty sequence at marginal 1."""
-    return ReductionSession(model, nested, topk)
+    return steps()
 
 
 def naive_restriction_dist(

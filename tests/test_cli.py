@@ -7,6 +7,7 @@ import pytest
 
 from conftest import binary_instance
 
+from lvr import TableModel
 from lvr.cli import main
 from lvr.files import save_table_model, save_vocabulary
 
@@ -116,6 +117,31 @@ class TestReduceGenerate:
         )
         records = [json.loads(line) for line in path.read_text().splitlines()]
         assert any(r["dropped_mass"] > 0 for r in records)
+
+    def test_failed_run_keeps_trace(self, binary_files, capsys):
+        # only the root row and no default: the second step has no table entry
+        inst = binary_instance()
+        model = binary_files["dir"] / "root-only.json"
+        save_table_model(
+            TableModel(inst.tokenizer, {(): inst.model.entries[()]}, default=None),
+            model,
+            binary_files["vocab"].name,
+        )
+        path = binary_files["dir"] / "trace-failed.jsonl"
+        code = main(
+            [
+                "reduce-generate",
+                "--model", str(model),
+                "--subvocab", str(binary_files["subvocab"]),
+                "--k", "exact",
+                "--max-steps", "5",
+                "--trace", str(path),
+            ]
+        )
+        assert code == 1
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        assert [r["step"] for r in records] == [0]
+        np.testing.assert_allclose(records[0]["ptilde"], [0.1, 0.1, 0.8], atol=1e-12)
 
 
 class TestVerifyLossless:

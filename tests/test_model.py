@@ -12,7 +12,6 @@ from lvr import (
     ModelError,
     TableModel,
     Vocabulary,
-    mask_invalid,
     train_ngram,
 )
 
@@ -46,30 +45,6 @@ class TestNextTokenDist:
         model = TableModel(binary.tokenizer, {(): np.full(4, 0.25)}, default=None)
         with pytest.raises(ModelError):
             model.next_token_dist((0,))
-
-
-class TestMaskInvalid:
-    def test_invalid_continuation_zeroed(self, binary):
-        raw = np.array([0.25, 0.25, 0.25, 0.25])
-        out = mask_invalid(binary.tokenizer, (2,), raw)
-        assert out[1] == 0.0
-        assert abs(out.sum() - 1.0) < 1e-9
-
-    def test_nothing_masked_at_root(self, binary):
-        raw = np.array([0.1, 0.1, 0.5, 0.3])
-        out = mask_invalid(binary.tokenizer, (), raw)
-        np.testing.assert_allclose(out, raw / raw.sum(), atol=1e-15)
-
-    def test_idempotent(self, binary):
-        raw = np.array([0.25, 0.25, 0.25, 0.25])
-        once = mask_invalid(binary.tokenizer, (2,), raw)
-        twice = mask_invalid(binary.tokenizer, (2,), once)
-        np.testing.assert_allclose(once, twice, atol=1e-15)
-
-    def test_no_renormalize_flag(self, binary):
-        raw = np.array([0.25, 0.25, 0.25, 0.25])
-        out = mask_invalid(binary.tokenizer, (2,), raw, renormalize=False)
-        np.testing.assert_allclose(out, [0.25, 0.0, 0.25, 0.25], atol=1e-15)
 
 
 class TestMarginal:
