@@ -5,7 +5,8 @@ Subcommands: ``tokenize``, ``reduce-generate``, ``build-mcv``,
 can write a JSON-lines trace with one record per step (step index, chosen
 sub-token, unnormalized marginals, normalizer, dropped top-K mass); each
 record is written as its step completes, so a failed run keeps the records
-of the steps before the failure.
+of the steps before the failure, followed by one error record.  Output
+paths are opened before decoding starts.
 
 Exit codes: 0 on success (and verification PASS), 1 on runtime failure or
 verification FAIL, 2 on usage or file-format errors.
@@ -83,32 +84,48 @@ def _resolve_inner(subvocab: str, outer_tokenizers):
     return GreedyTokenizer(load_vocabulary(subvocab))
 
 
-def _run_generation(next_dist, step_fn, vocab, args) -> bytes:
+def _open_output(path: str | None, mode: str, buffering: int = -1):
+    """Open an output file, or a null context for ``None``; an unopenable
+    path is a usage error, reported before any work is done."""
+    if path is None:
+        return nullcontext()
+    try:
+        return open(path, mode, buffering=buffering)
+    except OSError as exc:
+        raise FileFormatError(f"cannot open {path} for writing: {exc}") from exc
+
+
+def _run_generation(next_dist, step_fn, vocab, args) -> None:
+    """Decode, stream the trace, then write ``--out`` and print the text.
+    A failed run ends its trace with ``{"step": i, "error": ...}``."""
     eos = vocab.eos_id
-    out = bytearray()
+    text = bytearray()
     steps = decode(next_dist, step_fn, eos, args.max_steps, args.decoding, args.seed)
-    sink = nullcontext() if args.trace is None else open(args.trace, "w", buffering=1)
-    with sink as trace:
-        for s in steps:
+    with _open_output(args.out, "wb") as out, _open_output(args.trace, "w", 1) as trace:
+        done = 0
+        try:
+            for s in steps:
+                if trace is not None:
+                    record = {
+                        "step": s.index,
+                        "chosen": s.chosen,
+                        "chosen_surface": escape_bytes(vocab.surface(s.chosen)),
+                        "ptilde": [float(v) for v in s.dist.raw_marginals],
+                        "normalizer": s.dist.normalizer,
+                        "dropped_mass": s.dist.dropped_mass,
+                    }
+                    trace.write(json.dumps(record) + "\n")
+                if s.chosen != eos:
+                    text.extend(vocab.surface(s.chosen))
+                done = s.index + 1
+        except LvrError as exc:
             if trace is not None:
-                record = {
-                    "step": s.index,
-                    "chosen": s.chosen,
-                    "chosen_surface": escape_bytes(vocab.surface(s.chosen)),
-                    "ptilde": [float(v) for v in s.dist.raw_marginals],
-                    "normalizer": s.dist.normalizer,
-                    "dropped_mass": s.dist.dropped_mass,
-                }
-                trace.write(json.dumps(record) + "\n")
-            if s.chosen != eos:
-                out.extend(vocab.surface(s.chosen))
-    return bytes(out)
-
-
-def _emit_text(text: bytes, args) -> None:
-    if args.out is not None:
-        Path(args.out).write_bytes(text)
-    print(escape_bytes(text))
+                error = f"{type(exc).__name__}: {exc}"
+                trace.write(json.dumps({"step": done, "error": error}) + "\n")
+            raise
+        if out is not None:
+            out.write(text)
+    print(escape_bytes(bytes(text)))
 
 
 def cmd_tokenize(args) -> int:
@@ -126,10 +143,7 @@ def cmd_reduce_generate(args) -> int:
     model = load_table_model(args.model, args.merges)
     inner = _resolve_inner(args.subvocab, [model.tokenizer])
     session = ReductionSession(model, NestedTokenizer(model.tokenizer, inner), args.k)
-    text = _run_generation(
-        session.next_subtoken_dist, session.step, inner.vocab, args
-    )
-    _emit_text(text, args)
+    _run_generation(session.next_subtoken_dist, session.step, inner.vocab, args)
     return 0
 
 
@@ -181,8 +195,7 @@ def cmd_ensemble_generate(args) -> int:
         for model, tokenizer in zip(models, tokenizers)
     ]
     spec = EnsembleSpec(sessions, mode=args.mode)
-    text = _run_generation(spec.next_dist, spec.step, inner.vocab, args)
-    _emit_text(text, args)
+    _run_generation(spec.next_dist, spec.step, inner.vocab, args)
     return 0
 
 

@@ -25,7 +25,9 @@ class LanguageModel:
     def __init__(self, tokenizer: DeterministicTokenizer, renormalize: bool = True):
         self.tokenizer = tokenizer
         self.renormalize = renormalize
-        self._dist_cache: dict[TokenSeq, np.ndarray] = {}
+        # prefix -> (masked distribution, validity mask)
+        self._dist_cache: dict[TokenSeq, tuple[np.ndarray, np.ndarray]] = {}
+        # mask context (see DeterministicTokenizer.mask_context) -> mask
         self._mask_cache: dict[TokenSeq, np.ndarray] = {}
 
     @property
@@ -36,14 +38,25 @@ class LanguageModel:
         raise NotImplementedError
 
     def valid_mask(self, prefix: Sequence[int]) -> np.ndarray:
-        """Cached boolean validity mask for one-token continuations."""
+        """Cached boolean validity mask for one-token continuations of a
+        valid prefix.
+
+        A prefix whose distribution is cached returns the mask stored beside
+        it; otherwise masks are cached by the tokenizer's mask context, so
+        the cache holds one entry per distinct context (at most ``|V| + 1``
+        for BPE).
+        """
         key = tuple(prefix)
-        hit = self._mask_cache.get(key)
-        if hit is None:
-            hit = self.tokenizer.valid_continuations(key)
-            hit.setflags(write=False)
-            self._mask_cache[key] = hit
-        return hit
+        hit = self._dist_cache.get(key)
+        if hit is not None:
+            return hit[1]
+        context = self.tokenizer.mask_context(key)
+        mask = self._mask_cache.get(context)
+        if mask is None:
+            mask = self.tokenizer.valid_continuations(context)
+            mask.setflags(write=False)
+            self._mask_cache[context] = mask
+        return mask
 
     def next_token_dist(self, prefix: Sequence[int]) -> np.ndarray:
         """Masked distribution over the full vocabulary, in one call.
@@ -54,7 +67,7 @@ class LanguageModel:
         key = tuple(prefix)
         hit = self._dist_cache.get(key)
         if hit is not None:
-            return hit
+            return hit[0]
         eos = self.vocab.eos_id
         if eos is not None and eos in key:
             raise ModelError("cannot continue a terminated sequence")
@@ -71,7 +84,7 @@ class LanguageModel:
         if self.renormalize:
             out = out / total
         out.setflags(write=False)
-        self._dist_cache[key] = out
+        self._dist_cache[key] = (out, mask)
         return out
 
     def marginal(self, ids: Sequence[int]) -> float:

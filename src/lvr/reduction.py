@@ -81,7 +81,7 @@ class ReductionSession:
 
     A session is a single-owner mutable object.  Several sessions may share
     one model and tokenizer, but a model is not immutable: every new prefix
-    it is queried on adds entries to its distribution and mask caches.
+    it is queried on adds an entry to its distribution cache.
     """
 
     def __init__(
@@ -226,11 +226,23 @@ class ReductionSession:
 
     def step(self, chosen: int) -> None:
         """Commit to a sub-token: extend the prefix, keep its cover, evict
-        the unselected siblings' covers and unreachable marginals."""
+        the unselected siblings' covers and unreachable marginals.
+
+        A sub-token with zero mass is refused, unless top-K dropped mass at
+        this step: the step is then recomputed exactly once and checked
+        again."""
         if self._last is None or self._pending is None:
             raise ReductionError("compute a distribution before stepping")
         if not 0 <= chosen < len(self._last.raw_marginals):
             raise ReductionError(f"sub-token id {chosen} out of range")
+        if self._last.raw_marginals[chosen] <= 0.0 and self._last.dropped_mass > 0.0:
+            # a caller such as a mixture can pick `chosen` on another
+            # source's mass after top-K dropped every extension reaching it
+            topk, self.topk = self.topk, None
+            try:
+                self.next_subtoken_dist()
+            finally:
+                self.topk = topk
         if self._last.raw_marginals[chosen] <= 0.0:
             raise ReductionError(
                 f"sub-token {chosen} has zero probability after the current prefix"

@@ -146,10 +146,21 @@ class DeterministicTokenizer:
         ids = tuple(ids)
         return self.encode(self.decode(ids)) == ids
 
+    def mask_context(self, prefix: Sequence[int]) -> TokenSeq:
+        """Shortest suffix of a valid prefix that has the same validity mask
+        as the whole prefix.  The generic rule keeps the whole prefix;
+        encoders whose tokens depend on bounded context return less."""
+        return tuple(prefix)
+
     def valid_continuations(self, prefix: Sequence[int]) -> np.ndarray:
         """Boolean mask over the vocabulary: entry ``x`` is True iff
-        ``prefix + (x,)`` is a valid sequence."""
-        prefix = tuple(prefix)
+        ``prefix + (x,)`` is a valid sequence.
+
+        ``prefix`` must itself be valid: the mask is computed by re-encoding
+        only its :meth:`mask_context`, which is exact for valid prefixes
+        alone.
+        """
+        prefix = self.mask_context(prefix)
         decoded = self.decode(prefix)
         mask = np.zeros(len(self.vocab), dtype=bool)
         for tid, surf in enumerate(self.vocab.surfaces):
@@ -180,6 +191,20 @@ class GreedyTokenizer(DeterministicTokenizer):
                     self._children[node][b] = nxt
                 node = nxt
             self._terminal[node] = tid
+        self._max_surface_len = max(len(s) for s in vocab.surfaces)
+
+    def mask_context(self, prefix: Sequence[int]) -> TokenSeq:
+        """The trailing tokens that start within ``max_surface_len - 1``
+        bytes of the end.  A token starting earlier was matched against text
+        that appending cannot change, so it stays as it is."""
+        prefix = tuple(prefix)
+        budget = self._max_surface_len - 1
+        surfaces = self.vocab.surfaces
+        start = len(prefix)
+        while start > 0 and len(surfaces[prefix[start - 1]]) <= budget:
+            start -= 1
+            budget -= len(surfaces[prefix[start]])
+        return prefix[start:]
 
     def encode(self, text: bytes) -> TokenSeq:
         out: list[int] = []
@@ -242,6 +267,13 @@ class BpeTokenizer(DeterministicTokenizer):
             self._rank_mat = np.zeros((size, size), dtype=np.int32)
             for (a, b), (rank, _) in self._pair_rank.items():
                 self._rank_mat[a, b] = rank + 1
+
+    def mask_context(self, prefix: Sequence[int]) -> TokenSeq:
+        """The last token: BPE canonicality is a bigram property, so a valid
+        prefix extended by ``x`` is valid iff its last token and ``x`` are
+        (Vieira et al., 2025, *Language Models over Canonical Byte-Pair
+        Encodings*)."""
+        return tuple(prefix[-1:])
 
     def encode(self, text: bytes) -> TokenSeq:
         arr = self._single_table[np.frombuffer(text, dtype=np.uint8)]

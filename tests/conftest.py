@@ -71,6 +71,11 @@ def make_instance(
     content = LETTERS[:n_symbols]
     alphabet = Alphabet.of(content, eos="$" if with_eos else None)
     singles = [bytes([s]) for s in sorted(alphabet.symbols)]
+    distinct = sum(n_symbols**length for length in range(2, max_surface + 1))
+    if n_multi > distinct:
+        raise ValueError(
+            f"n_multi={n_multi} exceeds the {distinct} distinct multi-symbol surfaces"
+        )
     multis: list[bytes] = []
     while len(multis) < n_multi:
         length = int(rng.integers(2, max_surface + 1))

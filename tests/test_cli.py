@@ -140,8 +140,25 @@ class TestReduceGenerate:
         )
         assert code == 1
         records = [json.loads(line) for line in path.read_text().splitlines()]
-        assert [r["step"] for r in records] == [0]
+        assert [r["step"] for r in records] == [0, 1]
         np.testing.assert_allclose(records[0]["ptilde"], [0.1, 0.1, 0.8], atol=1e-12)
+        assert records[1]["error"].startswith("ModelError: no table entry")
+
+    @pytest.mark.parametrize("flag", ["--trace", "--out"])
+    def test_unopenable_output_exits_2_before_decoding(self, binary_files, capsys, flag):
+        missing = binary_files["dir"] / "missing-dir" / "file"
+        code = main(
+            [
+                "reduce-generate",
+                "--model", str(binary_files["model"]),
+                "--subvocab", str(binary_files["subvocab"]),
+                flag, str(missing),
+            ]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot open {missing}")
 
 
 class TestVerifyLossless:
@@ -272,6 +289,28 @@ class TestEnsembleMcv:
         assert code == 0
         out = capsys.readouterr().out.strip()
         assert set(out) <= set("abcd")
+
+
+class TestEnsembleMoeTopK:
+    @pytest.mark.parametrize("subvocab, seed", [("bytes", 2), ("mcv", 0)])
+    def test_pick_from_one_member_under_topk(self, bpe_member_files, capsys, subvocab, seed):
+        # the mixture can choose a sub-token whose extensions top-K dropped
+        # in one member; that member must still step onto it
+        members, _ = bpe_member_files
+        code = main(
+            [
+                "ensemble-generate",
+                "--member", f"model={members[0][2]},merges={members[0][1]}",
+                "--member", f"model={members[1][2]},merges={members[1][1]}",
+                "--subvocab", subvocab,
+                "--mode", "moe",
+                "--k", "2",
+                "--decoding", "sample",
+                "--seed", str(seed),
+            ]
+        )
+        assert code == 0, capsys.readouterr().err
+        assert set(capsys.readouterr().out.strip()) <= set("abcd")
 
 
 class TestBench:

@@ -8,10 +8,14 @@ from conftest import make_instance
 
 from lvr import (
     Alphabet,
+    BpeTokenizer,
     GreedyTokenizer,
     ModelError,
+    NestedTokenizer,
+    ReductionSession,
     TableModel,
     Vocabulary,
+    byte_vocabulary,
     train_ngram,
 )
 
@@ -91,6 +95,25 @@ class TestDistributionInvariants:
                 for tid in range(len(inst.tokenizer.vocab)):
                     if not inst.tokenizer.is_valid(prefix + (tid,)):
                         assert dist[tid] == 0.0
+
+
+class TestMaskCache:
+    def test_bpe_mask_cache_bounded_by_vocabulary(self):
+        # masks key on the last token, so a long generation adds at most one
+        # entry per token plus the empty context
+        alphabet = Alphabet.of("abcd")
+        surfaces = [b"a", b"b", b"c", b"d", b"ab", b"cd", b"abc", b"da"]
+        vocab = Vocabulary(surfaces, alphabet)
+        merges = [(0, 1), (2, 3), (4, 2), (3, 0)]
+        tokenizer = BpeTokenizer(vocab, merges)
+        rng = np.random.default_rng(8)
+        vec = rng.uniform(0.1, 1.0, len(vocab))
+        model = TableModel(tokenizer, {}, default=vec / vec.sum())
+        inner = GreedyTokenizer(byte_vocabulary(alphabet))
+        session = ReductionSession(model, NestedTokenizer(tokenizer, inner), topk=None)
+        assert len(session.generate(120, decoding="sample", seed=0)) == 120
+        assert len(model._dist_cache) > len(vocab) + 1
+        assert len(model._mask_cache) <= len(vocab) + 1
 
 
 class TestTableValidation:

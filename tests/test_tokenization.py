@@ -1,11 +1,12 @@
 """Tokenizer behavior: decoding, greedy and BPE encoding, validity, and the
 nested (per-token re-encoding) tokenizer."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import binary_instance
+from conftest import binary_instance, make_instance
 
 from lvr import (
     Alphabet,
@@ -244,27 +245,76 @@ def _reference_bpe(tokenizer, text):
     return tuple(tok)
 
 
-def test_bpe_matches_reference_on_random_merge_lists():
-    import numpy as np
+def _random_merge_tokenizer(rng) -> BpeTokenizer:
+    """BPE over ``abc`` with up to six random merges, duplicate merges and
+    products already in the vocabulary included."""
+    symbols = b"abc"
+    surfaces = [bytes([s]) for s in symbols]
+    merges = []
+    for _ in range(int(rng.integers(1, 7))):
+        a, b = rng.integers(0, len(surfaces), size=2)
+        product = surfaces[a] + surfaces[b]
+        if len(product) > 6:
+            continue
+        if product not in surfaces:
+            surfaces.append(product)
+        merges.append((int(a), int(b)))
+    return BpeTokenizer(Vocabulary(surfaces, Alphabet.of(symbols)), merges)
 
+
+def test_bpe_matches_reference_on_random_merge_lists():
     rng = np.random.default_rng(77)
     symbols = b"abc"
     for _ in range(12):
-        surfaces = [bytes([s]) for s in symbols]
-        merges = []
-        for _ in range(int(rng.integers(1, 7))):
-            a, b = rng.integers(0, len(surfaces), size=2)
-            product = surfaces[a] + surfaces[b]
-            if len(product) > 6:
-                continue
-            if product not in surfaces:
-                surfaces.append(product)
-            merges.append((int(a), int(b)))
-        vocab = Vocabulary(surfaces, Alphabet.of(symbols))
-        tokenizer = BpeTokenizer(vocab, merges)
+        tokenizer = _random_merge_tokenizer(rng)
         for _ in range(40):
             text = bytes(rng.choice(list(symbols), size=rng.integers(0, 24)).tolist())
             assert tokenizer.encode(text) == _reference_bpe(tokenizer, text), (
-                merges,
+                tokenizer.merges,
                 text,
             )
+
+
+def _assert_masks_match_validity(tokenizer, text):
+    """The bounded-context mask equals the full re-encode of every one-token
+    extension, at every prefix of the text's encoding."""
+    ids = tokenizer.encode(text)
+    for n in range(len(ids) + 1):
+        prefix = ids[:n]
+        expected = [tokenizer.is_valid(prefix + (x,)) for x in range(len(tokenizer.vocab))]
+        assert tokenizer.valid_continuations(prefix).tolist() == expected, (prefix, text)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.text(alphabet="abc", max_size=20).map(str.encode))
+def test_bpe_bigram_masks_match_validity(seed, text):
+    tokenizer = _random_merge_tokenizer(np.random.default_rng(seed))
+    _assert_masks_match_validity(tokenizer, text)
+
+
+@st.composite
+def _greedy_cases(draw):
+    if draw(st.booleans()):
+        tokenizer = binary_instance().tokenizer
+    else:
+        tokenizer = make_instance(
+            np.random.default_rng(draw(st.integers(0, 2**32 - 1))),
+            n_symbols=draw(st.integers(2, 3)),
+            with_eos=draw(st.booleans()),
+            n_multi=draw(st.integers(1, 4)),
+            max_surface=draw(st.integers(2, 4)),
+        ).tokenizer
+    symbols = sorted(tokenizer.vocab.alphabet.symbols)
+    return tokenizer, bytes(draw(st.lists(st.sampled_from(symbols), max_size=16)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_greedy_cases())
+def test_greedy_window_masks_match_validity(case):
+    _assert_masks_match_validity(*case)
+
+
+def test_make_instance_rejects_impossible_surface_count():
+    # two symbols have only four distinct two-symbol surfaces
+    with pytest.raises(ValueError):
+        make_instance(np.random.default_rng(0), n_symbols=2, max_surface=2, n_multi=5)
