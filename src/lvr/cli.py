@@ -5,8 +5,8 @@ Subcommands: ``tokenize``, ``reduce-generate``, ``build-mcv``,
 can write a JSON-lines trace with one record per step (step index, chosen
 sub-token, unnormalized marginals, normalizer, dropped top-K mass); each
 record is written as its step completes, so a failed run keeps the records
-of the steps before the failure, followed by one error record.  Output
-paths are opened before decoding starts.
+of the steps before the failure, followed by one error record.  Every
+command opens its output paths before it starts its work.
 
 Exit codes: 0 on success (and verification PASS), 1 on runtime failure or
 verification FAIL, 2 on usage or file-format errors.
@@ -153,16 +153,21 @@ def cmd_build_mcv(args) -> int:
     tokenizers = [
         load_tokenizer(v, m) for v, m in zip(args.vocab, args.merges)
     ]
-    result, _ = build_mcv(tokenizers)
-    save_vocabulary(result.vocab, args.out_vocab)
-    save_merges(result.vocab, result.merges, args.out_merges)
-    report = {
-        "member_sizes": [len(t.vocab) for t in tokenizers],
-        "intersection_size": len(result.vocab),
-        "merges_kept": len(result.merges),
-    }
-    if args.report is not None:
-        Path(args.report).write_text(json.dumps(report, indent=1) + "\n")
+    with (
+        _open_output(args.out_vocab, "w") as out_vocab,
+        _open_output(args.out_merges, "w") as out_merges,
+        _open_output(args.report, "w") as out_report,
+    ):
+        result, _ = build_mcv(tokenizers)
+        save_vocabulary(result.vocab, out_vocab)
+        save_merges(result.vocab, result.merges, out_merges)
+        report = {
+            "member_sizes": [len(t.vocab) for t in tokenizers],
+            "intersection_size": len(result.vocab),
+            "merges_kept": len(result.merges),
+        }
+        if out_report is not None:
+            out_report.write(json.dumps(report, indent=1) + "\n")
     print(json.dumps(report))
     return 0
 
@@ -203,16 +208,17 @@ def cmd_verify_lossless(args) -> int:
     model = load_table_model(args.model, args.merges)
     inner = _resolve_inner(args.subvocab, [model.tokenizer])
     nested = NestedTokenizer(model.tokenizer, inner)
-    report = lossless_check(
-        model,
-        nested,
-        max_len=args.max_len,
-        tol=args.tol,
-        method=args.method,
-        instance=str(args.model),
-    )
-    if args.out is not None:
-        Path(args.out).write_text(json.dumps(report.to_json_dict(), indent=1) + "\n")
+    with _open_output(args.out, "w") as out:
+        report = lossless_check(
+            model,
+            nested,
+            max_len=args.max_len,
+            tol=args.tol,
+            method=args.method,
+            instance=str(args.model),
+        )
+        if out is not None:
+            out.write(json.dumps(report.to_json_dict(), indent=1) + "\n")
     verdict = "PASS" if report.passed else "FAIL"
     print(
         f"{verdict}: max discrepancy {report.max_discrepancy:.3e} over "
@@ -224,24 +230,27 @@ def cmd_verify_lossless(args) -> int:
 
 def cmd_bench(args) -> int:
     models, tokenizers = _load_members(args, need_model=False)
-    corpus = [
-        line for line in Path(args.corpus).read_bytes().splitlines() if line
-    ]
-    members = []
-    for model, tokenizer in zip(models, tokenizers):
-        if model is None:
-            model = train_ngram(corpus, tokenizer, args.order, args.alpha)
-        members.append((model, tokenizer))
-    report = run_bench(
-        members,
-        corpus,
-        target_bytes=args.target_bytes,
-        seed=args.seed,
-        topk=args.k,
-        mode=args.mode,
-    )
-    if args.out is not None:
-        Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
+    try:
+        text = Path(args.corpus).read_bytes()
+    except OSError as exc:
+        raise FileFormatError(f"cannot read corpus file {args.corpus}: {exc}") from exc
+    corpus = [line for line in text.splitlines() if line]
+    with _open_output(args.out, "w") as out:
+        members = []
+        for model, tokenizer in zip(models, tokenizers):
+            if model is None:
+                model = train_ngram(corpus, tokenizer, args.order, args.alpha)
+            members.append((model, tokenizer))
+        report = run_bench(
+            members,
+            corpus,
+            target_bytes=args.target_bytes,
+            seed=args.seed,
+            topk=args.k,
+            mode=args.mode,
+        )
+        if out is not None:
+            out.write(json.dumps(report, indent=1) + "\n")
     print(json.dumps(report))
     return 0
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import re
 from pathlib import Path
+from typing import TextIO
 
 import numpy as np
 
@@ -76,9 +77,17 @@ def _infer_alphabet(surfaces: list[bytes]) -> Alphabet:
     return Alphabet(frozenset(symbols), eos=eos)
 
 
-def save_vocabulary(vocab: Vocabulary, path: str | Path) -> None:
+def _write_text(dest: str | Path | TextIO, text: str) -> None:
+    if isinstance(dest, (str, Path)):
+        Path(dest).write_text(text)
+    else:
+        dest.write(text)
+
+
+def save_vocabulary(vocab: Vocabulary, dest: str | Path | TextIO) -> None:
+    """Write a vocabulary file to a path or an open text file."""
     rows = [escape_bytes(s) for s in vocab.surfaces]
-    Path(path).write_text(json.dumps(rows, indent=0) + "\n")
+    _write_text(dest, json.dumps(rows, indent=0) + "\n")
 
 
 def load_vocabulary(path: str | Path) -> Vocabulary:
@@ -95,12 +104,13 @@ def load_vocabulary(path: str | Path) -> Vocabulary:
         raise FileFormatError(f"{path}: {exc}") from exc
 
 
-def save_merges(vocab: Vocabulary, merges: list[tuple[int, int]], path: str | Path) -> None:
+def save_merges(vocab: Vocabulary, merges: list[tuple[int, int]], dest: str | Path | TextIO) -> None:
+    """Write a merges file to a path or an open text file."""
     lines = [
         f"{escape_bytes(vocab.surface(a))}\t{escape_bytes(vocab.surface(b))}"
         for a, b in merges
     ]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
+    _write_text(dest, "\n".join(lines) + ("\n" if lines else ""))
 
 
 def load_merges(vocab: Vocabulary, path: str | Path) -> list[tuple[int, int]]:

@@ -13,13 +13,15 @@ Each step combines two sources:
 
   (i)  cover entries whose re-encoding already extends past the prefix,
        bucketed by their next sub-token, and
-  (ii) one-token extensions of the prefix's canonical retokenization,
+  (ii) one-token extensions of the prefix's canonical retokenization (the
+       one cover entry whose re-encoding ends exactly at the prefix),
        bucketed by the first sub-token of the added token's re-encoding.
 
 Only source (ii) touches the model, with exactly one distribution call per
-step; entry marginals are extended incrementally, never recomputed.  The
-efficient variant restricts source (ii) to the top-K most probable
-extensions and reports the marginal mass it dropped.
+step; entry marginals are extended incrementally, never recomputed, and in
+exact mode the session re-encodes no text.  The efficient variant restricts
+source (ii) to the top-K most probable extensions and reports the marginal
+mass it dropped.
 """
 
 from __future__ import annotations
@@ -71,8 +73,8 @@ class SubTokenDistribution:
 
 
 class ReductionSession:
-    """Stateful reducer: a sampled sub-token prefix, the cover cache for the
-    current prefix, and a marginal-probability cache.
+    """Stateful reducer: a sampled sub-token prefix and its relative cover,
+    the only store of marginals.
 
     ``topk=None`` requests exact mode (every extension considered);
     otherwise only the K most probable one-token extensions of the canonical
@@ -103,7 +105,6 @@ class ReductionSession:
         self.cover_cache: dict[TokenSeq, RelativeCover] = {
             (): RelativeCover([CoverEntry((), (), 1.0)])
         }
-        self.prob_cache: dict[TokenSeq, float] = {(): 1.0}
         self._pending: dict[int, RelativeCover] | None = None
         self._last: SubTokenDistribution | None = None
 
@@ -120,17 +121,17 @@ class ReductionSession:
 
     def _prologue(self):
         cover = self.cover_cache[self.prefix]
-        retok = self._canonical_retokenization()
-        base = self.prob_cache.get(retok)
-        if base is None:
-            # Only reachable when top-K truncation evicted the entry.
+        k = len(self.prefix)
+        for e in cover.entries:
+            if len(e.nested) == k:
+                retok, base = e.seq, e.marginal
+                break
+        else:
+            # Only reachable when top-K truncation dropped the cover entry
+            # of the canonical retokenization.
+            retok = self._canonical_retokenization()
             base = self.model.marginal(retok)
-            self.prob_cache[retok] = base
-        cond = self.model.next_token_dist(retok)
-        ext = base * cond
-        cache = self.prob_cache
-        for x in range(len(ext)):
-            cache[retok + (x,)] = float(ext[x])
+        ext = base * self.model.next_token_dist(retok)
         return cover, retok, ext, self.model.valid_mask(retok)
 
     def _finish(self, sums: np.ndarray, pending, dropped: float) -> SubTokenDistribution:
@@ -210,23 +211,14 @@ class ReductionSession:
 
     def _adopt(self, chosen: int) -> None:
         pending = self._pending or {}
-        new_prefix = self.prefix + (chosen,)
-        new_cover = pending.get(chosen) or RelativeCover()
-        pruned: dict[TokenSeq, float] = {(): 1.0}
-        for e in new_cover.entries:
-            pruned[e.seq] = e.marginal
-        retok = self.nested.outer.encode(self.nested.decode(new_prefix))
-        if retok in self.prob_cache:
-            pruned[retok] = self.prob_cache[retok]
-        self.prefix = new_prefix
-        self.cover_cache = {new_prefix: new_cover}
-        self.prob_cache = pruned
+        self.prefix = self.prefix + (chosen,)
+        self.cover_cache = {self.prefix: pending.get(chosen) or RelativeCover()}
         self._pending = None
         self._last = None
 
     def step(self, chosen: int) -> None:
         """Commit to a sub-token: extend the prefix, keep its cover, evict
-        the unselected siblings' covers and unreachable marginals.
+        the unselected siblings' covers.
 
         A sub-token with zero mass is refused, unless top-K dropped mass at
         this step: the step is then recomputed exactly once and checked

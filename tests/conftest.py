@@ -11,6 +11,7 @@ import pytest
 
 from lvr import (
     Alphabet,
+    BpeTokenizer,
     GreedyTokenizer,
     NestedTokenizer,
     TableModel,
@@ -95,3 +96,20 @@ def make_instance(
         tokenizer, entries, default=_random_positive_dist(rng, size)
     )
     return Instance(model, tokenizer, inner, NestedTokenizer(tokenizer, inner))
+
+
+def random_merge_tokenizer(rng) -> BpeTokenizer:
+    """BPE over ``abc`` with up to six random merges, duplicate merges and
+    products already in the vocabulary included."""
+    symbols = b"abc"
+    surfaces = [bytes([s]) for s in symbols]
+    merges = []
+    for _ in range(int(rng.integers(1, 7))):
+        a, b = rng.integers(0, len(surfaces), size=2)
+        product = surfaces[a] + surfaces[b]
+        if len(product) > 6:
+            continue
+        if product not in surfaces:
+            surfaces.append(product)
+        merges.append((int(a), int(b)))
+    return BpeTokenizer(Vocabulary(surfaces, Alphabet.of(symbols)), merges)

@@ -313,6 +313,57 @@ class TestEnsembleMoeTopK:
         assert set(capsys.readouterr().out.strip()) <= set("abcd")
 
 
+class TestUnopenablePaths:
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            ("verify-lossless", "--out"),
+            ("build-mcv", "--out-vocab"),
+            ("build-mcv", "--out-merges"),
+            ("build-mcv", "--report"),
+            ("bench", "--out"),
+            ("bench", "--corpus"),
+        ],
+    )
+    def test_exits_2_before_work(
+        self, binary_files, bpe_member_files, capsys, monkeypatch, command, flag
+    ):
+        from lvr import cli
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the paths were checked")
+
+        for name in ("lossless_check", "build_mcv", "run_bench", "train_ngram"):
+            monkeypatch.setattr(cli, name, no_work)
+        (v1, m1, _), (v2, m2, _) = bpe_member_files[0]
+        out_dir = binary_files["dir"]
+        argv = {
+            "verify-lossless": [
+                "--model", binary_files["model"], "--subvocab", binary_files["subvocab"],
+                "--out", out_dir / "report.json",
+            ],
+            "build-mcv": [
+                "--vocab", v1, "--merges", m1, "--vocab", v2, "--merges", m2,
+                "--out-vocab", out_dir / "common.json",
+                "--out-merges", out_dir / "common.txt",
+                "--report", out_dir / "mcv.json",
+            ],
+            "bench": [
+                "--member", f"vocab={v1},merges={m1}",
+                "--member", f"vocab={v2},merges={m2}",
+                "--corpus", bpe_member_files[1], "--out", out_dir / "bench.json",
+            ],
+        }[command]
+        missing = out_dir / "missing-dir" / "file"
+        argv[argv.index(flag) + 1] = missing
+        code = main([command] + [str(a) for a in argv])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        what = "read corpus file" if flag == "--corpus" else "open"
+        assert captured.err.startswith(f"error: cannot {what} {missing}")
+
+
 class TestBench:
     def test_report_shape(self, bpe_member_files, capsys, tmp_path):
         members, corpus = bpe_member_files

@@ -98,9 +98,8 @@ class TestDistributionInvariants:
 
 
 class TestMaskCache:
-    def test_bpe_mask_cache_bounded_by_vocabulary(self):
-        # masks key on the last token, so a long generation adds at most one
-        # entry per token plus the empty context
+    @staticmethod
+    def _bpe_model():
         alphabet = Alphabet.of("abcd")
         surfaces = [b"a", b"b", b"c", b"d", b"ab", b"cd", b"abc", b"da"]
         vocab = Vocabulary(surfaces, alphabet)
@@ -110,10 +109,34 @@ class TestMaskCache:
         vec = rng.uniform(0.1, 1.0, len(vocab))
         model = TableModel(tokenizer, {}, default=vec / vec.sum())
         inner = GreedyTokenizer(byte_vocabulary(alphabet))
-        session = ReductionSession(model, NestedTokenizer(tokenizer, inner), topk=None)
+        return model, NestedTokenizer(tokenizer, inner)
+
+    def test_bpe_mask_cache_bounded_by_vocabulary(self):
+        # masks key on the last token, so a long generation adds at most one
+        # entry per token plus the empty context
+        model, nested = self._bpe_model()
+        session = ReductionSession(model, nested, topk=None)
         assert len(session.generate(120, decoding="sample", seed=0)) == 120
-        assert len(model._dist_cache) > len(vocab) + 1
-        assert len(model._mask_cache) <= len(vocab) + 1
+        assert len(model._dist_cache) > len(model.vocab) + 1
+        assert len(model._mask_cache) <= len(model.vocab) + 1
+
+    def test_warm_replay_encodes_nothing(self, monkeypatch):
+        # an exact step takes the prefix's retokenization from its cover, so
+        # once the model has cached every prefix, a replay never re-encodes
+        model, nested = self._bpe_model()
+        first = ReductionSession(model, nested, topk=None).generate(
+            120, decoding="sample", seed=0
+        )
+        calls = []
+        encode = model.tokenizer.encode
+        monkeypatch.setattr(
+            model.tokenizer, "encode", lambda text: calls.append(text) or encode(text)
+        )
+        replay = ReductionSession(model, nested, topk=None).generate(
+            120, decoding="sample", seed=0
+        )
+        assert replay == first
+        assert calls == []
 
 
 class TestTableValidation:

@@ -3,11 +3,14 @@ stepping, generation, and the naive-restriction baseline."""
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bruteforce import brute_relative_cover
-from conftest import make_instance
+from conftest import make_instance, random_merge_tokenizer
 
 from lvr import (
+    CoverEntry,
     GreedyTokenizer,
     NestedTokenizer,
     ReductionError,
@@ -26,8 +29,7 @@ class TestSessionSetup:
     def test_seeded_with_empty_cover(self, binary):
         session = ReductionSession(binary.model, binary.nested, topk=None)
         assert session.prefix == ()
-        assert session.cover_cache[()].sequences() == {()}
-        assert session.prob_cache[()] == 1.0
+        assert session.cover_cache[()].entries == [CoverEntry((), (), 1.0)]
 
     def test_zero_topk_rejected(self, binary):
         with pytest.raises(ReductionError):
@@ -143,17 +145,25 @@ class TestStep:
         assert set(session.cover_cache) == {(2,)}
 
     def test_evicted_retokenization_marginal_recomputed(self, binary):
-        # truncation can evict the canonical retokenization's cached
-        # marginal; the next step must recover it by telescoping
-        session = ReductionSession(binary.model, binary.nested, topk=None)
+        # the root row ranks 001 above 00, so K=1 keeps only (001,) in the
+        # bucket of sub-token 00: the prefix's canonical retokenization (00,)
+        # is not in its cover, and the next step recovers its marginal by
+        # telescoping
+        model = TableModel(
+            binary.tokenizer,
+            {(): np.array([0.1, 0.1, 0.3, 0.5]), (2,): np.array([0.6, 0.0, 0.3, 0.1])},
+            default=np.full(4, 0.25),
+        )
+        session = ReductionSession(model, binary.nested, topk=1)
         session.next_subtoken_dist()
         session.step(2)
-        reference = session.next_subtoken_dist().raw_marginals.copy()
-        session = ReductionSession(binary.model, binary.nested, topk=None)
-        session.next_subtoken_dist()
-        session.step(2)
-        del session.prob_cache[(2,)]
+        assert session.cover_cache[(2,)].sequences() == {(3,)}
+        session.topk = None
         recovered = session.next_subtoken_dist().raw_marginals
+        exact = ReductionSession(model, binary.nested, topk=None)
+        exact.next_subtoken_dist()
+        exact.step(2)
+        reference = exact.next_subtoken_dist().raw_marginals
         np.testing.assert_allclose(recovered, reference, atol=1e-15)
 
 
@@ -198,6 +208,54 @@ class TestAgainstBruteForce:
                                     )
                                 )
                 frontier = next_frontier
+
+
+def _assert_cover_holds_retokenization(session, steps, seed):
+    """At every step of an exact sampled generation, exactly one cover entry
+    ends at the prefix, and it is the canonical retokenization that the
+    step extends."""
+
+    def checked_dist():
+        k = len(session.prefix)
+        ends = [e for e in session.cover_cache[session.prefix].entries if len(e.nested) == k]
+        retok = session._canonical_retokenization()
+        assert [e.seq for e in ends] == [retok], session.prefix
+        assert session._prologue()[1] == retok
+        return session.next_subtoken_dist()
+
+    eos = session.nested.vocab.eos_id
+    for _ in decode(checked_dist, session.step, eos, steps, "sample", seed):
+        pass
+
+
+class TestCoverHoldsRetokenization:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_random_greedy_instances(self, seed):
+        rng = np.random.default_rng(seed)
+        inst = make_instance(
+            rng,
+            n_symbols=int(rng.integers(2, 4)),
+            n_multi=int(rng.integers(1, 5)),
+            n_sub_multi=int(rng.integers(0, 2)),
+        )
+        session = ReductionSession(inst.model, inst.nested, topk=None)
+        _assert_cover_holds_retokenization(session, 24, seed)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_random_bpe_merge_lists(self, seed):
+        rng = np.random.default_rng(seed)
+        tokenizer = random_merge_tokenizer(rng)
+        size = len(tokenizer.vocab)
+        # with no terminator, a token that every merge absorbs (after "aa"
+        # and "ab" and "ac", "a" cannot be followed) ends the model's support
+        assume(all(tokenizer.valid_continuations((t,)).any() for t in range(size)))
+        vec = rng.uniform(0.05, 1.0, size)
+        model = TableModel(tokenizer, {}, default=vec / vec.sum())
+        inner = GreedyTokenizer(byte_vocabulary(tokenizer.vocab.alphabet))
+        session = ReductionSession(model, NestedTokenizer(tokenizer, inner), topk=None)
+        _assert_cover_holds_retokenization(session, 24, seed)
 
 
 class TestNaiveEquivalence:

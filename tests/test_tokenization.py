@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import binary_instance, make_instance
+from conftest import binary_instance, make_instance, random_merge_tokenizer
 
 from lvr import (
     Alphabet,
@@ -245,28 +245,11 @@ def _reference_bpe(tokenizer, text):
     return tuple(tok)
 
 
-def _random_merge_tokenizer(rng) -> BpeTokenizer:
-    """BPE over ``abc`` with up to six random merges, duplicate merges and
-    products already in the vocabulary included."""
-    symbols = b"abc"
-    surfaces = [bytes([s]) for s in symbols]
-    merges = []
-    for _ in range(int(rng.integers(1, 7))):
-        a, b = rng.integers(0, len(surfaces), size=2)
-        product = surfaces[a] + surfaces[b]
-        if len(product) > 6:
-            continue
-        if product not in surfaces:
-            surfaces.append(product)
-        merges.append((int(a), int(b)))
-    return BpeTokenizer(Vocabulary(surfaces, Alphabet.of(symbols)), merges)
-
-
 def test_bpe_matches_reference_on_random_merge_lists():
     rng = np.random.default_rng(77)
     symbols = b"abc"
     for _ in range(12):
-        tokenizer = _random_merge_tokenizer(rng)
+        tokenizer = random_merge_tokenizer(rng)
         for _ in range(40):
             text = bytes(rng.choice(list(symbols), size=rng.integers(0, 24)).tolist())
             assert tokenizer.encode(text) == _reference_bpe(tokenizer, text), (
@@ -288,7 +271,7 @@ def _assert_masks_match_validity(tokenizer, text):
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.text(alphabet="abc", max_size=20).map(str.encode))
 def test_bpe_bigram_masks_match_validity(seed, text):
-    tokenizer = _random_merge_tokenizer(np.random.default_rng(seed))
+    tokenizer = random_merge_tokenizer(np.random.default_rng(seed))
     _assert_masks_match_validity(tokenizer, text)
 
 
