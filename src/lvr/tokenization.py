@@ -10,9 +10,10 @@ each token's surface with a sub-vocabulary tokenizer.
 
 from __future__ import annotations
 
+import functools
 import heapq
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -156,15 +157,23 @@ class DeterministicTokenizer:
         """Boolean mask over the vocabulary: entry ``x`` is True iff
         ``prefix + (x,)`` is a valid sequence.
 
-        ``prefix`` must itself be valid: the mask is computed by re-encoding
-        only its :meth:`mask_context`, which is exact for valid prefixes
-        alone.
+        ``prefix`` must itself be valid: the mask is computed by
+        :meth:`mask_row` from its :meth:`mask_context` alone, which is exact
+        for valid prefixes only.
         """
-        prefix = self.mask_context(prefix)
-        decoded = self.decode(prefix)
+        return self.mask_row(self.mask_context(prefix))
+
+    def mask_row(self, context: TokenSeq) -> np.ndarray:
+        """Validity mask after ``context``, a :meth:`mask_context` result.
+
+        The generic fill re-encodes ``context`` followed by each token, |V|
+        encodes per row.  It stays the reference that faster fills are
+        tested against.
+        """
+        decoded = self.decode(context)
         mask = np.zeros(len(self.vocab), dtype=bool)
         for tid, surf in enumerate(self.vocab.surfaces):
-            mask[tid] = self.encode(decoded + surf) == prefix + (tid,)
+            mask[tid] = self.encode(decoded + surf) == context + (tid,)
         return mask
 
 
@@ -234,6 +243,17 @@ class GreedyTokenizer(DeterministicTokenizer):
         return tuple(out)
 
 
+class _MergeTrees(NamedTuple):
+    """Index of an ordered BPE merge list for :meth:`BpeTokenizer.mask_row`."""
+
+    canonical: np.ndarray  # token -> encodes to itself
+    producer: dict[int, tuple[int, int, int]]  # product -> (left, right, rank)
+    by_left: dict[int, tuple[np.ndarray, np.ndarray]]  # left -> (rights, ranks)
+    holder: np.ndarray  # left-spine entries: the token whose spine it is,
+    node: np.ndarray  # the node on that spine,
+    node_rank: np.ndarray  # and the rank of the merge that consumed the node
+
+
 class BpeTokenizer(DeterministicTokenizer):
     """Byte-pair encoding: start from single-symbol tokens and repeatedly
     apply the lowest-ranked applicable merge, leftmost occurrence first among
@@ -274,6 +294,96 @@ class BpeTokenizer(DeterministicTokenizer):
         (Vieira et al., 2025, *Language Models over Canonical Byte-Pair
         Encodings*)."""
         return tuple(prefix[-1:])
+
+    def mask_row(self, context: TokenSeq) -> np.ndarray:
+        """Bigram row after ``context`` (``()`` or one token), read off merge
+        trees instead of re-encoding (Vieira et al., 2025, *Language Models
+        over Canonical Byte-Pair Encodings*).
+
+        The rule is exact when the merge list is *ordered*: every merge has
+        a product that no other merge has (hence also its own pair), and
+        each of its two parts is a single byte or the product of a merge of
+        lower rank.  Then every token has one merge tree.  Its right spine
+        is the token, its right child, and so on down to a byte; the left
+        spine likewise with left children.  Each spine node carries the rank
+        of the merge that consumed it, infinite for the token itself.  A
+        token ``x`` may follow ``a`` iff ``x`` encodes to itself and no merge
+        ``(u, v)`` of rank ``r`` has ``u`` on the right spine of ``a`` and
+        ``v`` on the left spine of ``x`` with ``r < rank_a(u)`` and
+        ``r <= rank_x(v)``.  The bounds differ because equal ranks merge
+        leftmost first: the pair across the boundary lies right of the
+        merge that consumes ``u`` and left of the one that consumes ``v``.
+
+        A merge list that is not ordered uses the generic re-encoding fill.
+        """
+        trees = self._merge_trees
+        if trees is None:
+            return super().mask_row(context)
+        if not context:
+            return trees.canonical.copy()
+        (u,) = context
+        if not trees.canonical[u]:
+            return np.zeros(len(self.vocab), dtype=bool)
+        # limit[v]: lowest rank r of a merge (u, v) with u on the right
+        # spine and r < rank_a(u); it blocks x if rank_x(v) >= r.  The rank
+        # len(self.merges) stands for infinity.
+        limit = np.full(len(self.vocab), len(self.merges) + 1)
+        consumed = len(self.merges)
+        while True:
+            if u in trees.by_left:
+                vs, ranks = trees.by_left[u]
+                k = int(np.searchsorted(ranks, consumed))
+                limit[vs[:k]] = np.minimum(limit[vs[:k]], ranks[:k])
+            if u not in trees.producer:
+                break
+            _, u, consumed = trees.producer[u]
+        mask = trees.canonical.copy()
+        mask[trees.holder[trees.node_rank >= limit[trees.node]]] = False
+        return mask
+
+    @functools.cached_property
+    def _merge_trees(self) -> "_MergeTrees | None":
+        """Merge trees of an ordered merge list (see :meth:`mask_row`), or
+        None.  Built on the first row request, not at construction."""
+        surfaces = self.vocab.surfaces
+        producer: dict[int, tuple[int, int, int]] = {}
+        by_left: dict[int, tuple[list[int], list[int]]] = {}
+        for rank, (a, b) in enumerate(self.merges):
+            product = self._pair_rank[(a, b)][1]
+            if product in producer:
+                return None
+            if any(len(surfaces[p]) > 1 and p not in producer for p in (a, b)):
+                return None
+            producer[product] = (a, b, rank)
+            vs, ranks = by_left.setdefault(a, ([], []))
+            vs.append(b)
+            ranks.append(rank)
+        canonical = np.array(
+            [self.encode(surf) == (tid,) for tid, surf in enumerate(surfaces)]
+        )
+        # one (token, node, rank consumed) triple per left-spine node of
+        # every token that encodes to itself
+        holder, node, node_rank = [], [], []
+        for x in np.flatnonzero(canonical).tolist():
+            v, consumed = x, len(self.merges)
+            while True:
+                holder.append(x)
+                node.append(v)
+                node_rank.append(consumed)
+                if v not in producer:
+                    break
+                v, _, consumed = producer[v]
+        return _MergeTrees(
+            canonical=canonical,
+            producer=producer,
+            by_left={
+                u: (np.array(vs, dtype=np.int64), np.array(ranks, dtype=np.int64))
+                for u, (vs, ranks) in by_left.items()
+            },
+            holder=np.array(holder, dtype=np.int64),
+            node=np.array(node, dtype=np.int64),
+            node_rank=np.array(node_rank, dtype=np.int64),
+        )
 
     def encode(self, text: bytes) -> TokenSeq:
         arr = self._single_table[np.frombuffer(text, dtype=np.uint8)]

@@ -113,3 +113,27 @@ def random_merge_tokenizer(rng) -> BpeTokenizer:
             surfaces.append(product)
         merges.append((int(a), int(b)))
     return BpeTokenizer(Vocabulary(surfaces, Alphabet.of(symbols)), merges)
+
+
+def wide_merge_tokenizer(rng) -> BpeTokenizer:
+    """BPE over two to four symbols with up to 15 random merges and
+    surfaces of at most 8 bytes.  Up to two extra multi-byte tokens may sit
+    in the vocabulary before any merge makes them, and merges may repeat a
+    pair or a product, so some lists are ordered and some are not."""
+    symbols = b"abcd"[: int(rng.integers(2, 5))]
+    surfaces = [bytes([s]) for s in symbols]
+    for _ in range(int(rng.integers(0, 3))):
+        picks = rng.integers(0, len(symbols), size=int(rng.integers(2, 5)))
+        extra = bytes(symbols[i] for i in picks)
+        if extra not in surfaces:
+            surfaces.append(extra)
+    merges = []
+    for _ in range(int(rng.integers(1, 16))):
+        a, b = rng.integers(0, len(surfaces), size=2)
+        product = surfaces[a] + surfaces[b]
+        if len(product) > 8:
+            continue
+        if product not in surfaces:
+            surfaces.append(product)
+        merges.append((int(a), int(b)))
+    return BpeTokenizer(Vocabulary(surfaces, Alphabet.of(symbols)), merges)

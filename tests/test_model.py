@@ -120,6 +120,31 @@ class TestMaskCache:
         assert len(model._dist_cache) > len(model.vocab) + 1
         assert len(model._mask_cache) <= len(model.vocab) + 1
 
+    def test_bpe_rows_need_no_reencoding(self, monkeypatch):
+        # the merge list is ordered, so rows come from merge trees: over a
+        # cold generation the only encodes inside valid_continuations are
+        # the one-off check that each token encodes to itself
+        model, nested = self._bpe_model()
+        tokenizer = model.tokenizer
+        encode, fill = tokenizer.encode, tokenizer.valid_continuations
+        filling, calls = [], []
+
+        def counted_fill(prefix):
+            filling.append(prefix)
+            try:
+                return fill(prefix)
+            finally:
+                filling.pop()
+
+        monkeypatch.setattr(
+            tokenizer, "encode", lambda text: (filling and calls.append(text)) or encode(text)
+        )
+        monkeypatch.setattr(tokenizer, "valid_continuations", counted_fill)
+        session = ReductionSession(model, nested, topk=None)
+        assert len(session.generate(120, decoding="sample", seed=0)) == 120
+        assert len(model._mask_cache) > 2
+        assert len(calls) <= len(model.vocab)
+
     def test_warm_replay_encodes_nothing(self, monkeypatch):
         # an exact step takes the prefix's retokenization from its cover, so
         # once the model has cached every prefix, a replay never re-encodes

@@ -6,11 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import binary_instance, make_instance, random_merge_tokenizer
+from conftest import (
+    binary_instance,
+    make_instance,
+    random_merge_tokenizer,
+    wide_merge_tokenizer,
+)
 
 from lvr import (
     Alphabet,
     BpeTokenizer,
+    DeterministicTokenizer,
     GreedyTokenizer,
     NestedTokenizer,
     TokenizationError,
@@ -273,6 +279,76 @@ def _assert_masks_match_validity(tokenizer, text):
 def test_bpe_bigram_masks_match_validity(seed, text):
     tokenizer = random_merge_tokenizer(np.random.default_rng(seed))
     _assert_masks_match_validity(tokenizer, text)
+
+
+def _assert_rows_match_reencoding(tokenizer):
+    """The BPE row fill equals the generic re-encoding fill at ``()`` and
+    after every token that encodes to itself."""
+    size = len(tokenizer.vocab)
+    for context in [()] + [(t,) for t in range(size) if tokenizer.is_valid((t,))]:
+        expected = DeterministicTokenizer.mask_row(tokenizer, context).tolist()
+        assert tokenizer.valid_continuations(context).tolist() == expected, (
+            tokenizer.merges,
+            context,
+        )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_bpe_rows_match_reencoding_on_wide_merge_lists(seed):
+    _assert_rows_match_reencoding(wide_merge_tokenizer(np.random.default_rng(seed)))
+
+
+def test_wide_merge_lists_are_ordered_and_not():
+    ordered = {
+        wide_merge_tokenizer(np.random.default_rng(seed))._merge_trees is not None
+        for seed in range(40)
+    }
+    assert ordered == {True, False}
+
+
+def _abcd_without_rank_matrix():
+    tokenizer = BpeTokenizer(
+        Vocabulary(
+            [b"a", b"b", b"c", b"d", b"ab", b"cd", b"abc", b"da"], Alphabet.of("abcd")
+        ),
+        [(0, 1), (2, 3), (4, 2), (3, 0)],
+    )
+    tokenizer._rank_mat = None  # as for vocabularies above 8M pairs
+    return tokenizer
+
+
+def _not_ordered():
+    # (b, a) is merged three times and baa is made by two merges
+    surfaces = "a b aa ba baa bb bab bbaa bbaabaa bbbbaa aabbbbaa aaaa".split()
+    merges = [(0, 0), (1, 0), (1, 0), (1, 0), (3, 0), (1, 1), (3, 1),
+              (5, 2), (7, 4), (5, 7), (2, 9), (1, 2), (2, 2)]
+    vocab = Vocabulary([s.encode() for s in surfaces], Alphabet.of("ab"))
+    return BpeTokenizer(vocab, merges)
+
+
+def _b_bb():
+    return BpeTokenizer(Vocabulary([b"b", b"bb"], Alphabet.of("b")), [(0, 0)])
+
+
+@pytest.mark.parametrize(
+    "build, context, token, ordered",
+    [
+        # bbb encodes as bb b: of two equal-rank pairs the leftmost merges
+        (_b_bb, (0,), 1, True),
+        # the spine rule alone accepts bb + bbaabaa, which encodes as bbbbaa baa
+        (_not_ordered, (5,), 8, False),
+        # ab + c encodes as abc
+        (_abcd_without_rank_matrix, (4,), 2, True),
+    ],
+    ids=["tie-rule", "not-ordered-fallback", "no-rank-matrix"],
+)
+def test_bpe_row_edge_cases(build, context, token, ordered):
+    tokenizer = build()
+    assert tokenizer.is_valid(context) and tokenizer.is_valid((token,))
+    assert not tokenizer.valid_continuations(context)[token]
+    assert (tokenizer._merge_trees is not None) == ordered
+    _assert_rows_match_reencoding(tokenizer)
 
 
 @st.composite
