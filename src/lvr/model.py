@@ -15,12 +15,19 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ModelError
+from .errors import ModelError, TokenizationError
 from .tokenization import DeterministicTokenizer, TokenSeq
 
 
 class LanguageModel:
-    """Base class: subclasses supply the raw (unmasked) conditional table."""
+    """Base class: subclasses supply the raw (unmasked) conditional table.
+
+    A valid prefix must have at least one valid continuation.  A BPE model
+    with no terminator whose merges absorb every follower of some token
+    breaks this: after that token every continuation is masked out, so
+    :meth:`next_token_dist` raises :class:`ModelError` there, and so do a
+    reduction session and ``original_prefix_prob_table`` that reach it.
+    """
 
     def __init__(self, tokenizer: DeterministicTokenizer, renormalize: bool = True):
         self.tokenizer = tokenizer
@@ -39,12 +46,13 @@ class LanguageModel:
 
     def valid_mask(self, prefix: Sequence[int]) -> np.ndarray:
         """Cached boolean validity mask for one-token continuations of a
-        valid prefix.
+        valid prefix: entry ``x`` is True iff ``prefix + (x,)`` is valid.
 
         A prefix whose distribution is cached returns the mask stored beside
-        it; otherwise masks are cached by the tokenizer's mask context, so
-        the cache holds one entry per distinct context (at most ``|V| + 1``
-        for BPE).
+        it, which is also how :meth:`next_token_dist` validates that
+        prefix's children; otherwise masks are cached by the tokenizer's
+        mask context, so the cache holds one entry per distinct context (at
+        most ``|V| + 1`` for BPE).
         """
         key = tuple(prefix)
         hit = self._dist_cache.get(key)
@@ -62,16 +70,31 @@ class LanguageModel:
         """Masked distribution over the full vocabulary, in one call.
 
         The prefix must be valid and must not contain the terminator; the
-        returned array is cached and read-only.
+        returned array is cached and read-only.  ``p + (x,)`` is valid iff
+        ``p`` is valid and ``p``'s mask admits ``x``, so when ``p`` is
+        cached the check is one lookup and nothing is re-encoded.  Any
+        other prefix is checked by re-encoding it whole.
         """
         key = tuple(prefix)
         hit = self._dist_cache.get(key)
         if hit is not None:
             return hit[0]
         eos = self.vocab.eos_id
-        if eos is not None and eos in key:
-            raise ModelError("cannot continue a terminated sequence")
-        if not self.tokenizer.is_valid(key):
+        parent = self._dist_cache.get(key[:-1]) if key else None
+        if parent is None:
+            if eos is not None and eos in key:
+                raise ModelError("cannot continue a terminated sequence")
+            valid = self.tokenizer.is_valid(key)
+        else:
+            # a cached parent was validated and holds no terminator, so its
+            # mask decides the new prefix without re-encoding it
+            x = key[-1]
+            if x == eos:
+                raise ModelError("cannot continue a terminated sequence")
+            if not 0 <= x < len(parent[1]):
+                raise TokenizationError(f"unknown token id {x}")
+            valid = parent[1][x]
+        if not valid:
             raise ModelError(f"prefix {key} is not a valid token sequence")
         raw = np.asarray(self.raw_next_token_dist(key), dtype=float)
         mask = self.valid_mask(key)

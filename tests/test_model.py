@@ -3,17 +3,21 @@ and n-gram training."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import make_instance
+from conftest import binary_instance, make_instance, wide_merge_tokenizer
 
 from lvr import (
     Alphabet,
     BpeTokenizer,
+    DeterministicTokenizer,
     GreedyTokenizer,
     ModelError,
     NestedTokenizer,
     ReductionSession,
     TableModel,
+    TokenizationError,
     Vocabulary,
     byte_vocabulary,
     train_ngram,
@@ -97,6 +101,28 @@ class TestDistributionInvariants:
                         assert dist[tid] == 0.0
 
 
+def _record_encodes(monkeypatch, tokenizer) -> list[tuple[bool, bytes]]:
+    """Record ``(inside_fill, text)`` for every ``tokenizer.encode`` call,
+    where ``inside_fill`` says whether a mask row fill made it."""
+    encode, fill = tokenizer.encode, tokenizer.valid_continuations
+    filling, calls = [], []
+
+    def counted_fill(prefix):
+        filling.append(prefix)
+        try:
+            return fill(prefix)
+        finally:
+            filling.pop()
+
+    def counted_encode(text):
+        calls.append((bool(filling), text))
+        return encode(text)
+
+    monkeypatch.setattr(tokenizer, "encode", counted_encode)
+    monkeypatch.setattr(tokenizer, "valid_continuations", counted_fill)
+    return calls
+
+
 class TestMaskCache:
     @staticmethod
     def _bpe_model():
@@ -125,25 +151,11 @@ class TestMaskCache:
         # cold generation the only encodes inside valid_continuations are
         # the one-off check that each token encodes to itself
         model, nested = self._bpe_model()
-        tokenizer = model.tokenizer
-        encode, fill = tokenizer.encode, tokenizer.valid_continuations
-        filling, calls = [], []
-
-        def counted_fill(prefix):
-            filling.append(prefix)
-            try:
-                return fill(prefix)
-            finally:
-                filling.pop()
-
-        monkeypatch.setattr(
-            tokenizer, "encode", lambda text: (filling and calls.append(text)) or encode(text)
-        )
-        monkeypatch.setattr(tokenizer, "valid_continuations", counted_fill)
+        calls = _record_encodes(monkeypatch, model.tokenizer)
         session = ReductionSession(model, nested, topk=None)
         assert len(session.generate(120, decoding="sample", seed=0)) == 120
         assert len(model._mask_cache) > 2
-        assert len(calls) <= len(model.vocab)
+        assert sum(inside for inside, _ in calls) <= len(model.vocab)
 
     def test_warm_replay_encodes_nothing(self, monkeypatch):
         # an exact step takes the prefix's retokenization from its cover, so
@@ -152,16 +164,110 @@ class TestMaskCache:
         first = ReductionSession(model, nested, topk=None).generate(
             120, decoding="sample", seed=0
         )
-        calls = []
-        encode = model.tokenizer.encode
-        monkeypatch.setattr(
-            model.tokenizer, "encode", lambda text: calls.append(text) or encode(text)
-        )
+        calls = _record_encodes(monkeypatch, model.tokenizer)
         replay = ReductionSession(model, nested, topk=None).generate(
             120, decoding="sample", seed=0
         )
         assert replay == first
         assert calls == []
+
+
+def _fresh(model: TableModel) -> TableModel:
+    return TableModel(model.tokenizer, model.entries, model.default)
+
+
+def _must_raise(tokenizer, prefix) -> bool:
+    """The reference for next_token_dist's refusals, by re-encoding: a
+    terminator anywhere, an invalid prefix, or a valid one that nothing may
+    follow (the restriction in LanguageModel's docstring)."""
+    eos = tokenizer.vocab.eos_id
+    if eos is not None and eos in prefix:
+        return True
+    if not tokenizer.is_valid(prefix):
+        return True
+    return not DeterministicTokenizer.mask_row(tokenizer, prefix).any()
+
+
+def _random_prefixes(rng, tokenizer, count):
+    """Encodings of random texts over the whole alphabet, terminator
+    included, some with a random token appended or one token replaced."""
+    symbols = sorted(tokenizer.vocab.alphabet.symbols)
+    size = len(tokenizer.vocab)
+    for _ in range(count):
+        text = bytes(int(s) for s in rng.choice(symbols, int(rng.integers(0, 7))))
+        ids = list(tokenizer.encode(text))
+        if not ids or rng.random() < 0.5:
+            ids.append(int(rng.integers(size)))
+        if rng.random() < 0.3:
+            ids[int(rng.integers(len(ids)))] = int(rng.integers(size))
+        yield tuple(ids)
+
+
+def _assert_refuses_exactly_invalid(model: TableModel, rng) -> None:
+    # each prefix on a cold model (whole-prefix re-encode) and on one whose
+    # parent is cached (the parent's mask decides)
+    tokenizer = model.tokenizer
+    for prefix in _random_prefixes(rng, tokenizer, 20):
+        cold, warm = _fresh(model), _fresh(model)
+        if prefix and not _must_raise(tokenizer, prefix[:-1]):
+            warm.next_token_dist(prefix[:-1])
+            assert prefix[:-1] in warm._dist_cache
+        if _must_raise(tokenizer, prefix):
+            for m in (cold, warm):
+                with pytest.raises(ModelError):
+                    m.next_token_dist(prefix)
+        else:
+            assert np.array_equal(cold.next_token_dist(prefix), warm.next_token_dist(prefix))
+
+
+class TestParentMaskValidation:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_refuses_exactly_invalid_bpe_prefixes(self, seed):
+        rng = np.random.default_rng(seed)
+        tokenizer = wide_merge_tokenizer(rng)
+        vec = rng.uniform(0.05, 1.0, len(tokenizer.vocab))
+        _assert_refuses_exactly_invalid(
+            TableModel(tokenizer, {}, default=vec / vec.sum()), rng
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_refuses_exactly_invalid_greedy_prefixes(self, seed):
+        rng = np.random.default_rng(seed)
+        inst = make_instance(
+            rng, n_symbols=int(rng.integers(2, 4)), n_multi=int(rng.integers(1, 5))
+        )
+        _assert_refuses_exactly_invalid(inst.model, rng)
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["uncached", "cached"])
+    @pytest.mark.parametrize("tid", [-1, 4])
+    def test_out_of_range_id(self, binary, tid, warm):
+        # every binary token may start a text, so the root's mask is all
+        # True: reading it at -1 would accept the prefix
+        if warm:
+            binary.model.next_token_dist(())
+        with pytest.raises(TokenizationError):
+            binary.model.next_token_dist((tid,))
+        if warm:
+            binary.model.next_token_dist((2,))
+        with pytest.raises(TokenizationError):
+            binary.model.next_token_dist((2, tid))
+
+    def test_cold_bpe_generation_encodes_no_text(self, monkeypatch):
+        model, nested = TestMaskCache._bpe_model()
+        calls = _record_encodes(monkeypatch, model.tokenizer)
+        session = ReductionSession(model, nested, topk=None)
+        assert len(session.generate(120, decoding="sample", seed=0)) == 120
+        assert sum(len(text) for inside, text in calls if not inside) == 0
+
+    def test_cold_binary_generation_encodes_no_text(self, monkeypatch):
+        inst = binary_instance()
+        calls = _record_encodes(monkeypatch, inst.tokenizer)
+        session = ReductionSession(inst.model, inst.nested, topk=None)
+        assert len(session.generate(1000)) == 1000
+        assert len(inst.model._dist_cache) >= 1000
+        assert sum(len(text) for inside, text in calls if not inside) == 0
 
 
 class TestTableValidation:

@@ -12,6 +12,7 @@ from conftest import make_instance, random_merge_tokenizer
 from lvr import (
     CoverEntry,
     GreedyTokenizer,
+    ModelError,
     NestedTokenizer,
     ReductionError,
     ReductionSession,
@@ -249,13 +250,34 @@ class TestCoverHoldsRetokenization:
         tokenizer = random_merge_tokenizer(rng)
         size = len(tokenizer.vocab)
         # with no terminator, a token that every merge absorbs (after "aa"
-        # and "ab" and "ac", "a" cannot be followed) ends the model's support
+        # and "ab" and "ac", "a" cannot be followed) ends the model's support;
+        # see test_token_with_no_follower_is_refused
         assume(all(tokenizer.valid_continuations((t,)).any() for t in range(size)))
         vec = rng.uniform(0.05, 1.0, size)
         model = TableModel(tokenizer, {}, default=vec / vec.sum())
         inner = GreedyTokenizer(byte_vocabulary(tokenizer.vocab.alphabet))
         session = ReductionSession(model, NestedTokenizer(tokenizer, inner), topk=None)
         _assert_cover_holds_retokenization(session, 24, seed)
+
+    def test_token_with_no_follower_is_refused(self):
+        # merges a+a, a+b, a+c, b+aa and no terminator: the text "a" is
+        # valid, but nothing may follow the token "a", so the model has no
+        # mass there; the engine and the oracle both refuse it (documented
+        # on LanguageModel)
+        rng = np.random.default_rng(743)
+        tokenizer = random_merge_tokenizer(rng)
+        assert tokenizer.merges == ((0, 0), (0, 1), (0, 2), (1, 3))
+        vec = rng.uniform(0.05, 1.0, len(tokenizer.vocab))
+        default = vec / vec.sum()
+        inner = GreedyTokenizer(byte_vocabulary(tokenizer.vocab.alphabet))
+        model = TableModel(tokenizer, {}, default=default)
+        session = ReductionSession(model, NestedTokenizer(tokenizer, inner), topk=None)
+        session.next_subtoken_dist()
+        session.step(inner.vocab.id_of(b"a"))
+        with pytest.raises(ModelError, match="invalid continuations"):
+            session.next_subtoken_dist()
+        with pytest.raises(ModelError, match="invalid continuations"):
+            original_prefix_prob_table(TableModel(tokenizer, {}, default=default), 3)
 
 
 class TestNaiveEquivalence:
