@@ -16,12 +16,19 @@ Each step combines two sources:
   (ii) one-token extensions of the prefix's canonical retokenization (the
        one cover entry whose re-encoding ends exactly at the prefix),
        bucketed by the first sub-token of the added token's re-encoding.
+       When no valid outer sequence ends at the prefix (an inner tokenizer
+       such as a common BPE vocabulary can split a token's re-encoding
+       where no outer sequence ends), this source is empty.
 
 Only source (ii) touches the model, with exactly one distribution call per
 step; entry marginals are extended incrementally, never recomputed, and in
 exact mode the session re-encodes no text.  The efficient variant restricts
 source (ii) to the top-K most probable extensions and reports the marginal
 mass it dropped.
+
+A step sums the buckets in one pass over plain lists and records which
+cover entries and extension ids land in each; it builds cover entries only
+for the bucket it steps into, not for the |V| extensions it sums.
 """
 
 from __future__ import annotations
@@ -81,6 +88,11 @@ class ReductionSession:
     retokenization enter the cover at each step.  The attribute is read at
     each distribution computation, so it may be changed between steps.
 
+    A distribution computation keeps, per sub-token, the carried cover
+    entries and the ids of the extensions that land there; :meth:`step`
+    builds the chosen sub-token's cover entries from them and drops the
+    rest.
+
     A session is a single-owner mutable object.  Several sessions may share
     one model and tokenizer, but a model is not immutable: every new prefix
     it is queried on adds an entry to its distribution cache.
@@ -105,19 +117,13 @@ class ReductionSession:
         self.cover_cache: dict[TokenSeq, RelativeCover] = {
             (): RelativeCover([CoverEntry((), (), 1.0)])
         }
-        self._pending: dict[int, RelativeCover] | None = None
+        # the last distribution's buckets: carried cover entries and
+        # extension ids by sub-token, the retokenization the extensions
+        # extend, and their marginals
+        self._buckets = None
         self._last: SubTokenDistribution | None = None
 
     # -- per-step computation ------------------------------------------------
-
-    def _canonical_retokenization(self) -> TokenSeq:
-        retok = self.nested.outer.encode(self.nested.decode(self.prefix))
-        if self.nested.nested_encode(retok) != self.prefix:
-            raise ReductionError(
-                f"prefix {self.prefix} is not reproduced by re-encoding its text; "
-                "the recursion is undefined for this prefix"
-            )
-        return retok
 
     def _prologue(self):
         cover = self.cover_cache[self.prefix]
@@ -127,67 +133,80 @@ class ReductionSession:
                 retok, base = e.seq, e.marginal
                 break
         else:
-            # Only reachable when top-K truncation dropped the cover entry
-            # of the canonical retokenization.
-            retok = self._canonical_retokenization()
+            # No cover entry ends at the prefix.  The only valid outer
+            # sequence that could is the encoding of the prefix's text: when
+            # its nested encoding is the prefix, top-K truncation dropped its
+            # entry and its marginal is recomputed; otherwise no valid
+            # sequence ends here and source (ii) is empty.
+            retok = self.nested.outer.encode(self.nested.decode(self.prefix))
+            if self.nested.nested_encode(retok) != self.prefix:
+                size = len(self.model.vocab)
+                return cover, retok, np.zeros(size), np.zeros(size, dtype=bool)
             base = self.model.marginal(retok)
         ext = base * self.model.next_token_dist(retok)
         return cover, retok, ext, self.model.valid_mask(retok)
 
-    def _finish(self, sums: np.ndarray, pending, dropped: float) -> SubTokenDistribution:
-        total = sums.sum()
+    def _finish(self, sums: list[float], dropped: float, buckets) -> SubTokenDistribution:
+        raw = np.array(sums)
+        total = raw.sum()
         if total <= 0.0:
             raise ReductionError("no sub-token continuation has positive probability")
-        dist = SubTokenDistribution(sums / total, sums, dropped)
-        self._pending = pending
+        dist = SubTokenDistribution(raw / total, raw, dropped)
+        self._buckets = buckets
         self._last = dist
         return dist
 
     def next_subtoken_dist(self) -> SubTokenDistribution:
-        """Efficient variant: one pass over the cover, one pass over the
-        top-K extensions."""
+        """Efficient variant: one pass over the cover and one over the top-K
+        extensions, on plain lists.  Each bucket records its carried cover
+        entries and its extension ids; their cover entries are built only
+        for a bucket that is read (see :meth:`_bucket`)."""
         cover, retok, ext, valid = self._prologue()
         k = len(self.prefix)
-        sums = np.zeros(len(self.nested.vocab))
-        pending: dict[int, RelativeCover] = {}
+        ext_l, allowed = ext.tolist(), valid.tolist()
+        sums = [0.0] * len(self.nested.vocab)
+        carried: dict[int, list[CoverEntry]] = {}
         for e in cover.entries:
             if len(e.nested) > k:
                 y = e.nested[k]
-                bucket = pending.get(y)
-                if bucket is None:
-                    bucket = pending[y] = RelativeCover()
-                bucket.entries.append(e)
+                group = carried.get(y)
+                if group is None:
+                    carried[y] = [e]
+                else:
+                    group.append(e)
                 sums[y] += e.marginal
         size = len(ext)
         if self.topk is not None and self.topk < size:
             order = np.argsort(-ext, kind="stable")
-            candidates = np.sort(order[: self.topk]).tolist()
             dropped = float(ext[order[self.topk :]].sum())
+            kept = [False] * size
+            for x in order[: self.topk].tolist():
+                kept[x] = allowed[x]
+            allowed = kept
         else:
-            candidates = range(size)
             dropped = 0.0
-        mapping = self.nested.mapping
-        for x in candidates:
-            if not valid[x]:
-                continue
-            first = mapping[x][0]
-            entry = CoverEntry(retok + (x,), self.prefix + mapping[x], float(ext[x]))
-            bucket = pending.get(first)
-            if bucket is None:
-                bucket = pending[first] = RelativeCover()
-            bucket.entries.append(entry)
-            sums[first] += entry.marginal
-        return self._finish(sums, pending, dropped)
+        # carried entries first, then extensions in ascending id: the
+        # summation order of the naive variant
+        ids: dict[int, list[int]] = {}
+        for y, xs in self.nested.by_first:
+            landed = [x for x in xs if allowed[x]]
+            if landed:
+                total = sums[y]
+                for x in landed:
+                    total += ext_l[x]
+                sums[y] = total
+                ids[y] = landed
+        return self._finish(sums, dropped, (carried, ids, retok, ext_l))
 
     def next_subtoken_dist_naive(self) -> SubTokenDistribution:
         """Reference variant: for every sub-token, scan the whole cover and
-        the whole vocabulary.  Always exact; bit-identical to the efficient
-        variant run with K >= |V|."""
+        the whole vocabulary, building every cover entry.  Always exact;
+        bit-identical to the efficient variant run with K >= |V|."""
         cover, retok, ext, valid = self._prologue()
         k = len(self.prefix)
         mapping = self.nested.mapping
-        sums = np.zeros(len(self.nested.vocab))
-        pending: dict[int, RelativeCover] = {}
+        sums = [0.0] * len(self.nested.vocab)
+        buckets: dict[int, list[CoverEntry]] = {}
         for y in range(len(self.nested.vocab)):
             collected = 0.0
             entries: list[CoverEntry] = []
@@ -203,17 +222,37 @@ class ReductionSession:
                     entries.append(entry)
                     collected += entry.marginal
             if entries:
-                pending[y] = RelativeCover(entries)
+                buckets[y] = entries
             sums[y] = collected
-        return self._finish(sums, pending, 0.0)
+        return self._finish(sums, 0.0, (buckets, {}, retok, None))
+
+    def _bucket(self, y: int) -> RelativeCover:
+        """Relative cover of ``prefix + (y,)`` from the last distribution:
+        bucket ``y``'s carried entries, then its extensions' entries, built
+        here."""
+        carried, ids, retok, ext = self._buckets
+        prefix, mapping = self.prefix, self.nested.mapping
+        return RelativeCover(list(carried.get(y, ())) + [
+            CoverEntry(retok + (x,), prefix + mapping[x], ext[x]) for x in ids.get(y, ())
+        ])
+
+    @property
+    def _pending(self) -> dict[int, RelativeCover] | None:
+        """Every non-empty bucket of the last distribution, built, for
+        readers such as tests and tracers; ``None`` before a distribution is
+        computed."""
+        if self._last is None:
+            return None
+        carried, ids = self._buckets[:2]
+        return {y: self._bucket(y) for y in sorted(carried.keys() | ids.keys())}
 
     # -- state transitions ---------------------------------------------------
 
     def _adopt(self, chosen: int) -> None:
-        pending = self._pending or {}
+        cover = self._bucket(chosen)
         self.prefix = self.prefix + (chosen,)
-        self.cover_cache = {self.prefix: pending.get(chosen) or RelativeCover()}
-        self._pending = None
+        self.cover_cache = {self.prefix: cover}
+        self._buckets = None
         self._last = None
 
     def step(self, chosen: int) -> None:
@@ -223,7 +262,7 @@ class ReductionSession:
         A sub-token with zero mass is refused, unless top-K dropped mass at
         this step: the step is then recomputed exactly once and checked
         again."""
-        if self._last is None or self._pending is None:
+        if self._last is None:
             raise ReductionError("compute a distribution before stepping")
         if not 0 <= chosen < len(self._last.raw_marginals):
             raise ReductionError(f"sub-token id {chosen} out of range")
@@ -244,9 +283,9 @@ class ReductionSession:
     def branch(self, chosen: int) -> "ReductionSession":
         """Child session advanced by one sub-token, leaving this session
         untouched; requires a computed distribution, like :meth:`step`."""
-        if self._last is None or self._pending is None:
+        if self._last is None:
             raise ReductionError("compute a distribution before branching")
-        # shallow copy; _adopt rebinds the shared caches, never mutates them
+        # shallow copy; _adopt rebinds the shared state, never mutates it
         clone = object.__new__(type(self))
         clone.__dict__.update(self.__dict__)
         clone._adopt(chosen)
@@ -268,8 +307,7 @@ class ReductionSession:
         for i, y in enumerate(rest):
             walker.next_subtoken_dist()
             if i + 1 == len(rest):
-                assert walker._pending is not None
-                return walker._pending.get(y) or RelativeCover()
+                return walker._bucket(y)
             walker = walker.branch(y)
         raise AssertionError("unreachable")
 

@@ -463,6 +463,14 @@ class NestedTokenizer(DeterministicTokenizer):
         self.mapping: tuple[TokenSeq, ...] = tuple(
             inner.encode(surf) for surf in outer.vocab.surfaces
         )
+        # Outer ids grouped by the first sub-token of their re-encoding, the
+        # sub-token a one-token extension lands on; ascending in both.
+        groups: dict[int, list[int]] = {}
+        for x, m in enumerate(self.mapping):
+            groups.setdefault(m[0], []).append(x)
+        self.by_first: tuple[tuple[int, tuple[int, ...]], ...] = tuple(
+            (y, tuple(xs)) for y, xs in sorted(groups.items())
+        )
 
     def nested_encode(self, outer_ids: Sequence[int]) -> TokenSeq:
         """Concatenated per-token re-encodings; preserves decode."""

@@ -137,3 +137,12 @@ def wide_merge_tokenizer(rng) -> BpeTokenizer:
             surfaces.append(product)
         merges.append((int(a), int(b)))
     return BpeTokenizer(Vocabulary(surfaces, Alphabet.of(symbols)), merges)
+
+
+def has_followers(tokenizer) -> bool:
+    """Every token has a valid continuation.  Without a terminator, merges
+    can absorb every follower of a token ("a" after a+a, a+b and a+c over
+    ``abc``), and a model has no mass after it (see ``LanguageModel``)."""
+    return all(
+        tokenizer.valid_continuations((t,)).any() for t in range(len(tokenizer.vocab))
+    )

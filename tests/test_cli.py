@@ -291,6 +291,58 @@ class TestEnsembleMcv:
         assert set(out) <= set("abcd")
 
 
+@pytest.fixture
+def absorbing_member_files(tmp_path):
+    """Two BPE members over ``ab`` with uniform table models; their common
+    vocabulary is {a, b, ba} with the merge b+a.  Member one merges a+b,
+    then a+a, then b+a: it writes "baab" as ba|ab but "baa" as b|aa, so the
+    sub-token prefix ba|a that its ba|ab reaches is the nested encoding of
+    no member-one sequence."""
+    from lvr import Alphabet, BpeTokenizer, TableModel, Vocabulary
+    from lvr.files import save_merges
+
+    alphabet = Alphabet.of("ab", eos="\x00")
+    singles = [bytes([s]) for s in sorted(alphabet.symbols)]
+    members = []
+    for name, extra, merges in [
+        ("one", [b"ab", b"aa", b"ba"], [(b"a", b"b"), (b"a", b"a"), (b"b", b"a")]),
+        ("two", [b"ba"], [(b"b", b"a")]),
+    ]:
+        vocab = Vocabulary(singles + extra, alphabet)
+        merge_ids = [(vocab.id_of(x), vocab.id_of(y)) for x, y in merges]
+        model = TableModel(
+            BpeTokenizer(vocab, merge_ids), {}, default=np.full(len(vocab), 1.0 / len(vocab))
+        )
+        vp, mp, tp = (tmp_path / f"{name}.json", tmp_path / f"{name}.txt",
+                      tmp_path / f"{name}-model.json")
+        save_vocabulary(vocab, vp)
+        save_merges(vocab, merge_ids, mp)
+        save_table_model(model, tp, vp.name)
+        members.append((mp, tp))
+    return members
+
+
+class TestEnsembleMcvPrefixWithoutRetokenization:
+    def test_generates_through_the_prefix(self, absorbing_member_files, capsys):
+        # the sampled path steps onto ba|a, where only member one's cover
+        # entry ba|ab continues; no extension starts there
+        (m1, t1), (m2, t2) = absorbing_member_files
+        code = main(
+            [
+                "ensemble-generate",
+                "--member", f"model={t1},merges={m1}",
+                "--member", f"model={t2},merges={m2}",
+                "--subvocab", "mcv",
+                "--mode", "poe",
+                "--k", "exact",
+                "--decoding", "sample",
+                "--seed", "4",
+            ]
+        )
+        assert code == 0, capsys.readouterr().err
+        assert capsys.readouterr().out.strip() == "baab"
+
+
 class TestEnsembleMoeTopK:
     @pytest.mark.parametrize("subvocab, seed", [("bytes", 2), ("mcv", 0)])
     def test_pick_from_one_member_under_topk(self, bpe_member_files, capsys, subvocab, seed):

@@ -3,16 +3,23 @@ and the associated BPE tokenizer."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from conftest import has_followers, wide_merge_tokenizer
 
 from lvr import (
     Alphabet,
     BpeTokenizer,
+    NestedTokenizer,
+    TableModel,
     TokenizationError,
     Vocabulary,
     build_mcv,
     intersect_vocabs,
     restrict_merges,
 )
+from lvr.oracle import lossless_check
 
 
 def bpe(surfaces, merges, alphabet):
@@ -154,3 +161,33 @@ class TestBuildMcv:
         for _ in range(200):
             text = bytes(rng.choice([97, 98, 99, 100], size=rng.integers(0, 32)).tolist())
             assert merged.decode(merged.encode(text)) == text
+
+
+def _member_pair(rng) -> tuple[BpeTokenizer, BpeTokenizer]:
+    """Two ``wide_merge_tokenizer`` draws over one alphabet."""
+    first = wide_merge_tokenizer(rng)
+    while True:
+        second = wide_merge_tokenizer(rng)
+        if second.vocab.alphabet.symbols == first.vocab.alphabet.symbols:
+            return first, second
+
+
+class TestLosslessOverMcv:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    @example(29)
+    def test_members_reduced_onto_their_common_vocabulary(self, seed):
+        # A sub-token prefix that the cover reaches need not be the nested
+        # encoding of any valid member sequence; no extension starts there
+        # and the step is the carried cover entries alone.
+        rng = np.random.default_rng(seed)
+        members = _member_pair(rng)
+        _, common = build_mcv(members)
+        for member in members:
+            size = len(member.vocab)
+            vec = rng.uniform(0.05, 1.0, size)
+            if not has_followers(member):
+                continue
+            model = TableModel(member, {}, default=vec / vec.sum())
+            report = lossless_check(model, NestedTokenizer(member, common), max_len=4)
+            assert report.passed, report.max_discrepancy

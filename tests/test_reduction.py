@@ -7,9 +7,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bruteforce import brute_relative_cover
-from conftest import make_instance, random_merge_tokenizer
+from conftest import has_followers, make_instance, random_merge_tokenizer, wide_merge_tokenizer
 
 from lvr import (
+    Alphabet,
+    BpeTokenizer,
     CoverEntry,
     GreedyTokenizer,
     ModelError,
@@ -23,6 +25,7 @@ from lvr import (
     decode,
     naive_restriction_dist,
 )
+from lvr import reduction
 from lvr.oracle import original_prefix_prob_table
 
 
@@ -219,7 +222,7 @@ def _assert_cover_holds_retokenization(session, steps, seed):
     def checked_dist():
         k = len(session.prefix)
         ends = [e for e in session.cover_cache[session.prefix].entries if len(e.nested) == k]
-        retok = session._canonical_retokenization()
+        retok = session.nested.outer.encode(session.nested.decode(session.prefix))
         assert [e.seq for e in ends] == [retok], session.prefix
         assert session._prologue()[1] == retok
         return session.next_subtoken_dist()
@@ -249,10 +252,8 @@ class TestCoverHoldsRetokenization:
         rng = np.random.default_rng(seed)
         tokenizer = random_merge_tokenizer(rng)
         size = len(tokenizer.vocab)
-        # with no terminator, a token that every merge absorbs (after "aa"
-        # and "ab" and "ac", "a" cannot be followed) ends the model's support;
         # see test_token_with_no_follower_is_refused
-        assume(all(tokenizer.valid_continuations((t,)).any() for t in range(size)))
+        assume(has_followers(tokenizer))
         vec = rng.uniform(0.05, 1.0, size)
         model = TableModel(tokenizer, {}, default=vec / vec.sum())
         inner = GreedyTokenizer(byte_vocabulary(tokenizer.vocab.alphabet))
@@ -303,6 +304,106 @@ class TestNaiveEquivalence:
                 ref.step(choice)
                 if choice == inst.inner.vocab.eos_id:
                     break
+
+
+def _random_instance(rng) -> tuple[TableModel, NestedTokenizer]:
+    """A ``make_instance`` greedy instance, or a ``wide_merge_tokenizer``
+    BPE reduced to bytes under a table model whose default weights take
+    three levels, so that top-K meets ties."""
+    if rng.random() < 0.5:
+        inst = make_instance(
+            rng,
+            n_symbols=int(rng.integers(2, 4)),
+            n_multi=int(rng.integers(1, 5)),
+            n_sub_multi=int(rng.integers(0, 2)),
+        )
+        return inst.model, inst.nested
+    tokenizer = wide_merge_tokenizer(rng)
+    vec = rng.integers(1, 4, len(tokenizer.vocab)).astype(float)
+    model = TableModel(tokenizer, {}, default=vec / vec.sum())
+    inner = GreedyTokenizer(byte_vocabulary(tokenizer.vocab.alphabet))
+    return model, NestedTokenizer(tokenizer, inner)
+
+
+class TestLazyBucketsMatchNaive:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    def test_entry_for_entry(self, seed, truncate):
+        # On one session state: at K >= |V| every bucket the efficient step
+        # builds equals the naive one entry for entry and the marginals are
+        # bit-identical; at K < |V| a bucket is the naive one without the
+        # extensions that top-K dropped (stable order, lowest id on ties).
+        rng = np.random.default_rng(seed)
+        model, nested = _random_instance(rng)
+        assume(has_followers(model.tokenizer))
+        size = len(model.vocab)
+        topk = int(rng.integers(1, size)) if truncate else size
+        session = ReductionSession(model, nested, topk=topk)
+        for _ in range(8):
+            ref = session.next_subtoken_dist_naive()
+            naive = {y: c.entries for y, c in session._pending.items()}
+            _, _, ext, _ = session._prologue()
+            kept = set(np.argsort(-ext, kind="stable")[:topk].tolist())
+            carried = set(session.cover_cache[session.prefix].entries)
+            dist = session.next_subtoken_dist()
+            lazy = {y: c.entries for y, c in session._pending.items()}
+            if topk == size:
+                assert dist.raw_marginals.tolist() == ref.raw_marginals.tolist()
+                assert lazy == naive
+            else:
+                expected = {
+                    y: [e for e in entries if e in carried or e.seq[-1] in kept]
+                    for y, entries in naive.items()
+                }
+                assert lazy == {y: entries for y, entries in expected.items() if entries}
+            choice = int(rng.choice(len(dist.probs), p=dist.probs))
+            session.step(choice)
+            if choice == nested.vocab.eos_id:
+                break
+
+
+class TestCoverEntriesOnlyForTheChosenBucket:
+    def test_cold_generation(self, monkeypatch):
+        # A step records extension ids per sub-token and builds cover
+        # entries for the bucket it steps into only.  An eager step builds
+        # one per valid extension of every bucket.
+        alphabet = Alphabet.of("abcd", eos="\x00")
+        surfaces = [bytes([s]) for s in sorted(alphabet.symbols)]
+        merges = []
+        for a, b in [(b"a", b"b"), (b"c", b"d"), (b"ab", b"c"), (b"b", b"a"), (b"d", b"a"),
+                     (b"ab", b"ab"), (b"cd", b"cd"), (b"a", b"a"), (b"c", b"b"),
+                     (b"ba", b"d"), (b"abc", b"d"), (b"da", b"b"), (b"b", b"b")]:
+            surfaces.append(a + b)
+            merges.append((surfaces.index(a), surfaces.index(b)))
+        tokenizer = BpeTokenizer(Vocabulary(surfaces, alphabet), merges)
+        size = len(surfaces)
+        vec = np.random.default_rng(3).uniform(0.05, 1.0, size)
+        vec[0] = 0.0  # no terminator: the run lasts all 120 steps
+        model = TableModel(tokenizer, {}, default=vec / vec.sum())
+        nested = NestedTokenizer(tokenizer, GreedyTokenizer(byte_vocabulary(alphabet)))
+        session = ReductionSession(model, nested, topk=None)
+        built = []
+
+        class Counted(CoverEntry):
+            __slots__ = ()
+
+            def __new__(cls, *fields):
+                built.append(fields)
+                return super().__new__(cls, *fields)
+
+        monkeypatch.setattr(reduction, "CoverEntry", Counted)
+        chosen_bucket_extensions = 0
+
+        def step(chosen):
+            nonlocal chosen_bucket_extensions
+            old = {id(e) for e in session.cover_cache[session.prefix].entries}
+            session.step(chosen)
+            new = session.cover_cache[session.prefix].entries
+            chosen_bucket_extensions += sum(1 for e in new if id(e) not in old)
+
+        steps = list(decode(session.next_subtoken_dist, step, None, 120, "sample", 0))
+        assert len(steps) == 120
+        assert 0 < len(built) <= chosen_bucket_extensions
 
 
 class TestByteLevelSpecialCase:
