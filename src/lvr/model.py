@@ -19,8 +19,28 @@ from .errors import ModelError, TokenizationError
 from .tokenization import DeterministicTokenizer, TokenSeq
 
 
+class Node:
+    """One valid prefix in a model's cache: its masked distribution and
+    validity mask once computed (``None`` until then), and the nodes of its
+    one-token extensions by token id.  A node does not store its prefix."""
+
+    __slots__ = ("dist", "mask", "children")
+
+    def __init__(self):
+        self.dist: np.ndarray | None = None
+        self.mask: np.ndarray | None = None
+        self.children: dict[int, Node] = {}
+
+
 class LanguageModel:
     """Base class: subclasses supply the raw (unmasked) conditional table.
+
+    Computed distributions are cached in a prefix tree rooted at
+    :attr:`root`, one :class:`Node` per valid prefix.  A caller that holds
+    the node of ``prefix[:-1]`` passes it as ``parent`` and reaches the
+    prefix in one child lookup, whatever its length; a call without it walks
+    the tree from the root.  The tree grows by one node per distinct prefix
+    queried and is never pruned.
 
     A valid prefix must have at least one valid continuation.  A BPE model
     with no terminator whose merges absorb every follower of some token
@@ -32,8 +52,7 @@ class LanguageModel:
     def __init__(self, tokenizer: DeterministicTokenizer, renormalize: bool = True):
         self.tokenizer = tokenizer
         self.renormalize = renormalize
-        # prefix -> (masked distribution, validity mask)
-        self._dist_cache: dict[TokenSeq, tuple[np.ndarray, np.ndarray]] = {}
+        self.root = Node()
         # mask context (see DeterministicTokenizer.mask_context) -> mask
         self._mask_cache: dict[TokenSeq, np.ndarray] = {}
 
@@ -44,21 +63,26 @@ class LanguageModel:
     def raw_next_token_dist(self, prefix: TokenSeq) -> np.ndarray:
         raise NotImplementedError
 
-    def valid_mask(self, prefix: Sequence[int]) -> np.ndarray:
-        """Cached boolean validity mask for one-token continuations of a
-        valid prefix: entry ``x`` is True iff ``prefix + (x,)`` is valid.
+    def _walk(self, prefix: Sequence[int]) -> Node | None:
+        """Node of ``prefix`` reached from the root, or ``None`` where the
+        tree stops short of it."""
+        node = self.root
+        for t in prefix:
+            node = node.children.get(t)
+            if node is None:
+                return None
+        return node
 
-        A prefix whose distribution is cached returns the mask stored beside
-        it, which is also how :meth:`next_token_dist` validates that
-        prefix's children; otherwise masks are cached by the tokenizer's
-        mask context, so the cache holds one entry per distinct context (at
-        most ``|V| + 1`` for BPE).
-        """
-        key = tuple(prefix)
-        hit = self._dist_cache.get(key)
-        if hit is not None:
-            return hit[1]
-        context = self.tokenizer.mask_context(key)
+    def node(self, prefix: Sequence[int], parent: Node | None = None) -> Node | None:
+        """Tree node of ``prefix``, or ``None`` if it has none.  ``parent``,
+        when given, must be the node of ``prefix[:-1]``; the lookup is then
+        one child read instead of a walk from the root."""
+        if parent is not None:
+            return parent.children.get(prefix[-1])
+        return self._walk(prefix)
+
+    def _context_mask(self, prefix: TokenSeq) -> np.ndarray:
+        context = self.tokenizer.mask_context(prefix)
         mask = self._mask_cache.get(context)
         if mask is None:
             mask = self.tokenizer.valid_continuations(context)
@@ -66,38 +90,74 @@ class LanguageModel:
             self._mask_cache[context] = mask
         return mask
 
-    def next_token_dist(self, prefix: Sequence[int]) -> np.ndarray:
+    def valid_mask(self, prefix: Sequence[int]) -> np.ndarray:
+        """Cached boolean validity mask for one-token continuations of a
+        valid prefix: entry ``x`` is True iff ``prefix + (x,)`` is valid.
+
+        A prefix whose distribution is cached returns the mask stored in its
+        node, which is also how :meth:`next_token_dist` validates that
+        prefix's children; otherwise masks are cached by the tokenizer's
+        mask context, so the cache holds one entry per distinct context (at
+        most ``|V| + 1`` for BPE).
+        """
+        node = self._walk(prefix)
+        if node is not None and node.mask is not None:
+            return node.mask
+        return self._context_mask(tuple(prefix))
+
+    def next_token_dist(
+        self, prefix: Sequence[int], parent: Node | None = None
+    ) -> np.ndarray:
         """Masked distribution over the full vocabulary, in one call.
 
         The prefix must be valid and must not contain the terminator; the
-        returned array is cached and read-only.  ``p + (x,)`` is valid iff
-        ``p`` is valid and ``p``'s mask admits ``x``, so when ``p`` is
-        cached the check is one lookup and nothing is re-encoded.  Any
-        other prefix is checked by re-encoding it whole.
+        returned array is cached and read-only.  ``parent``, when given,
+        must be the node of ``prefix[:-1]`` (see :meth:`node`); without it
+        the prefix is looked up from the root.  ``p + (x,)`` is valid iff
+        ``p`` is valid and ``p``'s mask admits ``x``, so when ``p``'s
+        distribution is cached the check reads its node's mask and nothing
+        is re-encoded.  Any other prefix is checked by re-encoding it whole.
         """
-        key = tuple(prefix)
-        hit = self._dist_cache.get(key)
-        if hit is not None:
-            return hit[0]
-        eos = self.vocab.eos_id
-        parent = self._dist_cache.get(key[:-1]) if key else None
+        if len(prefix) == 0:
+            node = self.root
+            if node.dist is None:
+                self._fill(node, ())
+            return node.dist
         if parent is None:
+            parent = self._walk(prefix[:-1])
+        node = parent.children.get(prefix[-1]) if parent is not None else None
+        if node is not None and node.dist is not None:
+            return node.dist
+        key = tuple(prefix)
+        eos = self.vocab.eos_id
+        if parent is None or parent.mask is None:
             if eos is not None and eos in key:
                 raise ModelError("cannot continue a terminated sequence")
             valid = self.tokenizer.is_valid(key)
         else:
-            # a cached parent was validated and holds no terminator, so its
-            # mask decides the new prefix without re-encoding it
+            # a computed parent was validated and holds no terminator, so
+            # its mask decides the new prefix without re-encoding it
             x = key[-1]
             if x == eos:
                 raise ModelError("cannot continue a terminated sequence")
-            if not 0 <= x < len(parent[1]):
+            if not 0 <= x < len(parent.mask):
                 raise TokenizationError(f"unknown token id {x}")
-            valid = parent[1][x]
+            valid = parent.mask[x]
         if not valid:
             raise ModelError(f"prefix {key} is not a valid token sequence")
+        if node is None:
+            if parent is None:
+                # the prefixes of a valid prefix are valid: add them uncomputed
+                parent = self.root
+                for t in key[:-1]:
+                    parent = parent.children.setdefault(t, Node())
+            node = parent.children[key[-1]] = Node()
+        self._fill(node, key)
+        return node.dist
+
+    def _fill(self, node: Node, key: TokenSeq) -> None:
         raw = np.asarray(self.raw_next_token_dist(key), dtype=float)
-        mask = self.valid_mask(key)
+        mask = self._context_mask(key)
         out = np.where(mask, raw, 0.0)
         total = out.sum()
         if total <= 0.0:
@@ -107,8 +167,7 @@ class LanguageModel:
         if self.renormalize:
             out = out / total
         out.setflags(write=False)
-        self._dist_cache[key] = (out, mask)
-        return out
+        node.dist, node.mask = out, mask
 
     def marginal(self, ids: Sequence[int]) -> float:
         """Probability that a generated sequence starts with ``ids``,
@@ -116,18 +175,21 @@ class LanguageModel:
 
         The empty prefix has marginal 1.  A sequence that continues past the
         terminator, or whose conditional chain hits an exact zero, has
-        marginal 0 without further model queries.
+        marginal 0 without further model queries.  Each conditional is read
+        through the node of the previous prefix, so the tree is walked once.
         """
         ids = tuple(ids)
         eos = self.vocab.eos_id
         p = 1.0
+        parent = None  # node of ids[:s - 1]
         for s, tok in enumerate(ids):
             if eos is not None and s > 0 and ids[s - 1] == eos:
                 return 0.0
-            cond = self.next_token_dist(ids[:s])[tok]
+            cond = self.next_token_dist(ids[:s], parent)[tok]
             if cond == 0.0:
                 return 0.0
             p *= cond
+            parent = self.root if s == 0 else parent.children[ids[s - 1]]
         return p
 
 
@@ -147,6 +209,7 @@ class TableModel(LanguageModel):
 
     Prefixes absent from the table fall back to the declared default
     distribution, so small hand-written models stay closed under extension.
+    The table is fixed at construction.
     ``renormalize=False`` keeps masked entries exactly as written (zeros are
     inserted but nothing is rescaled).
     """
@@ -169,9 +232,11 @@ class TableModel(LanguageModel):
             if default is not None
             else None
         )
+        # a prefix longer than every key is not hashed to miss the table
+        self._longest = max(map(len, self.entries), default=-1)
 
     def raw_next_token_dist(self, prefix: TokenSeq) -> np.ndarray:
-        hit = self.entries.get(prefix)
+        hit = self.entries.get(prefix) if len(prefix) <= self._longest else None
         if hit is not None:
             return hit
         if self.default is None:

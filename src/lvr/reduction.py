@@ -22,9 +22,11 @@ Each step combines two sources:
 
 Only source (ii) touches the model, with exactly one distribution call per
 step; entry marginals are extended incrementally, never recomputed, and in
-exact mode the session re-encodes no text.  The efficient variant restricts
-source (ii) to the top-K most probable extensions and reports the marginal
-mass it dropped.
+exact mode the session re-encodes no text.  Each cover entry carries the
+model's tree node of its sequence minus the last token, so the call reaches
+the retokenization through that node and never hashes the prefix.  The
+efficient variant restricts source (ii) to the top-K most probable
+extensions and reports the marginal mass it dropped.
 
 A step sums the buckets in one pass over plain lists and records which
 cover entries and extension ids land in each; it builds cover entries only
@@ -39,7 +41,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .errors import ReductionError
-from .model import LanguageModel
+from .model import LanguageModel, Node
 from .tokenization import NestedTokenizer, TokenSeq
 
 DEFAULT_TOP_K = 300
@@ -47,11 +49,13 @@ DEFAULT_TOP_K = 300
 
 class CoverEntry(NamedTuple):
     """One relative-cover element: a valid outer-token sequence, its nested
-    (sub-token) encoding, and its cached marginal probability."""
+    (sub-token) encoding, its cached marginal probability, and the model's
+    tree node of ``seq[:-1]`` (``None`` for the empty sequence)."""
 
     seq: TokenSeq
     nested: TokenSeq
     marginal: float
+    parent: Node | None = None
 
 
 @dataclass
@@ -91,11 +95,14 @@ class ReductionSession:
     A distribution computation keeps, per sub-token, the carried cover
     entries and the ids of the extensions that land there; :meth:`step`
     builds the chosen sub-token's cover entries from them and drops the
-    rest.
+    rest.  The model call of a step passes the retokenization's parent node,
+    taken from its cover entry, and every new entry is stamped with the
+    retokenization's node, so no step looks a prefix up from the model's
+    root.
 
     A session is a single-owner mutable object.  Several sessions may share
     one model and tokenizer, but a model is not immutable: every new prefix
-    it is queried on adds an entry to its distribution cache.
+    it is queried on adds a node to its prefix tree.
     """
 
     def __init__(
@@ -114,23 +121,28 @@ class ReductionSession:
         self.nested = nested
         self.topk = topk
         self.prefix: TokenSeq = ()
-        self.cover_cache: dict[TokenSeq, RelativeCover] = {
-            (): RelativeCover([CoverEntry((), (), 1.0)])
-        }
+        # relative cover of the prefix
+        self.cover: list[CoverEntry] = [CoverEntry((), (), 1.0)]
         # the last distribution's buckets: carried cover entries and
         # extension ids by sub-token, the retokenization the extensions
-        # extend, and their marginals
+        # extend, their marginals, and the retokenization's tree node
         self._buckets = None
         self._last: SubTokenDistribution | None = None
+
+    @property
+    def cover_cache(self) -> dict[TokenSeq, RelativeCover]:
+        """A new ``{prefix: relative cover}`` dict over the one cover the
+        session keeps, for readers; writing to it changes nothing."""
+        return {self.prefix: RelativeCover(self.cover)}
 
     # -- per-step computation ------------------------------------------------
 
     def _prologue(self):
-        cover = self.cover_cache[self.prefix]
+        cover = self.cover
         k = len(self.prefix)
-        for e in cover.entries:
+        for e in cover:
             if len(e.nested) == k:
-                retok, base = e.seq, e.marginal
+                retok, base, parent = e.seq, e.marginal, e.parent
                 break
         else:
             # No cover entry ends at the prefix.  The only valid outer
@@ -141,10 +153,11 @@ class ReductionSession:
             retok = self.nested.outer.encode(self.nested.decode(self.prefix))
             if self.nested.nested_encode(retok) != self.prefix:
                 size = len(self.model.vocab)
-                return cover, retok, np.zeros(size), np.zeros(size, dtype=bool)
-            base = self.model.marginal(retok)
-        ext = base * self.model.next_token_dist(retok)
-        return cover, retok, ext, self.model.valid_mask(retok)
+                return cover, retok, np.zeros(size), np.zeros(size, dtype=bool), None
+            base, parent = self.model.marginal(retok), None
+        ext = base * self.model.next_token_dist(retok, parent)
+        node = self.model.node(retok, parent)
+        return cover, retok, ext, node.mask, node
 
     def _finish(self, sums: list[float], dropped: float, buckets) -> SubTokenDistribution:
         raw = np.array(sums)
@@ -161,12 +174,12 @@ class ReductionSession:
         extensions, on plain lists.  Each bucket records its carried cover
         entries and its extension ids; their cover entries are built only
         for a bucket that is read (see :meth:`_bucket`)."""
-        cover, retok, ext, valid = self._prologue()
+        cover, retok, ext, valid, node = self._prologue()
         k = len(self.prefix)
         ext_l, allowed = ext.tolist(), valid.tolist()
         sums = [0.0] * len(self.nested.vocab)
         carried: dict[int, list[CoverEntry]] = {}
-        for e in cover.entries:
+        for e in cover:
             if len(e.nested) > k:
                 y = e.nested[k]
                 group = carried.get(y)
@@ -196,13 +209,13 @@ class ReductionSession:
                     total += ext_l[x]
                 sums[y] = total
                 ids[y] = landed
-        return self._finish(sums, dropped, (carried, ids, retok, ext_l))
+        return self._finish(sums, dropped, (carried, ids, retok, ext_l, node))
 
     def next_subtoken_dist_naive(self) -> SubTokenDistribution:
         """Reference variant: for every sub-token, scan the whole cover and
         the whole vocabulary, building every cover entry.  Always exact;
         bit-identical to the efficient variant run with K >= |V|."""
-        cover, retok, ext, valid = self._prologue()
+        cover, retok, ext, valid, node = self._prologue()
         k = len(self.prefix)
         mapping = self.nested.mapping
         sums = [0.0] * len(self.nested.vocab)
@@ -210,31 +223,32 @@ class ReductionSession:
         for y in range(len(self.nested.vocab)):
             collected = 0.0
             entries: list[CoverEntry] = []
-            for e in cover.entries:
+            for e in cover:
                 if len(e.nested) > k and e.nested[k] == y:
                     entries.append(e)
                     collected += e.marginal
             for x in range(len(ext)):
                 if mapping[x][0] == y and valid[x]:
                     entry = CoverEntry(
-                        retok + (x,), self.prefix + mapping[x], float(ext[x])
+                        retok + (x,), self.prefix + mapping[x], float(ext[x]), node
                     )
                     entries.append(entry)
                     collected += entry.marginal
             if entries:
                 buckets[y] = entries
             sums[y] = collected
-        return self._finish(sums, 0.0, (buckets, {}, retok, None))
+        return self._finish(sums, 0.0, (buckets, {}, retok, None, node))
 
-    def _bucket(self, y: int) -> RelativeCover:
+    def _bucket(self, y: int) -> list[CoverEntry]:
         """Relative cover of ``prefix + (y,)`` from the last distribution:
         bucket ``y``'s carried entries, then its extensions' entries, built
-        here."""
-        carried, ids, retok, ext = self._buckets
+        here and stamped with the retokenization's node."""
+        carried, ids, retok, ext, node = self._buckets
         prefix, mapping = self.prefix, self.nested.mapping
-        return RelativeCover(list(carried.get(y, ())) + [
-            CoverEntry(retok + (x,), prefix + mapping[x], ext[x]) for x in ids.get(y, ())
-        ])
+        return list(carried.get(y, ())) + [
+            CoverEntry(retok + (x,), prefix + mapping[x], ext[x], node)
+            for x in ids.get(y, ())
+        ]
 
     @property
     def _pending(self) -> dict[int, RelativeCover] | None:
@@ -244,14 +258,16 @@ class ReductionSession:
         if self._last is None:
             return None
         carried, ids = self._buckets[:2]
-        return {y: self._bucket(y) for y in sorted(carried.keys() | ids.keys())}
+        return {
+            y: RelativeCover(self._bucket(y))
+            for y in sorted(carried.keys() | ids.keys())
+        }
 
     # -- state transitions ---------------------------------------------------
 
     def _adopt(self, chosen: int) -> None:
-        cover = self._bucket(chosen)
+        self.cover = self._bucket(chosen)
         self.prefix = self.prefix + (chosen,)
-        self.cover_cache = {self.prefix: cover}
         self._buckets = None
         self._last = None
 
@@ -295,9 +311,8 @@ class ReductionSession:
         """Relative cover of a sub-token prefix extending the current one,
         computing (and discarding) any intermediate distributions needed."""
         y_prefix = tuple(y_prefix)
-        hit = self.cover_cache.get(y_prefix)
-        if hit is not None:
-            return hit
+        if y_prefix == self.prefix:
+            return RelativeCover(self.cover)
         if y_prefix[: len(self.prefix)] != self.prefix:
             raise ReductionError(
                 f"{y_prefix} does not extend the session prefix {self.prefix}"
@@ -307,7 +322,7 @@ class ReductionSession:
         for i, y in enumerate(rest):
             walker.next_subtoken_dist()
             if i + 1 == len(rest):
-                return walker._bucket(y)
+                return RelativeCover(walker._bucket(y))
             walker = walker.branch(y)
         raise AssertionError("unreachable")
 

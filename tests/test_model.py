@@ -13,8 +13,10 @@ from lvr import (
     BpeTokenizer,
     DeterministicTokenizer,
     GreedyTokenizer,
+    LanguageModel,
     ModelError,
     NestedTokenizer,
+    ReductionError,
     ReductionSession,
     TableModel,
     TokenizationError,
@@ -79,6 +81,75 @@ class TestMarginal:
             assert inst.model.marginal(full) <= inst.model.marginal(head)
 
 
+def _outcome(call):
+    """``("ok", value)`` or ``("raised", type, message)``."""
+    try:
+        return ("ok", call())
+    except Exception as exc:  # compared, not swallowed
+        return ("raised", type(exc), str(exc))
+
+
+def _telescoping(model, ids, dist=None):
+    """The chain rule over ``dist(prefix)``, by default tuple calls looked
+    up from the model's root, one per token."""
+    dist = dist or model.next_token_dist
+    ids = tuple(ids)
+    eos = model.vocab.eos_id
+    p = 1.0
+    for s, tok in enumerate(ids):
+        if eos is not None and s > 0 and ids[s - 1] == eos:
+            return 0.0
+        cond = dist(ids[:s])[tok]
+        if cond == 0.0:
+            return 0.0
+        p *= cond
+    return p
+
+
+def _count_walks(monkeypatch) -> list[int]:
+    """Record the length of every prefix looked up from a model's root."""
+    walked = []
+    walk = LanguageModel._walk
+
+    def counted(model, prefix):
+        walked.append(len(prefix))
+        return walk(model, prefix)
+
+    monkeypatch.setattr(LanguageModel, "_walk", counted)
+    return walked
+
+
+class TestMarginalWalk:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_matches_telescoping_product_on_a_fresh_model(self, seed):
+        # random id sequences: encodings (positive paths), invalid ones
+        # (exact zeros), ones running past the terminator, and ids out of
+        # range at any position
+        rng = np.random.default_rng(seed)
+        inst = make_instance(rng, n_symbols=int(rng.integers(2, 4)))
+        size = len(inst.tokenizer.vocab)
+        symbols = sorted(inst.tokenizer.vocab.alphabet.symbols)
+        for _ in range(12):
+            text = bytes(int(s) for s in rng.choice(symbols, int(rng.integers(0, 6))))
+            ids = list(inst.tokenizer.encode(text))
+            for _ in range(int(rng.integers(0, 3))):
+                ids.insert(int(rng.integers(len(ids) + 1)), int(rng.integers(-1, size + 1)))
+            walked, reference = _fresh(inst.model), _fresh(inst.model)
+            assert _outcome(lambda: walked.marginal(ids)) == _outcome(
+                lambda: _telescoping(reference, ids)
+            ), ids
+
+    def test_walks_no_prefix(self, monkeypatch):
+        # each conditional is read through the previous prefix's node
+        inst = binary_instance()
+        ids = inst.tokenizer.encode(b"0010110" * 30)
+        reference = _telescoping(_fresh(inst.model), ids)
+        walked = _count_walks(monkeypatch)
+        assert 0.0 < inst.model.marginal(ids) == reference
+        assert sum(walked) == 0
+
+
 class TestDistributionInvariants:
     def test_normalized_and_nonnegative(self):
         rng = np.random.default_rng(3)
@@ -99,6 +170,16 @@ class TestDistributionInvariants:
                 for tid in range(len(inst.tokenizer.vocab)):
                     if not inst.tokenizer.is_valid(prefix + (tid,)):
                         assert dist[tid] == 0.0
+
+
+def computed_nodes(model) -> int:
+    """Nodes of the model's prefix tree whose distribution is computed."""
+    count, stack = 0, [model.root]
+    while stack:
+        node = stack.pop()
+        count += node.dist is not None
+        stack.extend(node.children.values())
+    return count
 
 
 def _record_encodes(monkeypatch, tokenizer) -> list[tuple[bool, bytes]]:
@@ -143,7 +224,7 @@ class TestMaskCache:
         model, nested = self._bpe_model()
         session = ReductionSession(model, nested, topk=None)
         assert len(session.generate(120, decoding="sample", seed=0)) == 120
-        assert len(model._dist_cache) > len(model.vocab) + 1
+        assert computed_nodes(model) > len(model.vocab) + 1
         assert len(model._mask_cache) <= len(model.vocab) + 1
 
     def test_bpe_rows_need_no_reencoding(self, monkeypatch):
@@ -211,7 +292,7 @@ def _assert_refuses_exactly_invalid(model: TableModel, rng) -> None:
         cold, warm = _fresh(model), _fresh(model)
         if prefix and not _must_raise(tokenizer, prefix[:-1]):
             warm.next_token_dist(prefix[:-1])
-            assert prefix[:-1] in warm._dist_cache
+            assert warm.node(prefix[:-1]).dist is not None
         if _must_raise(tokenizer, prefix):
             for m in (cold, warm):
                 with pytest.raises(ModelError):
@@ -266,8 +347,144 @@ class TestParentMaskValidation:
         calls = _record_encodes(monkeypatch, inst.tokenizer)
         session = ReductionSession(inst.model, inst.nested, topk=None)
         assert len(session.generate(1000)) == 1000
-        assert len(inst.model._dist_cache) >= 1000
+        assert computed_nodes(inst.model) >= 1000
         assert sum(len(text) for inside, text in calls if not inside) == 0
+
+
+def _reference_dist(model, key):
+    """``("ok", dist)`` or the refusal ``("raised", type, message)`` that
+    ``model.next_token_dist(key)`` must give, by re-encoding: the raw row
+    masked by the generic ``mask_row`` over the whole prefix, normalized."""
+    tokenizer = model.tokenizer
+    eos = tokenizer.vocab.eos_id
+    if eos is not None and eos in key:
+        return ("raised", ModelError, "cannot continue a terminated sequence")
+    for t in key:
+        if not 0 <= t < len(tokenizer.vocab):
+            return ("raised", TokenizationError, f"unknown token id {t}")
+    if not tokenizer.is_valid(key):
+        return ("raised", ModelError, f"prefix {key} is not a valid token sequence")
+    mask = DeterministicTokenizer.mask_row(tokenizer, key)
+    out = np.where(mask, model.raw_next_token_dist(key), 0.0)
+    total = out.sum()
+    if total <= 0.0:
+        return (
+            "raised", ModelError, f"all probability mass fell on invalid continuations of {key}"
+        )
+    return ("ok", out / total)
+
+
+def _reference_or_raise(model, key):
+    want = _reference_dist(model, key)
+    if want[0] == "raised":
+        raise want[1](want[2])
+    return want[1]
+
+
+def _same(got, want) -> bool:
+    if got[0] != want[0]:
+        return False
+    if got[0] == "raised":
+        return got == want
+    return np.array_equal(got[1], want[1])
+
+
+def _assert_tree_matches_reference(model, nested, rng) -> None:
+    """Interleave tuple calls on random prefixes (mostly with an uncached
+    parent), on extensions of computed prefixes (by one token, with a
+    cached parent, or two, with an uncached one; with and without the
+    parent node), session steps, ``marginal`` and ``valid_mask``; then check
+    every node of the tree."""
+    tokenizer = model.tokenizer
+    size = len(tokenizer.vocab)
+    computed: list[tuple] = []
+    session = ReductionSession(model, nested, topk=None)
+
+    def check(key, call):
+        got, want = _outcome(call), _reference_dist(model, key)
+        assert _same(got, want), (key, got, want)
+        if got[0] == "ok" and key not in computed:
+            computed.append(key)
+
+    for _ in range(40):
+        op = int(rng.integers(6))
+        if op == 0 or not computed:
+            key = next(_random_prefixes(rng, tokenizer, 1))
+            check(key, lambda: model.next_token_dist(key))
+        elif op in (1, 2):
+            base = computed[int(rng.integers(len(computed)))]
+            tail = [int(t) for t in rng.integers(-1, size + 1, int(rng.integers(1, 3)))]
+            key = base + tuple(tail)
+            if op == 2 and len(tail) == 1:
+                check(key, lambda: model.next_token_dist(key, model.node(base)))
+            else:
+                check(key, lambda: model.next_token_dist(key))
+        elif op == 3 and session is not None:
+            try:
+                dist = session.next_subtoken_dist()
+                session.step(int(rng.choice(len(dist.probs), p=dist.probs)))
+            except (ModelError, ReductionError):
+                session = None
+        elif op == 4:
+            ids = next(_random_prefixes(rng, tokenizer, 1))
+            got = _outcome(lambda: model.marginal(ids))
+            assert got == _outcome(
+                lambda: _telescoping(model, ids, lambda key: _reference_or_raise(model, key))
+            ), ids
+        else:
+            key = computed[int(rng.integers(len(computed)))]
+            assert np.array_equal(
+                model.valid_mask(key), DeterministicTokenizer.mask_row(tokenizer, key)
+            )
+
+    seen, stack = set(), [((), model.root)]
+    while stack:
+        key, node = stack.pop()
+        assert tokenizer.is_valid(key), key
+        if node.dist is not None:
+            seen.add(key)
+            assert _same(("ok", node.dist), _reference_dist(model, key)), key
+            assert np.array_equal(node.mask, DeterministicTokenizer.mask_row(tokenizer, key))
+        else:
+            assert node.mask is None
+        stack.extend((key + (t,), child) for t, child in node.children.items())
+    assert set(computed) <= seen
+
+
+class TestPrefixTree:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_greedy_instances_match_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        inst = make_instance(
+            rng,
+            n_symbols=int(rng.integers(2, 4)),
+            n_multi=int(rng.integers(1, 5)),
+            n_sub_multi=int(rng.integers(0, 2)),
+        )
+        _assert_tree_matches_reference(inst.model, inst.nested, rng)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_bpe_instances_match_reference(self, seed):
+        # no terminator: a token whose followers merges absorb is a valid
+        # prefix with no mass after it, refused by tuple calls and sessions
+        rng = np.random.default_rng(seed)
+        tokenizer = wide_merge_tokenizer(rng)
+        vec = rng.uniform(0.05, 1.0, len(tokenizer.vocab))
+        model = TableModel(tokenizer, {}, default=vec / vec.sum())
+        inner = GreedyTokenizer(byte_vocabulary(tokenizer.vocab.alphabet))
+        _assert_tree_matches_reference(model, NestedTokenizer(tokenizer, inner), rng)
+
+    def test_cold_binary_generation_walks_no_prefix(self, monkeypatch):
+        # every step reaches its retokenization through the parent node in
+        # its cover entry; a lookup from the root walks the whole prefix
+        inst = binary_instance()
+        walked = _count_walks(monkeypatch)
+        session = ReductionSession(inst.model, inst.nested, topk=None)
+        assert len(session.generate(1000)) == 1000
+        assert computed_nodes(inst.model) >= 1000
+        assert sum(walked) == 0
 
 
 class TestTableValidation:
@@ -287,6 +504,36 @@ class TestTableValidation:
         )
         dist = model.next_token_dist(())
         assert list(dist) == [0.1, 0.1, 0.5, 0.3]
+
+
+class TestTableLookup:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    def test_row_is_entry_or_default(self, seed, with_default):
+        # prefixes up to three tokens longer than the longest key, so the
+        # length shortcut is taken and skipped
+        rng = np.random.default_rng(seed)
+        binary = binary_instance()
+        size = len(binary.tokenizer.vocab)
+
+        def row():
+            vec = rng.uniform(0.05, 1.0, size)
+            return vec / vec.sum()
+
+        def prefix(length):
+            return tuple(int(t) for t in rng.integers(0, size, length))
+
+        entries = {prefix(int(rng.integers(0, 4))): row() for _ in range(int(rng.integers(0, 6)))}
+        default = row() if with_default else None
+        model = TableModel(binary.tokenizer, entries, default=default)
+        probes = list(model.entries) + [prefix(int(rng.integers(0, 7))) for _ in range(20)]
+        for key in probes:
+            want = model.entries.get(key, model.default)
+            if want is None:
+                with pytest.raises(ModelError, match="no table entry"):
+                    model.raw_next_token_dist(key)
+            else:
+                assert model.raw_next_token_dist(key) is want
 
 
 def _letters_tokenizer(chars: str) -> GreedyTokenizer:

@@ -342,7 +342,7 @@ class TestLazyBucketsMatchNaive:
         for _ in range(8):
             ref = session.next_subtoken_dist_naive()
             naive = {y: c.entries for y, c in session._pending.items()}
-            _, _, ext, _ = session._prologue()
+            ext = session._prologue()[2]
             kept = set(np.argsort(-ext, kind="stable")[:topk].tolist())
             carried = set(session.cover_cache[session.prefix].entries)
             dist = session.next_subtoken_dist()
