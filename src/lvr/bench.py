@@ -14,7 +14,6 @@ import time
 from typing import Sequence
 
 from .ensemble import EnsembleSpec
-from .errors import LvrError
 from .mcv import build_mcv
 from .model import LanguageModel
 from .reduction import ReductionSession, decode
@@ -58,11 +57,8 @@ def run_bench(
     ``corpus`` is only used for the reference statistic: the mean token
     surface length of the common-vocabulary encoding of the corpus.
     """
-    if len(members) < 2:
-        raise LvrError("benchmark needs at least two members to build the MCV")
-    alphabet = members[0][1].vocab.alphabet
     mcv, mcv_tokenizer = build_mcv([tok for _, tok in members])
-    byte_inner = GreedyTokenizer(byte_vocabulary(alphabet))
+    byte_inner = GreedyTokenizer(byte_vocabulary(mcv.vocab.alphabet))
 
     def run(inner: DeterministicTokenizer) -> dict:
         sessions = [

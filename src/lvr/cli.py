@@ -44,6 +44,17 @@ from .tokenization import (
 )
 
 
+class UsageError(LvrError):
+    """Arguments that parse but cannot work together; exit code 2."""
+
+
+def _non_negative(value: str) -> int:
+    n = int(value)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"{value} is negative")
+    return n
+
+
 def _parse_topk(value: str) -> int | None:
     if value == "exact":
         return None
@@ -69,16 +80,16 @@ def _parse_member(value: str) -> dict[str, str]:
     return fields
 
 
+def _require_bpe_members(tokenizers, what: str) -> None:
+    if len(tokenizers) < 2 or not all(isinstance(t, BpeTokenizer) for t in tokenizers):
+        raise UsageError(f"{what} needs at least two members with merges files")
+
+
 def _resolve_inner(subvocab: str, outer_tokenizers):
     if subvocab == "bytes":
         return GreedyTokenizer(byte_vocabulary(outer_tokenizers[0].vocab.alphabet))
     if subvocab == "mcv":
-        if len(outer_tokenizers) < 2 or not all(
-            isinstance(t, BpeTokenizer) for t in outer_tokenizers
-        ):
-            raise LvrError(
-                "--subvocab mcv needs at least two members with merges files"
-            )
+        _require_bpe_members(outer_tokenizers, "--subvocab mcv")
         _, tokenizer = build_mcv(outer_tokenizers)
         return tokenizer
     return GreedyTokenizer(load_vocabulary(subvocab))
@@ -149,7 +160,7 @@ def cmd_reduce_generate(args) -> int:
 
 def cmd_build_mcv(args) -> int:
     if len(args.vocab) < 2 or len(args.vocab) != len(args.merges):
-        raise LvrError("build-mcv needs matching --vocab/--merges pairs, two or more")
+        raise UsageError("build-mcv needs matching --vocab/--merges pairs, two or more")
     tokenizers = [
         load_tokenizer(v, m) for v, m in zip(args.vocab, args.merges)
     ]
@@ -180,7 +191,7 @@ def _load_members(args, need_model: bool):
         if "model" in fields:
             model = load_table_model(fields["model"], merges)
         elif need_model:
-            raise LvrError("every member needs model=")
+            raise UsageError("every member needs model=")
         else:
             model = None
         if model is not None:
@@ -230,6 +241,7 @@ def cmd_verify_lossless(args) -> int:
 
 def cmd_bench(args) -> int:
     models, tokenizers = _load_members(args, need_model=False)
+    _require_bpe_members(tokenizers, "bench")
     try:
         text = Path(args.corpus).read_bytes()
     except OSError as exc:
@@ -267,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="top-K extensions per step, or 'exact'")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--decoding", choices=("greedy", "sample"), default="greedy")
-        p.add_argument("--max-steps", type=int, default=64)
+        p.add_argument("--max-steps", type=_non_negative, default=64)
         p.add_argument("--trace", default=None, help="JSON-lines trace path")
         p.add_argument("--out", default=None, help="write raw output bytes here")
 
@@ -305,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--merges", default=None)
     p.add_argument("--subvocab", required=True, help="bytes | path")
-    p.add_argument("--max-len", type=int, default=4)
+    p.add_argument("--max-len", type=_non_negative, default=4)
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--method", choices=("reduction", "naive"), default="reduction")
     p.add_argument("--out", default=None)
@@ -330,7 +342,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FileFormatError as exc:
+    except (FileFormatError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except LvrError as exc:

@@ -11,6 +11,7 @@ additively-smoothed n-gram trained on a corpus.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -20,27 +21,27 @@ from .tokenization import DeterministicTokenizer, TokenSeq
 
 
 class Node:
-    """One valid prefix in a model's cache: its masked distribution and
-    validity mask once computed (``None`` until then), and the nodes of its
+    """One valid prefix in a model's cache: its validity mask, its masked
+    distribution once computed (``None`` until then), and the nodes of its
     one-token extensions by token id.  A node does not store its prefix."""
 
     __slots__ = ("dist", "mask", "children")
 
-    def __init__(self):
+    def __init__(self, mask: np.ndarray):
+        self.mask = mask
         self.dist: np.ndarray | None = None
-        self.mask: np.ndarray | None = None
         self.children: dict[int, Node] = {}
 
 
 class LanguageModel:
     """Base class: subclasses supply the raw (unmasked) conditional table.
 
-    Computed distributions are cached in a prefix tree rooted at
-    :attr:`root`, one :class:`Node` per valid prefix.  A caller that holds
-    the node of ``prefix[:-1]`` passes it as ``parent`` and reaches the
-    prefix in one child lookup, whatever its length; a call without it walks
-    the tree from the root.  The tree grows by one node per distinct prefix
-    queried and is never pruned.
+    Valid prefixes are cached in a prefix tree rooted at :attr:`root`, one
+    :class:`Node` per valid prefix, reached only through :meth:`node`.  A
+    node is added once its prefix is validated, with its mask: ``p + (x,)``
+    is valid iff ``p`` is valid and ``p``'s mask admits ``x``, so no prefix
+    is re-encoded to validate it.  The tree grows by one node per valid
+    prefix reached, ancestors included, and is never pruned.
 
     A valid prefix must have at least one valid continuation.  A BPE model
     with no terminator whose merges absorb every follower of some token
@@ -52,7 +53,6 @@ class LanguageModel:
     def __init__(self, tokenizer: DeterministicTokenizer, renormalize: bool = True):
         self.tokenizer = tokenizer
         self.renormalize = renormalize
-        self.root = Node()
         # mask context (see DeterministicTokenizer.mask_context) -> mask
         self._mask_cache: dict[TokenSeq, np.ndarray] = {}
 
@@ -63,23 +63,49 @@ class LanguageModel:
     def raw_next_token_dist(self, prefix: TokenSeq) -> np.ndarray:
         raise NotImplementedError
 
-    def _walk(self, prefix: Sequence[int]) -> Node | None:
-        """Node of ``prefix`` reached from the root, or ``None`` where the
-        tree stops short of it."""
-        node = self.root
-        for t in prefix:
-            node = node.children.get(t)
-            if node is None:
-                return None
-        return node
+    @cached_property
+    def root(self) -> Node:
+        """Node of the empty prefix, built on first use: construction builds no mask."""
+        return Node(self._context_mask(()))
 
-    def node(self, prefix: Sequence[int], parent: Node | None = None) -> Node | None:
-        """Tree node of ``prefix``, or ``None`` if it has none.  ``parent``,
-        when given, must be the node of ``prefix[:-1]``; the lookup is then
-        one child read instead of a walk from the root."""
+    def node(self, prefix: Sequence[int], parent: Node | None = None) -> Node:
+        """Tree node of the valid prefix ``prefix``, added with its missing
+        ancestors on first use.  ``parent``, when given, must be the node of
+        ``prefix[:-1]``: a known prefix is then one child read, whatever its
+        length; without it the tree is walked from the root.  Each missing
+        step is validated by its parent node's mask.  A refusal names the
+        first of: a terminator among the missing steps, an unknown id among
+        them (:class:`TokenizationError`), a step the mask refuses.
+        """
         if parent is not None:
-            return parent.children.get(prefix[-1])
-        return self._walk(prefix)
+            node = parent.children.get(prefix[-1])
+            if node is not None:
+                return node
+            start = len(prefix) - 1
+        else:
+            parent, start = self.root, 0
+            for t in prefix:
+                node = parent.children.get(t)
+                if node is None:
+                    break
+                parent, start = node, start + 1
+            else:
+                return parent
+        key = tuple(prefix)
+        new = key[start:]
+        if self.vocab.eos_id in new:
+            raise ModelError("cannot continue a terminated sequence")
+        size = len(parent.mask)
+        for x in new:
+            if not 0 <= x < size:
+                raise TokenizationError(f"unknown token id {x}")
+        for x in new:
+            if not parent.mask[x]:
+                raise ModelError(f"prefix {key} is not a valid token sequence")
+            start += 1
+            parent.children[x] = node = Node(self._context_mask(key[:start]))
+            parent = node
+        return node
 
     def _context_mask(self, prefix: TokenSeq) -> np.ndarray:
         context = self.tokenizer.mask_context(prefix)
@@ -91,83 +117,37 @@ class LanguageModel:
         return mask
 
     def valid_mask(self, prefix: Sequence[int]) -> np.ndarray:
-        """Cached boolean validity mask for one-token continuations of a
-        valid prefix: entry ``x`` is True iff ``prefix + (x,)`` is valid.
-
-        A prefix whose distribution is cached returns the mask stored in its
-        node, which is also how :meth:`next_token_dist` validates that
-        prefix's children; otherwise masks are cached by the tokenizer's
-        mask context, so the cache holds one entry per distinct context (at
-        most ``|V| + 1`` for BPE).
+        """Boolean validity mask of a valid prefix's node: entry ``x`` is
+        True iff ``prefix + (x,)`` is valid.  Nodes with one mask context
+        share one cached array (at most ``|V| + 1`` of them for BPE).
         """
-        node = self._walk(prefix)
-        if node is not None and node.mask is not None:
-            return node.mask
-        return self._context_mask(tuple(prefix))
+        return self.node(prefix).mask
 
     def next_token_dist(
         self, prefix: Sequence[int], parent: Node | None = None
     ) -> np.ndarray:
         """Masked distribution over the full vocabulary, in one call.
 
-        The prefix must be valid and must not contain the terminator; the
-        returned array is cached and read-only.  ``parent``, when given,
-        must be the node of ``prefix[:-1]`` (see :meth:`node`); without it
-        the prefix is looked up from the root.  ``p + (x,)`` is valid iff
-        ``p`` is valid and ``p``'s mask admits ``x``, so when ``p``'s
-        distribution is cached the check reads its node's mask and nothing
-        is re-encoded.  Any other prefix is checked by re-encoding it whole.
+        The prefix must be valid and must not contain the terminator; it is
+        reached or added by :meth:`node`, with ``parent`` passed on, and its
+        distribution is computed on the first request.  The returned array
+        is cached and read-only.
         """
-        if len(prefix) == 0:
-            node = self.root
-            if node.dist is None:
-                self._fill(node, ())
-            return node.dist
-        if parent is None:
-            parent = self._walk(prefix[:-1])
-        node = parent.children.get(prefix[-1]) if parent is not None else None
-        if node is not None and node.dist is not None:
-            return node.dist
-        key = tuple(prefix)
-        eos = self.vocab.eos_id
-        if parent is None or parent.mask is None:
-            if eos is not None and eos in key:
-                raise ModelError("cannot continue a terminated sequence")
-            valid = self.tokenizer.is_valid(key)
-        else:
-            # a computed parent was validated and holds no terminator, so
-            # its mask decides the new prefix without re-encoding it
-            x = key[-1]
-            if x == eos:
-                raise ModelError("cannot continue a terminated sequence")
-            if not 0 <= x < len(parent.mask):
-                raise TokenizationError(f"unknown token id {x}")
-            valid = parent.mask[x]
-        if not valid:
-            raise ModelError(f"prefix {key} is not a valid token sequence")
-        if node is None:
-            if parent is None:
-                # the prefixes of a valid prefix are valid: add them uncomputed
-                parent = self.root
-                for t in key[:-1]:
-                    parent = parent.children.setdefault(t, Node())
-            node = parent.children[key[-1]] = Node()
-        self._fill(node, key)
+        node = self.node(prefix, parent)
+        if node.dist is None:
+            key = tuple(prefix)
+            raw = np.asarray(self.raw_next_token_dist(key), dtype=float)
+            out = np.where(node.mask, raw, 0.0)
+            total = out.sum()
+            if total <= 0.0:
+                raise ModelError(
+                    f"all probability mass fell on invalid continuations of {key}"
+                )
+            if self.renormalize:
+                out = out / total
+            out.setflags(write=False)
+            node.dist = out
         return node.dist
-
-    def _fill(self, node: Node, key: TokenSeq) -> None:
-        raw = np.asarray(self.raw_next_token_dist(key), dtype=float)
-        mask = self._context_mask(key)
-        out = np.where(mask, raw, 0.0)
-        total = out.sum()
-        if total <= 0.0:
-            raise ModelError(
-                f"all probability mass fell on invalid continuations of {key}"
-            )
-        if self.renormalize:
-            out = out / total
-        out.setflags(write=False)
-        node.dist, node.mask = out, mask
 
     def marginal(self, ids: Sequence[int]) -> float:
         """Probability that a generated sequence starts with ``ids``,

@@ -416,6 +416,64 @@ class TestUnopenablePaths:
         assert captured.err.startswith(f"error: cannot {what} {missing}")
 
 
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "build-mcv one pair",
+            "ensemble member without model",
+            "mcv with one member",
+            "mcv member without merges",
+            "bench one member",
+            "bench member without merges",
+            "negative max-steps",
+            "negative max-len",
+        ],
+    )
+    def test_exit_2_with_error_line(self, binary_files, bpe_member_files, capsys, case):
+        (v1, m1, t1), (v2, _, t2) = bpe_member_files[0]
+        corpus = bpe_member_files[1]
+        out_dir = binary_files["dir"]
+        binary = ["--model", binary_files["model"], "--subvocab", binary_files["subvocab"]]
+        argv = {
+            "build-mcv one pair": [
+                "build-mcv", "--vocab", v1, "--merges", m1,
+                "--out-vocab", out_dir / "common.json", "--out-merges", out_dir / "common.txt",
+            ],
+            "ensemble member without model": [
+                "ensemble-generate", "--member", f"model={t1},merges={m1}",
+                "--member", f"vocab={v2}", "--subvocab", "bytes",
+            ],
+            "mcv with one member": [
+                "ensemble-generate", "--member", f"model={t1},merges={m1}", "--subvocab", "mcv",
+            ],
+            "mcv member without merges": [
+                "ensemble-generate", "--member", f"model={t1},merges={m1}",
+                "--member", f"model={t2}", "--subvocab", "mcv",
+            ],
+            "bench one member": [
+                "bench", "--member", f"vocab={v1},merges={m1}", "--corpus", corpus,
+            ],
+            "bench member without merges": [
+                "bench", "--member", f"vocab={v1},merges={m1}", "--member", f"vocab={v2}",
+                "--corpus", corpus,
+            ],
+            "negative max-steps": ["reduce-generate", *binary, "--max-steps", "-3"],
+            "negative max-len": ["verify-lossless", *binary, "--max-len", "-2"],
+        }[case]
+        try:
+            code = main([str(a) for a in argv])
+        except SystemExit as exc:  # argparse rejects the value while parsing
+            code = exc.code
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert any(
+            line.startswith("error: ") or ": error: " in line
+            for line in captured.err.splitlines()
+        ), captured.err
+
+
 class TestBench:
     def test_report_shape(self, bpe_member_files, capsys, tmp_path):
         members, corpus = bpe_member_files

@@ -107,15 +107,17 @@ def _telescoping(model, ids, dist=None):
 
 
 def _count_walks(monkeypatch) -> list[int]:
-    """Record the length of every prefix looked up from a model's root."""
+    """Record the length of every non-empty prefix looked up from a model's
+    root, that is passed to ``node`` without its parent node."""
     walked = []
-    walk = LanguageModel._walk
+    node = LanguageModel.node
 
-    def counted(model, prefix):
-        walked.append(len(prefix))
-        return walk(model, prefix)
+    def counted(model, prefix, parent=None):
+        if parent is None and len(prefix):
+            walked.append(len(prefix))
+        return node(model, prefix, parent)
 
-    monkeypatch.setattr(LanguageModel, "_walk", counted)
+    monkeypatch.setattr(LanguageModel, "node", counted)
     return walked
 
 
@@ -285,8 +287,8 @@ def _random_prefixes(rng, tokenizer, count):
 
 
 def _assert_refuses_exactly_invalid(model: TableModel, rng) -> None:
-    # each prefix on a cold model (whole-prefix re-encode) and on one whose
-    # parent is cached (the parent's mask decides)
+    # each prefix on a cold model (every step validated on the walk from
+    # the root) and on one whose parent is cached (one mask read)
     tokenizer = model.tokenizer
     for prefix in _random_prefixes(rng, tokenizer, 20):
         cold, warm = _fresh(model), _fresh(model)
@@ -374,6 +376,62 @@ def _reference_dist(model, key):
     return ("ok", out / total)
 
 
+def _assert_node_refuses_like_reference(model, rng) -> None:
+    """``node`` and ``valid_mask`` on random prefixes, on a fresh model or on
+    one that has seen earlier prefixes, refuse exactly as ``_reference_dist``
+    does before its fill, and otherwise give the reference mask row."""
+    tokenizer = model.tokenizer
+    for key in _random_prefixes(rng, tokenizer, 20):
+        want = _reference_dist(model, key)
+        refused = want[0] == "raised" and "probability mass" not in want[2]
+        for call in (lambda m: m.node(key).mask, lambda m: m.valid_mask(key)):
+            got = _outcome(lambda: call(_fresh(model) if rng.random() < 0.5 else model))
+            if refused:
+                assert got == want, (key, got, want)
+            else:
+                row = DeterministicTokenizer.mask_row(tokenizer, key)
+                assert got[0] == "ok" and np.array_equal(got[1], row), (key, got)
+
+
+def _assert_no_encode_outside_fills(model, rng) -> None:
+    """Tuple calls on random prefixes, each on a fresh model (no parent
+    computed) or on one that has seen earlier prefixes, make no ``encode``
+    call outside mask row fills."""
+    prefixes = list(_random_prefixes(rng, model.tokenizer, 20))
+    with pytest.MonkeyPatch.context() as patch:
+        calls = _record_encodes(patch, model.tokenizer)
+        for key in prefixes:
+            target = _fresh(model) if rng.random() < 0.5 else model
+            _outcome(lambda: target.next_token_dist(key))
+    assert [text for inside, text in calls if not inside] == []
+
+
+def _bpe_table(rng) -> TableModel:
+    tokenizer = wide_merge_tokenizer(rng)
+    vec = rng.uniform(0.05, 1.0, len(tokenizer.vocab))
+    return TableModel(tokenizer, {}, default=vec / vec.sum())
+
+
+def _greedy_table(rng) -> TableModel:
+    return make_instance(
+        rng, n_symbols=int(rng.integers(2, 4)), n_multi=int(rng.integers(1, 5))
+    ).model
+
+
+class TestNodeValidation:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([_bpe_table, _greedy_table]))
+    def test_refusals_match_reference(self, seed, build):
+        rng = np.random.default_rng(seed)
+        _assert_node_refuses_like_reference(build(rng), rng)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([_bpe_table, _greedy_table]))
+    def test_tuple_calls_encode_nothing_outside_fills(self, seed, build):
+        rng = np.random.default_rng(seed)
+        _assert_no_encode_outside_fills(build(rng), rng)
+
+
 def _reference_or_raise(model, key):
     want = _reference_dist(model, key)
     if want[0] == "raised":
@@ -441,12 +499,10 @@ def _assert_tree_matches_reference(model, nested, rng) -> None:
     while stack:
         key, node = stack.pop()
         assert tokenizer.is_valid(key), key
+        assert np.array_equal(node.mask, DeterministicTokenizer.mask_row(tokenizer, key)), key
         if node.dist is not None:
             seen.add(key)
             assert _same(("ok", node.dist), _reference_dist(model, key)), key
-            assert np.array_equal(node.mask, DeterministicTokenizer.mask_row(tokenizer, key))
-        else:
-            assert node.mask is None
         stack.extend((key + (t,), child) for t, child in node.children.items())
     assert set(computed) <= seen
 
