@@ -155,16 +155,20 @@ class LanguageModel:
 
         The empty prefix has marginal 1.  A sequence that continues past the
         terminator, or whose conditional chain hits an exact zero, has
-        marginal 0 without further model queries.  Each conditional is read
-        through the node of the previous prefix, so the tree is walked once.
+        marginal 0 without further model queries.  An id out of range raises
+        :class:`TokenizationError`, as :meth:`node` does.  Each conditional is
+        read through the node of the previous prefix, so the tree is walked
+        once.
         """
         ids = tuple(ids)
-        eos = self.vocab.eos_id
+        eos, size = self.vocab.eos_id, len(self.vocab)
         p = 1.0
         parent = None  # node of ids[:s - 1]
         for s, tok in enumerate(ids):
             if eos is not None and s > 0 and ids[s - 1] == eos:
                 return 0.0
+            if not 0 <= tok < size:
+                raise TokenizationError(f"unknown token id {tok}")
             cond = self.next_token_dist(ids[:s], parent)[tok]
             if cond == 0.0:
                 return 0.0

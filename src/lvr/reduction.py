@@ -28,9 +28,15 @@ the retokenization through that node and never hashes the prefix.  The
 efficient variant restricts source (ii) to the top-K most probable
 extensions and reports the marginal mass it dropped.
 
-A step sums the buckets in one pass over plain lists and records which
-cover entries and extension ids land in each; it builds cover entries only
-for the bucket it steps into, not for the |V| extensions it sums.
+A step sums the buckets in one flat pass: carried entries first, then every
+extension of each ``by_first`` group in ascending id, invalid and
+top-K-dropped ones included as their exact ``0.0``, so the additions and
+their order are those of the naive variant.  It builds cover entries only
+for the bucket it steps into, picking that bucket's extension ids with the
+step's mask.  Those entries hold no prefix: each keeps the step's
+retokenization tuple by reference (shared by its siblings), its last outer
+token and the sub-token offset where its re-encoding ends, so a step copies
+one retokenization tuple and one prefix tuple whatever the cover's size.
 """
 
 from __future__ import annotations
@@ -56,6 +62,21 @@ class CoverEntry(NamedTuple):
     nested: TokenSeq
     marginal: float
     parent: Node | None = None
+
+
+class CompactEntry(NamedTuple):
+    """The cover entry a session keeps: sequence ``head + (x,)`` (``head``
+    alone when ``x`` is ``None``, the empty sequence's entry), whose
+    re-encoding ``mapping[x]`` ends at sub-token offset ``end``.  ``head``
+    is the retokenization the entry extended, shared with its siblings; the
+    next sub-token after a prefix of length ``k < end`` is
+    ``mapping[x][k - end]``."""
+
+    head: TokenSeq
+    x: int | None
+    end: int
+    marginal: float
+    parent: Node | None
 
 
 @dataclass
@@ -92,13 +113,15 @@ class ReductionSession:
     retokenization enter the cover at each step.  The attribute is read at
     each distribution computation, so it may be changed between steps.
 
-    A distribution computation keeps, per sub-token, the carried cover
-    entries and the ids of the extensions that land there; :meth:`step`
-    builds the chosen sub-token's cover entries from them and drops the
-    rest.  The model call of a step passes the retokenization's parent node,
-    taken from its cover entry, and every new entry is stamped with the
-    retokenization's node, so no step looks a prefix up from the model's
-    root.
+    The cover is a list of :class:`CompactEntry`; :attr:`cover_cache`,
+    :meth:`relative_cover` and ``_pending`` turn entries into
+    :class:`CoverEntry` records for readers.  A distribution computation
+    keeps, per sub-token, the carried cover entries, and for the extensions
+    the step's mask and marginals; :meth:`step` builds the chosen
+    sub-token's cover entries from them and drops the rest.  The model call
+    of a step passes the retokenization's parent node, taken from its cover
+    entry, and every new entry is stamped with the retokenization's node, so
+    no step looks a prefix up from the model's root.
 
     A session is a single-owner mutable object.  Several sessions may share
     one model and tokenizer, but a model is not immutable: every new prefix
@@ -122,18 +145,33 @@ class ReductionSession:
         self.topk = topk
         self.prefix: TokenSeq = ()
         # relative cover of the prefix
-        self.cover: list[CoverEntry] = [CoverEntry((), (), 1.0)]
-        # the last distribution's buckets: carried cover entries and
-        # extension ids by sub-token, the retokenization the extensions
-        # extend, their marginals, and the retokenization's tree node
+        self.cover: list[CompactEntry] = [CompactEntry((), None, 0, 1.0, None)]
+        # the last distribution's buckets: carried cover entries by
+        # sub-token, the extension groups by first sub-token and the mask
+        # that admits them, the retokenization they extend, their marginals,
+        # and the retokenization's tree node
         self._buckets = None
         self._last: SubTokenDistribution | None = None
+
+    def _view(self, entries: list[CompactEntry]) -> RelativeCover:
+        """``entries`` as :class:`CoverEntry` records; each entry's
+        re-encoding starts within the prefix."""
+        mapping, prefix = self.nested.mapping, self.prefix
+        out = []
+        for e in entries:
+            if e.x is None:
+                out.append(CoverEntry(e.head, (), e.marginal, e.parent))
+                continue
+            m = mapping[e.x]
+            out.append(CoverEntry(
+                e.head + (e.x,), prefix[: e.end - len(m)] + m, e.marginal, e.parent))
+        return RelativeCover(out)
 
     @property
     def cover_cache(self) -> dict[TokenSeq, RelativeCover]:
         """A new ``{prefix: relative cover}`` dict over the one cover the
         session keeps, for readers; writing to it changes nothing."""
-        return {self.prefix: RelativeCover(self.cover)}
+        return {self.prefix: self._view(self.cover)}
 
     # -- per-step computation ------------------------------------------------
 
@@ -141,8 +179,9 @@ class ReductionSession:
         cover = self.cover
         k = len(self.prefix)
         for e in cover:
-            if len(e.nested) == k:
-                retok, base, parent = e.seq, e.marginal, e.parent
+            if e.end == k:
+                retok = e.head if e.x is None else e.head + (e.x,)
+                base, parent = e.marginal, e.parent
                 break
         else:
             # No cover entry ends at the prefix.  The only valid outer
@@ -170,18 +209,19 @@ class ReductionSession:
         return dist
 
     def next_subtoken_dist(self) -> SubTokenDistribution:
-        """Efficient variant: one pass over the cover and one over the top-K
-        extensions, on plain lists.  Each bucket records its carried cover
-        entries and its extension ids; their cover entries are built only
-        for a bucket that is read (see :meth:`_bucket`)."""
+        """Efficient variant: one pass over the cover and one flat pass over
+        the extensions.  ``ext`` is exactly ``0.0`` at every invalid id, and
+        top-K zeroes the ids it drops, so each sub-token adds every id of
+        its ``by_first`` group; its cover entries are built only for a
+        bucket that is read (see :meth:`_bucket`)."""
         cover, retok, ext, valid, node = self._prologue()
         k = len(self.prefix)
-        ext_l, allowed = ext.tolist(), valid.tolist()
+        mapping = self.nested.mapping
         sums = [0.0] * len(self.nested.vocab)
-        carried: dict[int, list[CoverEntry]] = {}
+        carried: dict[int, list[CompactEntry]] = {}
         for e in cover:
-            if len(e.nested) > k:
-                y = e.nested[k]
+            if e.end > k:
+                y = mapping[e.x][k - e.end]
                 group = carried.get(y)
                 if group is None:
                     carried[y] = [e]
@@ -191,25 +231,24 @@ class ReductionSession:
         size = len(ext)
         if self.topk is not None and self.topk < size:
             order = np.argsort(-ext, kind="stable")
-            dropped = float(ext[order[self.topk :]].sum())
-            kept = [False] * size
-            for x in order[: self.topk].tolist():
-                kept[x] = allowed[x]
-            allowed = kept
+            top, drop = order[: self.topk], order[self.topk :]
+            dropped = float(ext[drop].sum())
+            ext[drop] = 0.0  # the step's own array, not the model's
+            kept = np.zeros(size, dtype=bool)
+            kept[top] = valid[top]
+            valid = kept
         else:
             dropped = 0.0
         # carried entries first, then extensions in ascending id: the
-        # summation order of the naive variant
-        ids: dict[int, list[int]] = {}
-        for y, xs in self.nested.by_first:
-            landed = [x for x in xs if allowed[x]]
-            if landed:
-                total = sums[y]
-                for x in landed:
-                    total += ext_l[x]
-                sums[y] = total
-                ids[y] = landed
-        return self._finish(sums, dropped, (carried, ids, retok, ext_l, node))
+        # summation order of the naive variant (adding 0.0 changes no sum)
+        ext_l = ext.tolist()
+        groups = self.nested.by_first
+        for y, xs in groups.items():
+            total = sums[y]
+            for x in xs:
+                total += ext_l[x]
+            sums[y] = total
+        return self._finish(sums, dropped, (carried, groups, valid, retok, ext_l, node))
 
     def next_subtoken_dist_naive(self) -> SubTokenDistribution:
         """Reference variant: for every sub-token, scan the whole cover and
@@ -219,35 +258,35 @@ class ReductionSession:
         k = len(self.prefix)
         mapping = self.nested.mapping
         sums = [0.0] * len(self.nested.vocab)
-        buckets: dict[int, list[CoverEntry]] = {}
+        buckets: dict[int, list[CompactEntry]] = {}
         for y in range(len(self.nested.vocab)):
             collected = 0.0
-            entries: list[CoverEntry] = []
+            entries: list[CompactEntry] = []
             for e in cover:
-                if len(e.nested) > k and e.nested[k] == y:
+                if e.end > k and mapping[e.x][k - e.end] == y:
                     entries.append(e)
                     collected += e.marginal
             for x in range(len(ext)):
                 if mapping[x][0] == y and valid[x]:
-                    entry = CoverEntry(
-                        retok + (x,), self.prefix + mapping[x], float(ext[x]), node
-                    )
+                    entry = CompactEntry(
+                        retok, x, k + len(mapping[x]), float(ext[x]), node)
                     entries.append(entry)
                     collected += entry.marginal
             if entries:
                 buckets[y] = entries
             sums[y] = collected
-        return self._finish(sums, 0.0, (buckets, {}, retok, None, node))
+        return self._finish(sums, 0.0, (buckets, {}, valid, retok, None, node))
 
-    def _bucket(self, y: int) -> list[CoverEntry]:
+    def _bucket(self, y: int) -> list[CompactEntry]:
         """Relative cover of ``prefix + (y,)`` from the last distribution:
-        bucket ``y``'s carried entries, then its extensions' entries, built
-        here and stamped with the retokenization's node."""
-        carried, ids, retok, ext, node = self._buckets
-        prefix, mapping = self.prefix, self.nested.mapping
-        return list(carried.get(y, ())) + [
-            CoverEntry(retok + (x,), prefix + mapping[x], ext[x], node)
-            for x in ids.get(y, ())
+        bucket ``y``'s carried entries, then the entries of its extensions
+        that the step's mask admits, built here, sharing the retokenization
+        tuple and stamped with its node."""
+        carried, groups, valid, retok, ext, node = self._buckets
+        k, mapping = len(self.prefix), self.nested.mapping
+        return carried.get(y, []) + [
+            CompactEntry(retok, x, k + len(mapping[x]), ext[x], node)
+            for x in groups.get(y, ()) if valid[x]
         ]
 
     @property
@@ -257,11 +296,9 @@ class ReductionSession:
         computed."""
         if self._last is None:
             return None
-        carried, ids = self._buckets[:2]
-        return {
-            y: RelativeCover(self._bucket(y))
-            for y in sorted(carried.keys() | ids.keys())
-        }
+        carried, groups = self._buckets[:2]
+        buckets = {y: self._bucket(y) for y in sorted(carried.keys() | groups.keys())}
+        return {y: self._view(b) for y, b in buckets.items() if b}
 
     # -- state transitions ---------------------------------------------------
 
@@ -312,7 +349,7 @@ class ReductionSession:
         computing (and discarding) any intermediate distributions needed."""
         y_prefix = tuple(y_prefix)
         if y_prefix == self.prefix:
-            return RelativeCover(self.cover)
+            return self._view(self.cover)
         if y_prefix[: len(self.prefix)] != self.prefix:
             raise ReductionError(
                 f"{y_prefix} does not extend the session prefix {self.prefix}"
@@ -322,7 +359,7 @@ class ReductionSession:
         for i, y in enumerate(rest):
             walker.next_subtoken_dist()
             if i + 1 == len(rest):
-                return RelativeCover(walker._bucket(y))
+                return walker._view(walker._bucket(y))
             walker = walker.branch(y)
         raise AssertionError("unreachable")
 

@@ -348,6 +348,11 @@ class BpeTokenizer(DeterministicTokenizer):
         surfaces = self.vocab.surfaces
         producer: dict[int, tuple[int, int, int]] = {}
         by_left: dict[int, tuple[list[int], list[int]]] = {}
+        # canonical[t]: t encodes to itself.  A byte does; a product of
+        # (a, b) at rank r does iff a and b do and no other merge across
+        # their boundary blocks it: the row rule below, with both tops
+        # consumed at r.
+        canonical = [len(surf) == 1 for surf in surfaces]
         for rank, (a, b) in enumerate(self.merges):
             product = self._pair_rank[(a, b)][1]
             if product in producer:
@@ -358,9 +363,9 @@ class BpeTokenizer(DeterministicTokenizer):
             vs, ranks = by_left.setdefault(a, ([], []))
             vs.append(b)
             ranks.append(rank)
-        canonical = np.array(
-            [self.encode(surf) == (tid,) for tid, surf in enumerate(surfaces)]
-        )
+            if canonical[a] and canonical[b]:
+                canonical[product] = not self._crossed(producer, a, b, rank)
+        canonical = np.array(canonical)
         # one (token, node, rank consumed) triple per left-spine node of
         # every token that encodes to itself
         holder, node, node_rank = [], [], []
@@ -384,6 +389,28 @@ class BpeTokenizer(DeterministicTokenizer):
             node=np.array(node, dtype=np.int64),
             node_rank=np.array(node_rank, dtype=np.int64),
         )
+
+    def _crossed(self, producer, a: int, b: int, rank: int) -> bool:
+        """Whether a merge ``(u, v)`` of rank ``r`` with ``u`` on the right
+        spine of ``a`` and ``v`` on the left spine of ``b`` fires in the
+        encoding of their concatenation before the merge of ``rank`` joins
+        them: ``r < rank_a(u)`` and ``r <= rank_b(v)`` (see :meth:`mask_row`),
+        with both tops consumed at ``rank``."""
+        right, u, consumed = [], a, rank
+        while True:
+            right.append((u, consumed))
+            if u not in producer:
+                break
+            _, u, consumed = producer[u]
+        v, v_consumed = b, rank
+        while True:
+            for u, u_consumed in right:
+                hit = self._pair_rank.get((u, v))
+                if hit is not None and hit[0] < u_consumed and hit[0] <= v_consumed:
+                    return True
+            if v not in producer:
+                return False
+            v, _, v_consumed = producer[v]
 
     def encode(self, text: bytes) -> TokenSeq:
         arr = self._single_table[np.frombuffer(text, dtype=np.uint8)]
@@ -468,9 +495,9 @@ class NestedTokenizer(DeterministicTokenizer):
         groups: dict[int, list[int]] = {}
         for x, m in enumerate(self.mapping):
             groups.setdefault(m[0], []).append(x)
-        self.by_first: tuple[tuple[int, tuple[int, ...]], ...] = tuple(
-            (y, tuple(xs)) for y, xs in sorted(groups.items())
-        )
+        self.by_first: dict[int, tuple[int, ...]] = {
+            y: tuple(xs) for y, xs in sorted(groups.items())
+        }
 
     def nested_encode(self, outer_ids: Sequence[int]) -> TokenSeq:
         """Concatenated per-token re-encodings; preserves decode."""

@@ -70,6 +70,11 @@ class TestMarginal:
     def test_invalid_path_is_zero(self, binary):
         assert binary.model.marginal((2, 1)) == 0.0
 
+    @pytest.mark.parametrize("ids", [(-1,), (4,), (2, -1)])
+    def test_unknown_id_raises(self, binary, ids):
+        with pytest.raises(TokenizationError, match="unknown token id"):
+            binary.model.marginal(ids)
+
     def test_chain_rule_and_monotonicity(self):
         rng = np.random.default_rng(7)
         inst = make_instance(rng, n_symbols=2)
@@ -99,6 +104,8 @@ def _telescoping(model, ids, dist=None):
     for s, tok in enumerate(ids):
         if eos is not None and s > 0 and ids[s - 1] == eos:
             return 0.0
+        if not 0 <= tok < len(model.vocab):
+            raise TokenizationError(f"unknown token id {tok}")
         cond = dist(ids[:s])[tok]
         if cond == 0.0:
             return 0.0

@@ -384,26 +384,48 @@ class TestCoverEntriesOnlyForTheChosenBucket:
         session = ReductionSession(model, nested, topk=None)
         built = []
 
-        class Counted(CoverEntry):
+        class Counted(reduction.CompactEntry):
             __slots__ = ()
 
             def __new__(cls, *fields):
                 built.append(fields)
                 return super().__new__(cls, *fields)
 
-        monkeypatch.setattr(reduction, "CoverEntry", Counted)
+        monkeypatch.setattr(reduction, "CompactEntry", Counted)
         chosen_bucket_extensions = 0
 
         def step(chosen):
             nonlocal chosen_bucket_extensions
-            old = {id(e) for e in session.cover_cache[session.prefix].entries}
+            old = {id(e) for e in session.cover}
             session.step(chosen)
-            new = session.cover_cache[session.prefix].entries
-            chosen_bucket_extensions += sum(1 for e in new if id(e) not in old)
+            chosen_bucket_extensions += sum(1 for e in session.cover if id(e) not in old)
 
         steps = list(decode(session.next_subtoken_dist, step, None, 120, "sample", 0))
         assert len(steps) == 120
         assert 0 < len(built) <= chosen_bucket_extensions
+
+
+class TestCompactCover:
+    def test_entries_copy_no_prefix(self, binary):
+        # Over 1,000 greedy steps, the entries built in one step share one
+        # head tuple (the step's retokenization) and hold no other tuple
+        # longer than the longest re-encoding, so no entry copies a prefix.
+        session = ReductionSession(binary.model, binary.nested, topk=None)
+        longest = max(len(m) for m in binary.nested.mapping)
+
+        def step(chosen):
+            old = {id(e) for e in session.cover}
+            session.step(chosen)
+            heads = set()
+            for e in session.cover:
+                long = [f for f in e if isinstance(f, tuple) and len(f) > longest]
+                assert len(long) <= 1, (session.prefix, e)
+                if long and id(e) not in old:
+                    heads.add(id(long[0]))
+            assert len(heads) <= 1, len(session.prefix)
+
+        steps = list(decode(session.next_subtoken_dist, step, None, 1000))
+        assert len(steps) == 1000
 
 
 class TestByteLevelSpecialCase:

@@ -3,7 +3,7 @@ nested (per-token re-encoding) tokenizer."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -297,6 +297,20 @@ def _assert_rows_match_reencoding(tokenizer):
 @given(st.integers(0, 2**32 - 1))
 def test_bpe_rows_match_reencoding_on_wide_merge_lists(seed):
     _assert_rows_match_reencoding(wide_merge_tokenizer(np.random.default_rng(seed)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_bpe_canonical_flags_match_self_encoding(seed, wide):
+    # the flags are computed in rank order from the merge list; a token is
+    # canonical iff it encodes to itself
+    make = wide_merge_tokenizer if wide else random_merge_tokenizer
+    tokenizer = make(np.random.default_rng(seed))
+    trees = tokenizer._merge_trees
+    assume(trees is not None)
+    expected = [tokenizer.encode(surf) == (tid,)
+                for tid, surf in enumerate(tokenizer.vocab.surfaces)]
+    assert trees.canonical.tolist() == expected, tokenizer.merges
 
 
 def test_wide_merge_lists_are_ordered_and_not():
