@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import EnsembleError, ZeroProductError
+from .errors import EnsembleError, LvrError, ZeroProductError
 from .model import LanguageModel
 from .reduction import ReductionSession, SubTokenDistribution, decode
 from .tokenization import DeterministicTokenizer, TokenSeq, Vocabulary
@@ -83,7 +83,7 @@ class EnsembleSpec:
         for i, m in enumerate(self.members):
             try:
                 m.step(chosen)
-            except Exception as exc:
+            except LvrError as exc:
                 raise EnsembleError(
                     f"member {i} failed to step onto sub-token {chosen}: {exc}"
                 ) from exc

@@ -28,10 +28,11 @@ the retokenization through that node and never hashes the prefix.  The
 efficient variant restricts source (ii) to the top-K most probable
 extensions and reports the marginal mass it dropped.
 
-A step sums the buckets in one flat pass: carried entries first, then every
-extension of each ``by_first`` group in ascending id, invalid and
-top-K-dropped ones included as their exact ``0.0``, so the additions and
-their order are those of the naive variant.  It builds cover entries only
+A step sums each sub-token's carried entries in cover order, then scatters
+every extension (an exact ``0.0`` if invalid or top-K-dropped) onto its
+first sub-token with one unbuffered ``np.add.at``, which adds in input order,
+so every sum makes the naive reference's additions in its order, bit for
+bit.  It builds cover entries only
 for the bucket it steps into, picking that bucket's extension ids with the
 step's mask.  Those entries hold no prefix: each keeps the step's
 retokenization tuple by reference (shared by its siblings), its last outer
@@ -193,13 +194,13 @@ class ReductionSession:
             if self.nested.nested_encode(retok) != self.prefix:
                 size = len(self.model.vocab)
                 return cover, retok, np.zeros(size), np.zeros(size, dtype=bool), None
-            base, parent = self.model.marginal(retok), None
+            base, parent = self.model.marginal(retok), self.model.node(retok[:-1])
         ext = base * self.model.next_token_dist(retok, parent)
-        node = self.model.node(retok, parent)
+        # the call added the node; only the empty sequence has no parent
+        node = parent.children[retok[-1]] if parent is not None else self.model.root
         return cover, retok, ext, node.mask, node
 
-    def _finish(self, sums: list[float], dropped: float, buckets) -> SubTokenDistribution:
-        raw = np.array(sums)
+    def _finish(self, raw: np.ndarray, dropped: float, buckets) -> SubTokenDistribution:
         total = raw.sum()
         if total <= 0.0:
             raise ReductionError("no sub-token continuation has positive probability")
@@ -209,15 +210,15 @@ class ReductionSession:
         return dist
 
     def next_subtoken_dist(self) -> SubTokenDistribution:
-        """Efficient variant: one pass over the cover and one flat pass over
-        the extensions.  ``ext`` is exactly ``0.0`` at every invalid id, and
-        top-K zeroes the ids it drops, so each sub-token adds every id of
-        its ``by_first`` group; its cover entries are built only for a
-        bucket that is read (see :meth:`_bucket`)."""
+        """Efficient variant: one pass over the cover, then one scatter-add
+        of the extensions.  ``ext`` is exactly ``0.0`` at every invalid id,
+        and top-K zeroes the ids it drops, so each sub-token adds every id
+        of its ``by_first`` group, in ascending id after its carried
+        entries, as :meth:`next_subtoken_dist_naive` does; its cover entries
+        are built only for a bucket that is read (see :meth:`_bucket`)."""
         cover, retok, ext, valid, node = self._prologue()
         k = len(self.prefix)
         mapping = self.nested.mapping
-        sums = [0.0] * len(self.nested.vocab)
         carried: dict[int, list[CompactEntry]] = {}
         for e in cover:
             if e.end > k:
@@ -227,7 +228,12 @@ class ReductionSession:
                     carried[y] = [e]
                 else:
                     group.append(e)
-                sums[y] += e.marginal
+        raw = np.zeros(len(self.nested.vocab))
+        for y, group in carried.items():
+            total = 0.0
+            for e in group:
+                total += e.marginal
+            raw[y] = total
         size = len(ext)
         if self.topk is not None and self.topk < size:
             order = np.argsort(-ext, kind="stable")
@@ -239,16 +245,9 @@ class ReductionSession:
             valid = kept
         else:
             dropped = 0.0
-        # carried entries first, then extensions in ascending id: the
-        # summation order of the naive variant (adding 0.0 changes no sum)
-        ext_l = ext.tolist()
-        groups = self.nested.by_first
-        for y, xs in groups.items():
-            total = sums[y]
-            for x in xs:
-                total += ext_l[x]
-            sums[y] = total
-        return self._finish(sums, dropped, (carried, groups, valid, retok, ext_l, node))
+        # unbuffered, in input order, as the naive loop adds (+0.0 is exact)
+        np.add.at(raw, self.nested.first, ext)
+        return self._finish(raw, dropped, (carried, self.nested.by_first, valid, retok, ext, node))
 
     def next_subtoken_dist_naive(self) -> SubTokenDistribution:
         """Reference variant: for every sub-token, scan the whole cover and
@@ -275,7 +274,7 @@ class ReductionSession:
             if entries:
                 buckets[y] = entries
             sums[y] = collected
-        return self._finish(sums, 0.0, (buckets, {}, valid, retok, None, node))
+        return self._finish(np.array(sums), 0.0, (buckets, {}, valid, retok, None, node))
 
     def _bucket(self, y: int) -> list[CompactEntry]:
         """Relative cover of ``prefix + (y,)`` from the last distribution:
@@ -285,7 +284,7 @@ class ReductionSession:
         carried, groups, valid, retok, ext, node = self._buckets
         k, mapping = len(self.prefix), self.nested.mapping
         return carried.get(y, []) + [
-            CompactEntry(retok, x, k + len(mapping[x]), ext[x], node)
+            CompactEntry(retok, x, k + len(mapping[x]), ext.item(x), node)
             for x in groups.get(y, ()) if valid[x]
         ]
 
@@ -305,8 +304,7 @@ class ReductionSession:
     def _adopt(self, chosen: int) -> None:
         self.cover = self._bucket(chosen)
         self.prefix = self.prefix + (chosen,)
-        self._buckets = None
-        self._last = None
+        self._buckets = self._last = None
 
     def step(self, chosen: int) -> None:
         """Commit to a sub-token: extend the prefix, keep its cover, evict

@@ -498,6 +498,8 @@ class NestedTokenizer(DeterministicTokenizer):
         self.by_first: dict[int, tuple[int, ...]] = {
             y: tuple(xs) for y, xs in sorted(groups.items())
         }
+        # first[x] = mapping[x][0]: where a step's scatter-add puts x's mass
+        self.first = np.array([m[0] for m in self.mapping], dtype=np.intp)
 
     def nested_encode(self, outer_ids: Sequence[int]) -> TokenSeq:
         """Concatenated per-token re-encodings; preserves decode."""

@@ -12,6 +12,7 @@ from lvr import (
     EnsembleSpec,
     GreedyTokenizer,
     NestedTokenizer,
+    ReductionError,
     ReductionSession,
     TableModel,
     Vocabulary,
@@ -153,6 +154,31 @@ class TestEnsembleGenerate:
         assert len(text) > 0
         assert text_prefix_prob(m1, t1, text) > 0
         assert text_prefix_prob(m2, t2, text) > 0
+
+    def test_member_refusal_becomes_ensemble_error(self):
+        inst = binary_instance()
+        spec = EnsembleSpec([_session(inst), _session(inst)], mode="poe")
+        spec.next_dist()
+        with pytest.raises(EnsembleError, match="member 0 failed") as info:
+            spec.step(7)  # out of range: the session refuses it
+        assert isinstance(info.value.__cause__, ReductionError)
+
+    def test_programming_error_in_member_propagates(self):
+        # only a toolkit error means a failed output; anything else is a
+        # fault in the code and keeps its own type and traceback
+        inst = binary_instance()
+        members = [_session(inst), _session(inst)]
+        spec = EnsembleSpec(members, mode="poe")
+        spec.next_dist()
+        bug = RuntimeError("fault inside a member's step")
+
+        def step(chosen):
+            raise bug
+
+        members[1].step = step
+        with pytest.raises(RuntimeError) as info:
+            spec.step(2)
+        assert info.value is bug
 
 
 class TestUnionBaseline:

@@ -1,6 +1,8 @@
 """Reduction engine: relative covers, marginal recursion, top-K truncation,
 stepping, generation, and the naive-restriction baseline."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -26,6 +28,7 @@ from lvr import (
     naive_restriction_dist,
 )
 from lvr import reduction
+from lvr.mcv import build_mcv
 from lvr.oracle import original_prefix_prob_table
 
 
@@ -281,36 +284,111 @@ class TestCoverHoldsRetokenization:
             original_prefix_prob_table(TableModel(tokenizer, {}, default=default), 3)
 
 
+def _mcv_instance(rng) -> tuple[TableModel, NestedTokenizer]:
+    """A ``random_merge_tokenizer`` reduced onto its common vocabulary with
+    a second draw (``build_mcv``), a BPE inner tokenizer, under a table
+    model whose default weights take three levels."""
+    tokenizer = random_merge_tokenizer(rng)
+    _, common = build_mcv([tokenizer, random_merge_tokenizer(rng)])
+    vec = rng.integers(1, 4, len(tokenizer.vocab)).astype(float)
+    model = TableModel(tokenizer, {}, default=vec / vec.sum())
+    return model, NestedTokenizer(tokenizer, common)
+
+
+def _assert_naive_equal_along_generation(rng, model, nested, steps):
+    """At each step of a sampled generation, the efficient variant at
+    K = |V| gives the naive variant's marginals bit for bit and its
+    covers."""
+    eff = ReductionSession(model, nested, topk=len(model.vocab))
+    ref = ReductionSession(model, nested, topk=None)
+    for _ in range(steps):
+        d_eff = eff.next_subtoken_dist()
+        d_ref = ref.next_subtoken_dist_naive()
+        assert d_eff.raw_marginals.tolist() == d_ref.raw_marginals.tolist()
+        assert {y: c.sequences() for y, c in eff._pending.items()} == {
+            y: c.sequences() for y, c in ref._pending.items()
+        }
+        probs = d_eff.probs
+        choice = int(rng.choice(len(probs), p=probs / probs.sum()))
+        if d_eff.raw_marginals[choice] == 0:
+            break
+        eff.step(choice)
+        ref.step(choice)
+        if choice == nested.vocab.eos_id:
+            break
+
+
 class TestNaiveEquivalence:
     def test_bitwise_equal_along_generations(self):
         rng = np.random.default_rng(23)
         for _ in range(6):
             inst = make_instance(rng, n_symbols=int(rng.integers(2, 4)))
-            size = len(inst.tokenizer.vocab)
-            eff = ReductionSession(inst.model, inst.nested, topk=size)
-            ref = ReductionSession(inst.model, inst.nested, topk=None)
-            for _ in range(5):
-                d_eff = eff.next_subtoken_dist()
-                d_ref = ref.next_subtoken_dist_naive()
-                assert list(d_eff.raw_marginals) == list(d_ref.raw_marginals)
-                assert {y: c.sequences() for y, c in eff._pending.items()} == {
-                    y: c.sequences() for y, c in ref._pending.items()
-                }
-                probs = d_eff.probs
-                choice = int(rng.choice(len(probs), p=probs / probs.sum()))
-                if d_eff.raw_marginals[choice] == 0:
-                    break
-                eff.step(choice)
-                ref.step(choice)
-                if choice == inst.inner.vocab.eos_id:
-                    break
+            _assert_naive_equal_along_generation(rng, inst.model, inst.nested, 5)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_bitwise_equal_over_mcv_inner(self, seed):
+        # a BPE inner tokenizer: a sub-token heads several outer ids, and a
+        # prefix the cover reaches may have no extension at all
+        rng = np.random.default_rng(seed)
+        model, nested = _mcv_instance(rng)
+        assume(has_followers(model.tokenizer))
+        _assert_naive_equal_along_generation(rng, model, nested, 12)
+
+
+def _per_group_sums(nested, cover, ext) -> list[float]:
+    """The sums of a step at the empty prefix as a Python loop: each
+    sub-token's carried entries in cover order, then its ``by_first``
+    group's extensions in ascending id."""
+    sums = [0.0] * len(nested.vocab)
+    for e in cover:
+        sums[nested.mapping[e.x][-e.end]] += e.marginal
+    for y, xs in nested.by_first.items():
+        for x in xs:
+            sums[y] += float(ext[x])
+    return sums
+
+
+class TestScatterKernel:
+    # Every string of one to three symbols over abc, re-encoded greedily
+    # over a, b, c and ab: sub-token a heads 9 ids, ab 4, b and c 13 each.
+    # A pairwise sum differs from the in-order one past 8 ids.
+    alphabet = Alphabet.of("abc")
+    outer = GreedyTokenizer(Vocabulary(
+        [bytes(s) for n in (1, 2, 3) for s in itertools.product(b"abc", repeat=n)],
+        alphabet,
+    ))
+    inner = GreedyTokenizer(Vocabulary([b"a", b"b", b"c", b"ab"], alphabet))
+    nested = NestedTokenizer(outer, inner)
+    model = TableModel(outer, {}, default=np.full(39, 1 / 39))
+    value = st.one_of(st.just(0.0), st.floats(1e-300, 1.0))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(value, min_size=39, max_size=39),
+        st.lists(st.tuples(st.integers(0, 38), st.integers(1, 3), value), max_size=12),
+    )
+    def test_matches_per_group_loop(self, ext, picks):
+        # carried entries in random bins, repeats and an empty cover
+        # included, then every extension, exact zeros included
+        ext = np.array(ext)
+        cover = [
+            reduction.CompactEntry((), x, min(end, len(self.nested.mapping[x])), marginal, None)
+            for x, end, marginal in picks
+        ]
+        expected = _per_group_sums(self.nested, cover, ext)
+        assume(sum(expected) > 0.0)
+        session = ReductionSession(self.model, self.nested, topk=None)
+        session._prologue = lambda: (cover, (), ext.copy(), np.ones(39, dtype=bool), None)
+        assert session.next_subtoken_dist().raw_marginals.tolist() == expected
 
 
 def _random_instance(rng) -> tuple[TableModel, NestedTokenizer]:
-    """A ``make_instance`` greedy instance, or a ``wide_merge_tokenizer``
-    BPE reduced to bytes under a table model whose default weights take
-    three levels, so that top-K meets ties."""
-    if rng.random() < 0.5:
+    """A ``make_instance`` greedy instance, a ``wide_merge_tokenizer`` BPE
+    reduced to bytes under a table model whose default weights take three
+    levels, so that top-K meets ties, or an ``_mcv_instance``."""
+    kind = rng.integers(3)
+    if kind == 0:
         inst = make_instance(
             rng,
             n_symbols=int(rng.integers(2, 4)),
@@ -318,6 +396,8 @@ def _random_instance(rng) -> tuple[TableModel, NestedTokenizer]:
             n_sub_multi=int(rng.integers(0, 2)),
         )
         return inst.model, inst.nested
+    if kind == 2:
+        return _mcv_instance(rng)
     tokenizer = wide_merge_tokenizer(rng)
     vec = rng.integers(1, 4, len(tokenizer.vocab)).astype(float)
     model = TableModel(tokenizer, {}, default=vec / vec.sum())
@@ -326,7 +406,7 @@ def _random_instance(rng) -> tuple[TableModel, NestedTokenizer]:
 
 
 class TestLazyBucketsMatchNaive:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=90, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.booleans())
     def test_entry_for_entry(self, seed, truncate):
         # On one session state: at K >= |V| every bucket the efficient step
