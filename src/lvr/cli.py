@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from contextlib import nullcontext
 from pathlib import Path
@@ -48,11 +49,24 @@ class UsageError(LvrError):
     """Arguments that parse but cannot work together; exit code 2."""
 
 
-def _non_negative(value: str) -> int:
-    n = int(value)
-    if n < 0:
-        raise argparse.ArgumentTypeError(f"{value} is negative")
-    return n
+def _at_least(kind: type, low: float, strict: bool = False):
+    """argparse type: a finite ``kind`` value that is at least ``low``, or
+    above it when ``strict``."""
+
+    def parse(value: str):
+        x = kind(value)
+        if not math.isfinite(x):
+            raise argparse.ArgumentTypeError(f"{value} is not finite")
+        if not (x > low if strict else x >= low):
+            op = ">" if strict else ">="
+            raise argparse.ArgumentTypeError(f"{value} is not {op} {low}")
+        return x
+
+    parse.__name__ = kind.__name__  # argparse names the type in its errors
+    return parse
+
+
+_non_negative = _at_least(int, 0)
 
 
 def _parse_topk(value: str) -> int | None:
@@ -277,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_generation_flags(p):
         p.add_argument("--k", type=_parse_topk, default=DEFAULT_TOP_K,
                        help="top-K extensions per step, or 'exact'")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_non_negative, default=0)
         p.add_argument("--decoding", choices=("greedy", "sample"), default="greedy")
         p.add_argument("--max-steps", type=_non_negative, default=64)
         p.add_argument("--trace", default=None, help="JSON-lines trace path")
@@ -318,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--merges", default=None)
     p.add_argument("--subvocab", required=True, help="bytes | path")
     p.add_argument("--max-len", type=_non_negative, default=4)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_at_least(float, 0), default=1e-9)
     p.add_argument("--method", choices=("reduction", "naive"), default="reduction")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_verify_lossless)
@@ -326,10 +340,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="byte-level vs MCV generation throughput")
     p.add_argument("--member", action="append", required=True, type=_parse_member)
     p.add_argument("--corpus", required=True)
-    p.add_argument("--order", type=int, default=2)
-    p.add_argument("--alpha", type=float, default=0.5)
-    p.add_argument("--target-bytes", type=int, default=500)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--order", type=_at_least(int, 1), default=2)
+    p.add_argument("--alpha", type=_at_least(float, 0, strict=True), default=0.5)
+    p.add_argument("--target-bytes", type=_non_negative, default=500)
+    p.add_argument("--seed", type=_non_negative, default=0)
     p.add_argument("--k", type=_parse_topk, default=DEFAULT_TOP_K)
     p.add_argument("--mode", choices=("poe", "moe"), default="poe")
     p.add_argument("--out", default=None)

@@ -8,7 +8,9 @@ Merges file: one merge per line, ``LEFT_SURFACE<TAB>RIGHT_SURFACE``, with
 the line number as the merge rank.
 
 Table-model file: ``{"vocab": <path>, "entries": [{"prefix": [ids],
-"probs": [floats]}], "default": [floats] | null}``.
+"probs": [floats]}], "default": [floats] | null}``.  Each row is
+renormalized over the continuations valid after its prefix; a file that
+sets ``"renormalize": false`` is refused.
 
 The alphabet of a loaded vocabulary is inferred from its single-byte
 surfaces (a usable vocabulary always contains them); a NUL (``\\x00``)
@@ -152,8 +154,6 @@ def save_table_model(model, path: str | Path, vocab_path: str | Path) -> None:
         ],
         "default": [float(p) for p in model.default] if model.default is not None else None,
     }
-    if not model.renormalize:
-        doc["renormalize"] = False
     Path(path).write_text(json.dumps(doc, indent=1) + "\n")
 
 
@@ -167,6 +167,11 @@ def load_table_model(path: str | Path, merges_path: str | Path | None = None):
     except (OSError, json.JSONDecodeError) as exc:
         raise FileFormatError(f"cannot parse model file {path}: {exc}") from exc
     try:
+        if doc.get("renormalize", True) is not True:
+            raise FileFormatError(
+                f'{path}: "renormalize": false is not supported; every row is '
+                "renormalized over its valid continuations"
+            )
         vocab_path = Path(path).parent / doc["vocab"]
         tokenizer = load_tokenizer(vocab_path, merges_path)
         entries = {
@@ -178,9 +183,7 @@ def load_table_model(path: str | Path, merges_path: str | Path | None = None):
             if doc.get("default") is not None
             else None
         )
-        return TableModel(
-            tokenizer, entries, default=default, renormalize=doc.get("renormalize", True)
-        )
+        return TableModel(tokenizer, entries, default=default)
     except FileFormatError:
         raise
     except Exception as exc:

@@ -43,16 +43,17 @@ class LanguageModel:
     is re-encoded to validate it.  The tree grows by one node per valid
     prefix reached, ancestors included, and is never pruned.
 
-    A valid prefix must have at least one valid continuation.  A BPE model
-    with no terminator whose merges absorb every follower of some token
-    breaks this: after that token every continuation is masked out, so
-    :meth:`next_token_dist` raises :class:`ModelError` there, and so do a
-    reduction session and ``original_prefix_prob_table`` that reach it.
+    A valid prefix must have at least one valid continuation.  A vocabulary
+    with no terminator in which every follower of some token would be
+    absorbed into a longer token breaks this (BPE merges a+a, a+b, a+c over
+    ``abc``, or greedy {a, b, aa, ab} over ``ab``): after that token every
+    continuation is masked out, so :meth:`next_token_dist` raises
+    :class:`ModelError` there, and so do a reduction session and
+    ``original_prefix_prob_table`` that reach it.
     """
 
-    def __init__(self, tokenizer: DeterministicTokenizer, renormalize: bool = True):
+    def __init__(self, tokenizer: DeterministicTokenizer):
         self.tokenizer = tokenizer
-        self.renormalize = renormalize
         # mask context (see DeterministicTokenizer.mask_context) -> mask
         self._mask_cache: dict[TokenSeq, np.ndarray] = {}
 
@@ -126,7 +127,8 @@ class LanguageModel:
     def next_token_dist(
         self, prefix: Sequence[int], parent: Node | None = None
     ) -> np.ndarray:
-        """Masked distribution over the full vocabulary, in one call.
+        """Masked distribution over the full vocabulary, renormalized over
+        the valid continuations, in one call.
 
         The prefix must be valid and must not contain the terminator; it is
         reached or added by :meth:`node`, with ``parent`` passed on, and its
@@ -143,8 +145,7 @@ class LanguageModel:
                 raise ModelError(
                     f"all probability mass fell on invalid continuations of {key}"
                 )
-            if self.renormalize:
-                out = out / total
+            out = out / total
             out.setflags(write=False)
             node.dist = out
         return node.dist
@@ -194,8 +195,6 @@ class TableModel(LanguageModel):
     Prefixes absent from the table fall back to the declared default
     distribution, so small hand-written models stay closed under extension.
     The table is fixed at construction.
-    ``renormalize=False`` keeps masked entries exactly as written (zeros are
-    inserted but nothing is rescaled).
     """
 
     def __init__(
@@ -203,9 +202,8 @@ class TableModel(LanguageModel):
         tokenizer: DeterministicTokenizer,
         entries: dict[TokenSeq, np.ndarray],
         default: np.ndarray | None = None,
-        renormalize: bool = True,
     ):
-        super().__init__(tokenizer, renormalize=renormalize)
+        super().__init__(tokenizer)
         size = len(tokenizer.vocab)
         self.entries = {
             tuple(k): _check_probs(v, size, f"table entry {tuple(k)}")
@@ -247,7 +245,7 @@ class NgramModel(LanguageModel):
             raise ModelError("n-gram order must be at least 1")
         if alpha <= 0:
             raise ModelError("smoothing constant must be positive")
-        super().__init__(tokenizer, renormalize=True)
+        super().__init__(tokenizer)
         self.order = order
         self.alpha = alpha
         self.counts = counts

@@ -3,30 +3,35 @@
 Everything here computes probabilities of the form "the generated text
 starts with these bytes" by exhaustive enumeration, independently of the
 reduction engine's cover recursion, so the engine can be certified against
-it on small instances.
-
-Two independent routes exist for the original model: summing marginals over
-the enumerated minimal cover of a text, and walking the token tree weighted
-by conditionals.  The reduced model's text probabilities are assembled from
-the engine's own unnormalized marginals but over *enumerated* covers, so a
-defect in either side shows up as a discrepancy.
+it on small instances.  Two routes share no code.  The cover route sums
+marginals over the enumerated minimal cover of a text: the model's, or the
+engine's unnormalized ones over covers under the nested tokenizer.  The
+tree route is one walk, :func:`_walk`, over the tree of a generator, adding
+each extension's probability to the texts it first covers; it walks the
+model's token tree, the reduction session's sub-token tree (weighted by
+the engine's unnormalized marginals) and the naive-restriction baseline's.
+The tables are tested against the cover route, so a defect in either route
+or in the engine shows up as a discrepancy.
 
 All enumerations charge a shared budget (default 2e6 visits, overridable
 via the ``LVR_ENUM_BUDGET`` environment variable) and refuse to run past
-it.
+it; a table refuses more texts than the budget before building them.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from itertools import product
+from typing import Callable
+
+import numpy as np
 
 from .errors import BudgetExceededError
 from .files import escape_bytes
 from .model import LanguageModel
 from .reduction import ReductionSession, naive_restriction_dist
-from .tokenization import DeterministicTokenizer, NestedTokenizer, TokenSeq
+from .tokenization import DeterministicTokenizer, NestedTokenizer, TokenSeq, Vocabulary
 
 DEFAULT_ENUM_BUDGET = 2_000_000
 
@@ -99,28 +104,12 @@ def text_prefix_prob_exhaustive(
 ) -> float:
     """Same quantity by direct token-tree enumeration: walk every
     positive-probability token sequence until its decoding first extends
-    ``text``, accumulating chain-rule marginals.  Shares no code with the
-    cover route."""
+    ``text``, never past the terminator, accumulating chain-rule
+    marginals.  Shares no code with the cover route."""
     if text == b"":
         return 1.0
-    bud = _as_budget(budget)
-    surfaces = model.vocab.surfaces
-
-    def rec(prefix: TokenSeq, decoded: bytes, marg: float) -> float:
-        total = 0.0
-        cond = model.next_token_dist(prefix)
-        for tid, c in enumerate(cond):
-            bud.tick()
-            if c <= 0.0:
-                continue
-            nd = decoded + surfaces[tid]
-            if nd.startswith(text):
-                total += marg * c
-            elif text.startswith(nd):
-                total += rec(prefix + (tid,), nd, marg * c)
-        return total
-
-    return rec((), b"", 1.0)
+    prefixes = [text[:n] for n in range(len(text) + 1)]
+    return _walk(_chain(model.next_token_dist), model.vocab, prefixes, budget)[text]
 
 
 def reduced_text_prefix_prob(
@@ -159,92 +148,92 @@ def _session_marginal(session: ReductionSession, ys: TokenSeq) -> float:
     raise AssertionError("unreachable")
 
 
-# -- whole-table enumeration ----------------------------------------------
+# -- the tree route -------------------------------------------------------
 #
-# The per-text oracles above cost an enumeration per call.  The table
-# variants compute prefix probabilities for *every* text up to a length in
-# a single sweep, which is what the randomized acceptance suites run on.
+# The per-text oracles above cost an enumeration per call.  The tables
+# compute prefix probabilities for *every* text up to a length in a single
+# walk, which is what the randomized acceptance suites run on.
 
 
-def _content_symbols(model_vocab) -> list[int]:
-    eos = model_vocab.alphabet.eos
-    return sorted(s for s in model_vocab.alphabet.symbols if s != eos)
+def _all_texts(vocab: Vocabulary, max_len: int, budget: _Budget) -> list[bytes]:
+    """Every terminator-free text of length <= ``max_len``, shortest first;
+    more texts than the budget's limit are refused before any is built."""
+    symbols = sorted(s for s in vocab.alphabet.symbols if s != vocab.alphabet.eos)
+    count = sum(len(symbols) ** n for n in range(max_len + 1))
+    if count > budget.limit:
+        raise BudgetExceededError(
+            f"{count} texts of length <= {max_len} exceed the budget {budget.limit}"
+        )
+    return [bytes(t) for n in range(max_len + 1) for t in product(symbols, repeat=n)]
 
 
-def _all_texts(symbols: Sequence[int], max_len: int) -> list[bytes]:
-    texts: list[bytes] = [b""]
-    frontier: list[bytes] = [b""]
-    for _ in range(max_len):
-        frontier = [t + bytes([s]) for t in frontier for s in symbols]
-        texts.extend(frontier)
-    return texts
+def _walk(
+    tree, vocab: Vocabulary, texts: list[bytes], budget: int | _Budget | None
+) -> dict[bytes, float]:
+    """Prefix probability of each of ``texts`` under a generator over
+    ``vocab``, by one depth-first walk of its tree ``(root, expand, child)``.
+
+    ``expand(state)`` is the absolute probability of each one-step extension
+    of ``state``, indexed by id; ``child(state, y, weight)`` makes the state
+    of extension ``y``.  Each extension costs one budget visit; one of
+    weight > 0 adds its weight to every text its decoding first covers, and
+    is descended into only while that decoding is not terminated and is a
+    text shorter than the longest: ``texts`` are closed under prefixes, so
+    this is a proper prefix of a text.  The empty text has probability 1.
+    """
+    root, expand, child = tree
+    bud = _as_budget(budget)
+    found = dict.fromkeys(texts, 0.0)
+    found[b""] = 1.0
+    longest = max(map(len, found))
+    surfaces, eos = vocab.surfaces, vocab.eos_id
+
+    def rec(state, decoded: bytes) -> None:
+        weights = expand(state)
+        bud.tick(len(weights))
+        lo = len(decoded)
+        for y, w in enumerate(weights.tolist()):
+            if w <= 0.0:
+                continue
+            nd = decoded + surfaces[y]
+            for n in range(lo + 1, min(len(nd), longest) + 1):
+                t = nd[:n]
+                if t in found:
+                    found[t] += w
+            if len(nd) < longest and nd in found and y != eos:
+                rec(child(state, y, w), nd)
+
+    rec(root, b"")
+    return found
 
 
-def _contribute(
-    table: dict[bytes, float], nd: bytes, lo: int, max_len: int, value: float
-) -> None:
-    # nd first covers every text nd[:n] with lo < n <= min(len(nd), max_len);
-    # texts containing the terminator are not tabulated.
-    for n in range(lo + 1, min(len(nd), max_len) + 1):
-        t = nd[:n]
-        if t in table:
-            table[t] += value
+def _chain(cond: Callable[[TokenSeq], np.ndarray]):
+    """Tree of an autoregressive generator with conditionals ``cond(prefix)``;
+    a state is ``(prefix, probability)``."""
+    return ((), 1.0), lambda s: s[1] * cond(s[0]), lambda s, y, w: (s[0] + (y,), w)
 
 
 def original_prefix_prob_table(
     model: LanguageModel, max_len: int, budget: int | _Budget | None = None
 ) -> dict[bytes, float]:
-    """Token-tree sweep of the original model: prefix probability of every
+    """Token-tree walk of the original model: prefix probability of every
     terminator-free text of length <= ``max_len``."""
     bud = _as_budget(budget)
-    symbols = _content_symbols(model.vocab)
-    table = {t: 0.0 for t in _all_texts(symbols, max_len)}
-    table[b""] = 1.0
-    surfaces = model.vocab.surfaces
-    eos = model.vocab.eos_id
-
-    def rec(prefix: TokenSeq, decoded: bytes, marg: float) -> None:
-        cond = model.next_token_dist(prefix)
-        for tid, c in enumerate(cond):
-            bud.tick()
-            if c <= 0.0 or tid == eos:
-                continue
-            nd = decoded + surfaces[tid]
-            child = marg * float(c)
-            _contribute(table, nd, len(decoded), max_len, child)
-            if len(nd) <= max_len - 1:
-                rec(prefix + (tid,), nd, child)
-
-    rec((), b"", 1.0)
-    return table
+    texts = _all_texts(model.vocab, max_len, bud)
+    return _walk(_chain(model.next_token_dist), model.vocab, texts, bud)
 
 
 def reduced_prefix_prob_table(
     session: ReductionSession, max_len: int, budget: int | _Budget | None = None
 ) -> dict[bytes, float]:
-    """Sub-token-tree sweep of the reduced model, using the engine's
-    unnormalized marginals; the session must be fresh and exact."""
+    """Sub-token-tree walk of the reduced model, using the engine's
+    unnormalized marginals; the session must be fresh and exact.  Each
+    descended sub-token is one :meth:`ReductionSession.branch`."""
     bud = _as_budget(budget)
-    symbols = _content_symbols(session.model.vocab)
-    table = {t: 0.0 for t in _all_texts(symbols, max_len)}
-    table[b""] = 1.0
-    sub_surfaces = session.nested.vocab.surfaces
-    eos = session.nested.vocab.eos_id
-
-    def rec(sess: ReductionSession, decoded: bytes) -> None:
-        dist = sess.next_subtoken_dist()
-        raw = dist.raw_marginals
-        for y in range(len(raw)):
-            bud.tick()
-            if raw[y] <= 0.0 or y == eos:
-                continue
-            nd = decoded + sub_surfaces[y]
-            _contribute(table, nd, len(decoded), max_len, float(raw[y]))
-            if len(nd) <= max_len - 1:
-                rec(sess.branch(y), nd)
-
-    rec(session, b"")
-    return table
+    texts = _all_texts(session.model.vocab, max_len, bud)
+    tree = (session, lambda s: s.next_subtoken_dist().raw_marginals,
+            lambda s, y, w: s.branch(y))
+    return _walk(tree, session.nested.vocab, texts, bud)
 
 
 def naive_restriction_prefix_prob_table(
@@ -256,26 +245,9 @@ def naive_restriction_prefix_prob_table(
     """Text-prefix probabilities of the naive-restriction baseline, treating
     it as an autoregressive generator over the sub-vocabulary."""
     bud = _as_budget(budget)
-    symbols = _content_symbols(model.vocab)
-    table = {t: 0.0 for t in _all_texts(symbols, max_len)}
-    table[b""] = 1.0
-    sub_surfaces = nested.vocab.surfaces
-    eos = nested.vocab.eos_id
-
-    def rec(prefix: TokenSeq, decoded: bytes, p: float) -> None:
-        dist = naive_restriction_dist(model, nested, prefix)
-        for y, q in enumerate(dist.probs):
-            bud.tick()
-            if q <= 0.0 or y == eos:
-                continue
-            nd = decoded + sub_surfaces[y]
-            child = p * float(q)
-            _contribute(table, nd, len(decoded), max_len, child)
-            if len(nd) <= max_len - 1:
-                rec(prefix + (y,), nd, child)
-
-    rec((), b"", 1.0)
-    return table
+    texts = _all_texts(model.vocab, max_len, bud)
+    tree = _chain(lambda prefix: naive_restriction_dist(model, nested, prefix).probs)
+    return _walk(tree, nested.vocab, texts, bud)
 
 
 @dataclass
@@ -332,11 +304,6 @@ def lossless_check(
     if method not in ("reduction", "naive"):
         raise ValueError(f"unknown method {method!r}")
     bud = _as_budget(budget)
-    n_texts = len(_all_texts(_content_symbols(model.vocab), max_len))
-    if n_texts > bud.limit:
-        raise BudgetExceededError(
-            f"{n_texts} texts of length <= {max_len} exceed the budget {bud.limit}"
-        )
     original = original_prefix_prob_table(model, max_len, bud)
     if method == "reduction":
         session = ReductionSession(model, nested, topk=None)

@@ -428,11 +428,22 @@ class TestUsageErrors:
             "bench member without merges",
             "negative max-steps",
             "negative max-len",
+            "reduce-generate negative seed",
+            "ensemble-generate negative seed",
+            "bench negative seed",
+            "negative tolerance",
+            "nan tolerance",
+            "bench zero order",
+            "bench zero alpha",
+            "bench negative target-bytes",
         ],
     )
     def test_exit_2_with_error_line(self, binary_files, bpe_member_files, capsys, case):
-        (v1, m1, t1), (v2, _, t2) = bpe_member_files[0]
+        (v1, m1, t1), (v2, m2, t2) = bpe_member_files[0]
         corpus = bpe_member_files[1]
+        bench = ["bench", "--member", f"vocab={v1},merges={m1}",
+                 "--member", f"vocab={v2},merges={m2}", "--corpus", corpus]
+        sample = ["--decoding", "sample", "--seed", "-1"]
         out_dir = binary_files["dir"]
         binary = ["--model", binary_files["model"], "--subvocab", binary_files["subvocab"]]
         argv = {
@@ -460,6 +471,17 @@ class TestUsageErrors:
             ],
             "negative max-steps": ["reduce-generate", *binary, "--max-steps", "-3"],
             "negative max-len": ["verify-lossless", *binary, "--max-len", "-2"],
+            "reduce-generate negative seed": ["reduce-generate", *binary, *sample],
+            "ensemble-generate negative seed": [
+                "ensemble-generate", "--member", f"model={t1},merges={m1}",
+                "--subvocab", "bytes", *sample,
+            ],
+            "bench negative seed": [*bench, "--seed", "-1"],
+            "negative tolerance": ["verify-lossless", *binary, "--tol", "-1"],
+            "nan tolerance": ["verify-lossless", *binary, "--tol", "nan"],
+            "bench zero order": [*bench, "--order", "0"],
+            "bench zero alpha": [*bench, "--alpha", "0"],
+            "bench negative target-bytes": [*bench, "--target-bytes", "-3"],
         }[case]
         try:
             code = main([str(a) for a in argv])

@@ -1,11 +1,14 @@
 """Round-trips for the on-disk formats and their escaping scheme."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from lvr import FileFormatError
+from lvr.cli import main
 from lvr.files import (
     escape_bytes,
     load_merges,
@@ -85,3 +88,20 @@ def test_table_model_round_trip(tmp_path, binary):
     np.testing.assert_allclose(
         loaded.next_token_dist((2,)), binary.model.next_token_dist((2,)), atol=1e-15
     )
+
+
+def test_table_model_with_unrescaled_rows_refused(tmp_path, binary, capsys):
+    # every row is renormalized over its valid continuations; a file asking
+    # to keep rows as written would silently change meaning, so it is refused
+    vpath = tmp_path / "vocab.json"
+    mpath = tmp_path / "model.json"
+    save_vocabulary(binary.tokenizer.vocab, vpath)
+    save_table_model(binary.model, mpath, vpath.name)
+    doc = json.loads(mpath.read_text())
+    assert "renormalize" not in doc
+    doc["renormalize"] = False
+    mpath.write_text(json.dumps(doc))
+    with pytest.raises(FileFormatError, match="renormalize"):
+        load_table_model(mpath)
+    assert main(["verify-lossless", "--model", str(mpath), "--subvocab", "bytes"]) == 2
+    assert "renormalize" in capsys.readouterr().err

@@ -559,15 +559,6 @@ class TestTableValidation:
         with pytest.raises(ModelError):
             TableModel(binary.tokenizer, {(): np.array([0.3, 0.3, 0.3, 0.3])})
 
-    def test_renormalize_optout_keeps_literal_rows(self, binary):
-        model = TableModel(
-            binary.tokenizer,
-            {(): np.array([0.1, 0.1, 0.5, 0.3])},
-            renormalize=False,
-        )
-        dist = model.next_token_dist(())
-        assert list(dist) == [0.1, 0.1, 0.5, 0.3]
-
 
 class TestTableLookup:
     @settings(max_examples=60, deadline=None)

@@ -1,15 +1,20 @@
 """Oracle behavior: cover enumeration, the two independent prefix-probability
 routes, terminator bookkeeping, and the lossless check itself."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from conftest import make_instance
+from conftest import has_followers, make_instance, random_merge_tokenizer
 
 from lvr import (
     BudgetExceededError,
+    GreedyTokenizer,
     NestedTokenizer,
     ReductionSession,
+    TableModel,
+    byte_vocabulary,
     lossless_check,
     minimal_cover,
     reduced_text_prefix_prob,
@@ -51,20 +56,29 @@ class TestTextPrefixProb:
         assert abs(text_prefix_prob(binary.model, binary.tokenizer, b"001") - 0.3) < 1e-12
 
     def test_routes_agree_on_random_instances(self):
+        # texts over every symbol, the terminator included: at the end of a
+        # text it is a finished output, in the middle no output has the text
         rng = np.random.default_rng(17)
+        ended = inside = 0
         for _ in range(6):
             n = int(rng.integers(2, 4))
             inst = make_instance(rng, n_symbols=n)
-            content = [bytes([s]) for s in sorted(inst.tokenizer.vocab.alphabet.symbols)]
+            eos = inst.tokenizer.vocab.alphabet.eos
+            symbols = [bytes([s]) for s in sorted(inst.tokenizer.vocab.alphabet.symbols)]
             texts = [b""]
             for _ in range(3):
-                texts = [t + c for t in texts for c in content[: n + 1]]
+                texts = [t + c for t in texts for c in symbols]
                 for t in texts:
-                    if inst.tokenizer.vocab.alphabet.eos in t:
-                        continue
                     via_cover = text_prefix_prob(inst.model, inst.tokenizer, t)
                     via_tree = text_prefix_prob_exhaustive(inst.model, t)
                     assert abs(via_cover - via_tree) < 1e-12
+                    if eos in t[:-1]:
+                        assert via_cover == via_tree == 0.0
+                        inside += 1
+                    elif t.endswith(bytes([eos])):
+                        assert via_tree > 0.0
+                        ended += 1
+        assert ended and inside
 
 
 class TestReducedTextPrefixProb:
@@ -83,14 +97,36 @@ class TestReducedTextPrefixProb:
 
 class TestTables:
     def test_tables_match_per_text_routes(self, binary):
-        table = original_prefix_prob_table(binary.model, max_len=3)
-        for text, value in table.items():
-            assert abs(value - text_prefix_prob(binary.model, binary.tokenizer, text)) < 1e-12
-        session = ReductionSession(binary.model, binary.nested, topk=None)
-        reduced = reduced_prefix_prob_table(session, max_len=3)
-        factory = lambda: ReductionSession(binary.model, binary.nested, topk=None)
-        for text, value in reduced.items():
-            assert abs(value - reduced_text_prefix_prob(factory, text)) < 1e-12
+        # the tree route is one walk, so the cover route is the independent
+        # witness: the binary model, random greedy instances with and
+        # without a terminator, and BPE reduced to bytes
+        rng = np.random.default_rng(41)
+        instances = [(binary.tokenizer, binary.model, binary.nested)]
+        for i in range(30):
+            if i % 3 == 2:
+                tokenizer = random_merge_tokenizer(rng)
+                vec = rng.uniform(0.05, 1.0, len(tokenizer.vocab))
+                model = TableModel(tokenizer, {}, default=vec / vec.sum())
+                inner = GreedyTokenizer(byte_vocabulary(tokenizer.vocab.alphabet))
+                instances.append((tokenizer, model, NestedTokenizer(tokenizer, inner)))
+            else:
+                inst = make_instance(rng, n_symbols=int(rng.integers(2, 4)), with_eos=i % 3 == 0)
+                instances.append((inst.tokenizer, inst.model, inst.nested))
+        checked = 0
+        for tokenizer, model, nested in instances:
+            if not has_followers(tokenizer):
+                continue
+            table = original_prefix_prob_table(model, max_len=3)
+            for text, value in table.items():
+                assert abs(value - text_prefix_prob(model, tokenizer, text)) < 1e-12
+            reduced = reduced_prefix_prob_table(
+                ReductionSession(model, nested, topk=None), max_len=3
+            )
+            factory = lambda: ReductionSession(model, nested, topk=None)
+            for text, value in reduced.items():
+                assert abs(value - reduced_text_prefix_prob(factory, text)) < 1e-12
+            checked += 1
+        assert checked >= 20
 
     def test_prefix_additivity_with_terminator(self):
         rng = np.random.default_rng(29)
@@ -136,6 +172,22 @@ class TestBudget:
         monkeypatch.setenv("LVR_ENUM_BUDGET", "5")
         with pytest.raises(BudgetExceededError):
             lossless_check(binary.model, binary.nested, max_len=3)
+
+    def test_text_count_refused_before_texts_are_built(self, binary):
+        # 2**19 - 1 texts of length <= 18: refused by count, allocating
+        # nothing like the tens of megabytes the texts would take
+        for run in (
+            lambda: lossless_check(binary.model, binary.nested, max_len=18, budget=1000),
+            lambda: original_prefix_prob_table(binary.model, max_len=18, budget=1000),
+        ):
+            tracemalloc.start()
+            try:
+                with pytest.raises(BudgetExceededError, match="524287 texts"):
+                    run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1_000_000
 
     def test_enumeration_budget_charged(self, binary):
         with pytest.raises(BudgetExceededError):

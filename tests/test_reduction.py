@@ -283,6 +283,23 @@ class TestCoverHoldsRetokenization:
         with pytest.raises(ModelError, match="invalid continuations"):
             original_prefix_prob_table(TableModel(tokenizer, {}, default=default), 3)
 
+    def test_greedy_token_with_no_follower_is_refused(self):
+        # greedy {a, b, aa, ab} over "ab" and no terminator: "a" is valid,
+        # but a following "a" or "b" would be absorbed into "aa" or "ab"
+        tokenizer = GreedyTokenizer(Vocabulary([b"a", b"b", b"aa", b"ab"], Alphabet.of("ab")))
+        assert tokenizer.is_valid((0,)) and not tokenizer.valid_continuations((0,)).any()
+        model = TableModel(tokenizer, {}, default=np.full(4, 0.25))
+        with pytest.raises(ModelError, match="invalid continuations"):
+            model.next_token_dist((0,))
+        inner = GreedyTokenizer(byte_vocabulary(tokenizer.vocab.alphabet))
+        session = ReductionSession(model, NestedTokenizer(tokenizer, inner), topk=None)
+        session.next_subtoken_dist()
+        session.step(inner.vocab.id_of(b"a"))
+        with pytest.raises(ModelError, match="invalid continuations"):
+            session.next_subtoken_dist()
+        with pytest.raises(ModelError, match="invalid continuations"):
+            original_prefix_prob_table(model, 3)
+
 
 def _mcv_instance(rng) -> tuple[TableModel, NestedTokenizer]:
     """A ``random_merge_tokenizer`` reduced onto its common vocabulary with
