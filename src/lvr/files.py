@@ -36,27 +36,16 @@ _ESCAPE_RE = re.compile(r"\\x([0-9a-fA-F]{2})|\\\\|(.)", re.DOTALL)
 
 def escape_bytes(data: bytes) -> str:
     """Render arbitrary bytes as a printable string, ``\\xNN``-escaping
-    anything that would not round-trip."""
+    anything that would not round-trip.  A byte that is not part of valid
+    UTF-8 decodes to a lone surrogate U+DC80..U+DCFF and is escaped alone."""
     out: list[str] = []
-    i = 0
-    n = len(data)
-    while i < n:
-        ch = None
-        for width in (1, 2, 3, 4):
-            if i + width > n:
-                break
-            try:
-                decoded = data[i : i + width].decode("utf-8")
-            except UnicodeDecodeError:
-                continue
-            ch = decoded
-            break
-        if ch is not None and ch != "\\" and ch.isprintable():
+    for ch in data.decode("utf-8", "surrogateescape"):
+        if "\udc80" <= ch <= "\udcff":
+            out.append(f"\\x{ord(ch) - 0xDC00:02x}")
+        elif ch != "\\" and ch.isprintable():
             out.append(ch)
-            i += len(ch.encode("utf-8"))
         else:
-            out.append(f"\\x{data[i]:02x}")
-            i += 1
+            out.extend(f"\\x{b:02x}" for b in ch.encode("utf-8"))
     return "".join(out)
 
 

@@ -40,8 +40,10 @@ class LanguageModel:
     :class:`Node` per valid prefix, reached only through :meth:`node`.  A
     node is added once its prefix is validated, with its mask: ``p + (x,)``
     is valid iff ``p`` is valid and ``p``'s mask admits ``x``, so no prefix
-    is re-encoded to validate it.  The tree grows by one node per valid
-    prefix reached, ancestors included, and is never pruned.
+    is re-encoded to validate it.  The mask is the tokenizer's memoized
+    row (:meth:`DeterministicTokenizer.valid_continuations`), shared with
+    every other model over that tokenizer.  The tree grows by one node per
+    valid prefix reached, ancestors included, and is never pruned.
 
     A valid prefix must have at least one valid continuation.  A vocabulary
     with no terminator in which every follower of some token would be
@@ -54,8 +56,6 @@ class LanguageModel:
 
     def __init__(self, tokenizer: DeterministicTokenizer):
         self.tokenizer = tokenizer
-        # mask context (see DeterministicTokenizer.mask_context) -> mask
-        self._mask_cache: dict[TokenSeq, np.ndarray] = {}
 
     @property
     def vocab(self):
@@ -67,7 +67,7 @@ class LanguageModel:
     @cached_property
     def root(self) -> Node:
         """Node of the empty prefix, built on first use: construction builds no mask."""
-        return Node(self._context_mask(()))
+        return Node(self.tokenizer.valid_continuations(()))
 
     def node(self, prefix: Sequence[int], parent: Node | None = None) -> Node:
         """Tree node of the valid prefix ``prefix``, added with its missing
@@ -104,23 +104,16 @@ class LanguageModel:
             if not parent.mask[x]:
                 raise ModelError(f"prefix {key} is not a valid token sequence")
             start += 1
-            parent.children[x] = node = Node(self._context_mask(key[:start]))
+            mask = self.tokenizer.valid_continuations(key[:start])
+            parent.children[x] = node = Node(mask)
             parent = node
         return node
 
-    def _context_mask(self, prefix: TokenSeq) -> np.ndarray:
-        context = self.tokenizer.mask_context(prefix)
-        mask = self._mask_cache.get(context)
-        if mask is None:
-            mask = self.tokenizer.valid_continuations(context)
-            mask.setflags(write=False)
-            self._mask_cache[context] = mask
-        return mask
-
     def valid_mask(self, prefix: Sequence[int]) -> np.ndarray:
         """Boolean validity mask of a valid prefix's node: entry ``x`` is
-        True iff ``prefix + (x,)`` is valid.  Nodes with one mask context
-        share one cached array (at most ``|V| + 1`` of them for BPE).
+        True iff ``prefix + (x,)`` is valid.  It is the tokenizer's read-only
+        row for the prefix's mask context, one array per context across all
+        models over the tokenizer (at most ``|V| + 1`` of them for BPE).
         """
         return self.node(prefix).mask
 

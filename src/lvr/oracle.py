@@ -45,6 +45,7 @@ class _Budget:
     def __init__(self, limit: int | None):
         self.limit = limit if limit is not None else enumeration_budget()
         self.used = 0
+        self._texts: dict[tuple, list[bytes]] = {}  # (alphabet, max_len) -> texts
 
     def tick(self, n: int = 1) -> None:
         self.used += n
@@ -52,6 +53,14 @@ class _Budget:
             raise BudgetExceededError(
                 f"enumeration exceeded the budget of {self.limit} visits"
             )
+
+    def texts(self, vocab: Vocabulary, max_len: int) -> list[bytes]:
+        """:func:`_all_texts`, built once per alphabet and length, so the
+        tables of one check share one list."""
+        key = (vocab.alphabet, max_len)
+        if key not in self._texts:
+            self._texts[key] = _all_texts(vocab, max_len, self)
+        return self._texts[key]
 
 
 def _as_budget(budget: "int | _Budget | None") -> _Budget:
@@ -219,7 +228,7 @@ def original_prefix_prob_table(
     """Token-tree walk of the original model: prefix probability of every
     terminator-free text of length <= ``max_len``."""
     bud = _as_budget(budget)
-    texts = _all_texts(model.vocab, max_len, bud)
+    texts = bud.texts(model.vocab, max_len)
     return _walk(_chain(model.next_token_dist), model.vocab, texts, bud)
 
 
@@ -230,7 +239,7 @@ def reduced_prefix_prob_table(
     unnormalized marginals; the session must be fresh and exact.  Each
     descended sub-token is one :meth:`ReductionSession.branch`."""
     bud = _as_budget(budget)
-    texts = _all_texts(session.model.vocab, max_len, bud)
+    texts = bud.texts(session.model.vocab, max_len)
     tree = (session, lambda s: s.next_subtoken_dist().raw_marginals,
             lambda s, y, w: s.branch(y))
     return _walk(tree, session.nested.vocab, texts, bud)
@@ -245,7 +254,7 @@ def naive_restriction_prefix_prob_table(
     """Text-prefix probabilities of the naive-restriction baseline, treating
     it as an autoregressive generator over the sub-vocabulary."""
     bud = _as_budget(budget)
-    texts = _all_texts(model.vocab, max_len, bud)
+    texts = bud.texts(model.vocab, max_len)
     tree = _chain(lambda prefix: naive_restriction_dist(model, nested, prefix).probs)
     return _walk(tree, nested.vocab, texts, bud)
 

@@ -159,9 +159,21 @@ class DeterministicTokenizer:
 
         ``prefix`` must itself be valid: the mask is computed by
         :meth:`mask_row` from its :meth:`mask_context` alone, which is exact
-        for valid prefixes only.
+        for valid prefixes only.  Rows are memoized by mask context and
+        returned read-only, so every caller shares one array per context.
         """
-        return self.mask_row(self.mask_context(prefix))
+        context = self.mask_context(prefix)
+        row = self._rows.get(context)
+        if row is None:
+            row = self.mask_row(context)
+            row.setflags(write=False)
+            self._rows[context] = row
+        return row
+
+    @functools.cached_property
+    def _rows(self) -> dict[TokenSeq, np.ndarray]:
+        """Mask context -> row, filled by :meth:`valid_continuations`."""
+        return {}
 
     def mask_row(self, context: TokenSeq) -> np.ndarray:
         """Validity mask after ``context``, a :meth:`mask_context` result.
@@ -179,27 +191,13 @@ class DeterministicTokenizer:
 
 class GreedyTokenizer(DeterministicTokenizer):
     """Greedy forward matching: repeatedly consume the longest vocabulary
-    surface that prefixes the remaining text."""
+    surface that prefixes the remaining text, looking its prefixes up in
+    the vocabulary index from ``max_surface_len`` bytes down to one."""
 
     def __init__(self, vocab: Vocabulary):
         if not vocab.complete:
             raise TokenizationError("greedy tokenizer requires a complete vocabulary")
         self.vocab = vocab
-        # Trie of surfaces: child maps keyed by byte value; -1 marks "no token
-        # ends here".
-        self._children: list[dict[int, int]] = [{}]
-        self._terminal: list[int] = [-1]
-        for tid, surf in enumerate(vocab.surfaces):
-            node = 0
-            for b in surf:
-                nxt = self._children[node].get(b)
-                if nxt is None:
-                    nxt = len(self._children)
-                    self._children.append({})
-                    self._terminal.append(-1)
-                    self._children[node][b] = nxt
-                node = nxt
-            self._terminal[node] = tid
         self._max_surface_len = max(len(s) for s in vocab.surfaces)
 
     def mask_context(self, prefix: Sequence[int]) -> TokenSeq:
@@ -219,27 +217,18 @@ class GreedyTokenizer(DeterministicTokenizer):
         out: list[int] = []
         pos = 0
         n = len(text)
-        children = self._children
-        terminal = self._terminal
+        index = self.vocab.index
         while pos < n:
-            node = 0
-            best = -1
-            best_len = 0
-            i = pos
-            while i < n:
-                node = children[node].get(text[i], -1)
-                if node < 0:
+            for end in range(min(pos + self._max_surface_len, n), pos, -1):
+                tid = index.get(text[pos:end])
+                if tid is not None:
                     break
-                i += 1
-                if terminal[node] >= 0:
-                    best = terminal[node]
-                    best_len = i - pos
-            if best < 0:
+            else:
                 raise TokenizationError(
                     f"no token matches text at offset {pos} (symbol {text[pos]:#04x})"
                 )
-            out.append(best)
-            pos += best_len
+            out.append(tid)
+            pos = end
         return tuple(out)
 
 

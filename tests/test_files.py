@@ -33,6 +33,44 @@ def test_escape_keeps_printable_text():
     assert escape_bytes(b"a\\b") == "a\\x5cb"
 
 
+def test_escape_single_bytes():
+    # a lone byte is kept only as printable ASCII other than the backslash
+    def expected(byte):
+        kept = byte < 0x80 and chr(byte).isprintable() and byte != ord("\\")
+        return chr(byte) if kept else f"\\x{byte:02x}"
+
+    assert [escape_bytes(bytes([b])) for b in range(256)] == list(map(expected, range(256)))
+
+
+@pytest.mark.parametrize(
+    "data, expected",
+    [
+        ("é".encode(), "é"),
+        ("€".encode(), "€"),
+        ("😀".encode(), "😀"),
+        ("café €\\".encode(), "café €\\x5c"),
+        # U+0085 is valid UTF-8 but not printable: each byte is escaped
+        ("\u0085".encode(), "\\xc2\\x85"),
+        # an encoded surrogate, U+D800, is not valid UTF-8
+        (b"\xed\xa0\x80", "\\xed\\xa0\\x80"),
+        # overlong encodings of "/" and of NUL
+        (b"\xc0\xaf", "\\xc0\\xaf"),
+        (b"\xe0\x80\x80", "\\xe0\\x80\\x80"),
+        # truncated sequences, alone and before a complete character
+        (b"\xe2\x82", "\\xe2\\x82"),
+        (b"\xf0\x9f\x98", "\\xf0\\x9f\\x98"),
+        (b"\xe2\x82a", "\\xe2\\x82a"),
+        (b"\xc3" + "é".encode(), "\\xc3é"),
+        (b"\xf0\x9f" + "😀".encode(), "\\xf0\\x9f😀"),
+        # a stray continuation byte, then a character
+        (b"\x80\xe2\x82\xac", "\\x80€"),
+    ],
+)
+def test_escape_multibyte_cases(data, expected):
+    assert escape_bytes(data) == expected
+    assert unescape_bytes(expected) == data
+
+
 def test_vocabulary_round_trip(tmp_path, binary):
     path = tmp_path / "vocab.json"
     save_vocabulary(binary.tokenizer.vocab, path)

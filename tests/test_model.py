@@ -229,12 +229,12 @@ class TestMaskCache:
 
     def test_bpe_mask_cache_bounded_by_vocabulary(self):
         # masks key on the last token, so a long generation adds at most one
-        # entry per token plus the empty context
+        # row per token plus the empty context, on the tokenizer
         model, nested = self._bpe_model()
         session = ReductionSession(model, nested, topk=None)
         assert len(session.generate(120, decoding="sample", seed=0)) == 120
         assert computed_nodes(model) > len(model.vocab) + 1
-        assert len(model._mask_cache) <= len(model.vocab) + 1
+        assert len(model.tokenizer._rows) <= len(model.vocab) + 1
 
     def test_bpe_rows_need_no_reencoding(self, monkeypatch):
         # the merge list is ordered, so rows come from merge trees: over a
@@ -244,8 +244,38 @@ class TestMaskCache:
         calls = _record_encodes(monkeypatch, model.tokenizer)
         session = ReductionSession(model, nested, topk=None)
         assert len(session.generate(120, decoding="sample", seed=0)) == 120
-        assert len(model._mask_cache) > 2
+        assert len(model.tokenizer._rows) > 2
         assert sum(inside for inside, _ in calls) <= len(model.vocab)
+
+    @pytest.mark.parametrize("build", ["bpe", "greedy"])
+    def test_rows_belong_to_the_tokenizer(self, build, monkeypatch):
+        # a second model over the same tokenizer reuses every row the first
+        # one's generation filled, and cannot write to them
+        if build == "bpe":
+            model, nested = self._bpe_model()
+        else:
+            inst = binary_instance()
+            model, nested = inst.model, inst.nested
+        first = ReductionSession(model, nested, topk=None).generate(
+            60, decoding="sample", seed=0
+        )
+        fills = []
+        mask_row = model.tokenizer.mask_row
+        monkeypatch.setattr(
+            model.tokenizer, "mask_row", lambda ctx: fills.append(ctx) or mask_row(ctx)
+        )
+        second = _fresh(model)
+        replay = ReductionSession(second, nested, topk=None).generate(
+            60, decoding="sample", seed=0
+        )
+        assert replay == first
+        assert computed_nodes(second) > 2
+        assert fills == []
+        row = second.valid_mask(())
+        assert row is model.root.mask
+        assert not row.flags.writeable
+        with pytest.raises(ValueError):
+            row[0] = not row[0]
 
     def test_warm_replay_encodes_nothing(self, monkeypatch):
         # an exact step takes the prefix's retokenization from its cover, so

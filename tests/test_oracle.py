@@ -21,6 +21,7 @@ from lvr import (
     text_prefix_prob,
     text_prefix_prob_exhaustive,
 )
+from lvr import oracle
 from lvr.oracle import (
     original_prefix_prob_table,
     reduced_prefix_prob_table,
@@ -155,6 +156,30 @@ class TestLosslessCheck:
         report = lossless_check(binary.model, binary.nested, max_len=3, method="naive")
         assert not report.passed
         assert report.max_discrepancy > 1e-3
+
+    @pytest.mark.parametrize("method", ["reduction", "naive"])
+    def test_texts_built_once_per_check(self, binary, monkeypatch, method):
+        # both tables walk one text list; rows and visits are those of the
+        # two tables run on their own
+        built = []
+        all_texts = oracle._all_texts
+        monkeypatch.setattr(
+            oracle, "_all_texts", lambda *args: built.append(args) or all_texts(*args)
+        )
+        report = lossless_check(binary.model, binary.nested, max_len=4, method=method)
+        assert len(built) == 1
+        first, second = oracle._Budget(None), oracle._Budget(None)
+        original = original_prefix_prob_table(binary.model, 4, first)
+        if method == "reduction":
+            session = ReductionSession(binary.model, binary.nested, topk=None)
+            reduced = reduced_prefix_prob_table(session, 4, second)
+        else:
+            reduced = oracle.naive_restriction_prefix_prob_table(
+                binary.model, binary.nested, 4, second
+            )
+        assert report.rows == [(t, original[t], reduced[t]) for t in sorted(original)]
+        assert report.budget_used == first.used + second.used
+        assert len(built) == 3
 
     def test_report_rows_are_per_text(self, binary):
         report = lossless_check(binary.model, binary.nested, max_len=2)

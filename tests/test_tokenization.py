@@ -387,6 +387,51 @@ def test_greedy_window_masks_match_validity(case):
     _assert_masks_match_validity(*case)
 
 
+@st.composite
+def _greedy_vocab_and_text(draw):
+    """A complete greedy vocabulary over up to three symbols, with or without
+    a ``$`` terminator, multi-symbol surfaces in random id order, and a text
+    that may hold ``z``, a symbol no surface matches."""
+    content = "abc"[: draw(st.integers(1, 3))]
+    alphabet = Alphabet.of(content, eos="$" if draw(st.booleans()) else None)
+    multis = draw(st.lists(st.text(content, min_size=2, max_size=5), unique=True, max_size=8))
+    surfaces = [bytes([s]) for s in sorted(alphabet.symbols)] + [m.encode() for m in multis]
+    vocab = Vocabulary(draw(st.permutations(surfaces)), alphabet)
+    symbols = sorted(alphabet.symbols) + [ord("z")]
+    return vocab, bytes(draw(st.lists(st.sampled_from(symbols), max_size=24)))
+
+
+def _reference_greedy(vocab, text):
+    """Greedy by definition: at each offset, the longest of all surfaces
+    that the text continues with."""
+    out, pos = [], 0
+    while pos < len(text):
+        matches = [s for s in vocab.surfaces if text.startswith(s, pos)]
+        if not matches:
+            raise TokenizationError(
+                f"no token matches text at offset {pos} (symbol {text[pos]:#04x})"
+            )
+        best = max(matches, key=len)
+        out.append(vocab.index[best])
+        pos += len(best)
+    return tuple(out)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_greedy_vocab_and_text())
+def test_greedy_encode_matches_definition(case):
+    vocab, text = case
+    tokenizer = GreedyTokenizer(vocab)
+    try:
+        expected = _reference_greedy(vocab, text)
+    except TokenizationError as exc:
+        with pytest.raises(TokenizationError) as raised:
+            tokenizer.encode(text)
+        assert str(raised.value) == str(exc)
+    else:
+        assert tokenizer.encode(text) == expected
+
+
 def test_make_instance_rejects_impossible_surface_count():
     # two symbols have only four distinct two-symbol surfaces
     with pytest.raises(ValueError):
