@@ -11,6 +11,8 @@ additively-smoothed n-gram trained on a corpus.
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from functools import cached_property
 from typing import Sequence
 
@@ -236,8 +238,8 @@ class NgramModel(LanguageModel):
     ):
         if order < 1:
             raise ModelError("n-gram order must be at least 1")
-        if alpha <= 0:
-            raise ModelError("smoothing constant must be positive")
+        if not 0 < alpha < math.inf:
+            raise ModelError("smoothing constant must be positive and finite")
         super().__init__(tokenizer)
         self.order = order
         self.alpha = alpha
@@ -259,23 +261,25 @@ def train_ngram(
     alpha: float,
 ) -> NgramModel:
     """Count n-grams over the encoded corpus, one terminator appended per
-    document."""
+    document.  ``counts`` lists contexts in order of first occurrence."""
+    counts: dict[TokenSeq, np.ndarray] = {}
+    model = NgramModel(tokenizer, order, alpha, counts)  # refuses before encoding
     if not corpus:
         raise ModelError("training corpus is empty")
     eos = tokenizer.vocab.eos_id
     if eos is None:
         raise ModelError("n-gram training requires a vocabulary with a terminator")
-    size = len(tokenizer.vocab)
-    counts: dict[TokenSeq, np.ndarray] = {}
+    grams: Counter[TokenSeq] = Counter()  # context + (token,) -> count
     for doc in corpus:
         ids = tokenizer.encode(doc)
         if eos in ids:
             raise ModelError("corpus document contains the terminator symbol")
-        ids = ids + (eos,)
-        for i, tok in enumerate(ids):
-            context = ids[max(0, i - order) : i]
-            row = counts.get(context)
-            if row is None:
-                row = counts.setdefault(context, np.zeros(size))
-            row[tok] += 1.0
-    return NgramModel(tokenizer, order, alpha, counts)
+        ids += (eos,)
+        # the first ``order`` tokens have shorter contexts
+        grams.update([ids[: i + 1] for i in range(min(order, len(ids)))])
+        grams.update(zip(*[ids[j:] for j in range(order + 1)]))
+    for context in dict.fromkeys(g[:-1] for g in grams):
+        counts[context] = np.zeros(len(tokenizer.vocab))
+    for gram, n in grams.items():
+        counts[gram[:-1]][gram[-1]] = n
+    return model

@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import heapq
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -20,6 +21,10 @@ import numpy as np
 from .errors import TokenizationError
 
 TokenSeq = tuple[int, ...]
+
+# bounds of a BPE tokenizer's chunk memo: entries, and bytes per chunk
+_CHUNK_ENTRIES = 4096
+_CHUNK_BYTES = 32
 
 
 @dataclass(frozen=True)
@@ -246,7 +251,16 @@ class _MergeTrees(NamedTuple):
 class BpeTokenizer(DeterministicTokenizer):
     """Byte-pair encoding: start from single-symbol tokens and repeatedly
     apply the lowest-ranked applicable merge, leftmost occurrence first among
-    equal ranks, until no merge applies."""
+    equal ranks, until no merge applies.
+
+    :meth:`encode` splits the text between adjacent bytes that occur
+    together inside no surface and encodes each chunk alone, memoizing up
+    to ``_CHUNK_ENTRIES`` chunks of at most ``_CHUNK_BYTES`` bytes.  The
+    split is exact for every merge list, ordered or not: a merge's product
+    is a surface (the constructor refuses any other), so no merge crosses
+    such a pair, and each side's merges fire in the same (rank, leftmost)
+    order as they would on that side alone.
+    """
 
     def __init__(self, vocab: Vocabulary, merges: Sequence[tuple[int, int]]):
         if not vocab.complete:
@@ -255,10 +269,7 @@ class BpeTokenizer(DeterministicTokenizer):
         self.merges: tuple[tuple[int, int], ...] = tuple(
             (int(a), int(b)) for a, b in merges
         )
-        self._single_table = np.full(256, -1, dtype=np.int64)
-        for surf in vocab.surfaces:
-            if len(surf) == 1:
-                self._single_table[surf[0]] = vocab.index[surf]
+        self._single = {s[0]: i for i, s in enumerate(vocab.surfaces) if len(s) == 1}
         # (left, right) -> (rank, product id); first occurrence wins on dupes.
         self._pair_rank: dict[tuple[int, int], tuple[int, int]] = {}
         for rank, (a, b) in enumerate(self.merges):
@@ -269,13 +280,9 @@ class BpeTokenizer(DeterministicTokenizer):
                     f"merge {rank} produces {product!r}, not in the vocabulary"
                 )
             self._pair_rank.setdefault((a, b), (rank, pid))
-        # dense (left, right) -> rank + 1 lookup for the vectorized pair scan
-        size = len(vocab)
-        self._rank_mat = None
-        if self._pair_rank and size * size <= 8_000_000:
-            self._rank_mat = np.zeros((size, size), dtype=np.int32)
-            for (a, b), (rank, _) in self._pair_rank.items():
-                self._rank_mat[a, b] = rank + 1
+        # byte pairs (as first << 8 | second) that occur inside a surface
+        self._joins = {a << 8 | b for s in vocab.surfaces for a, b in zip(s, s[1:])}
+        self._chunks: dict[bytes, TokenSeq] = {}  # chunk -> ids, bounded
 
     def mask_context(self, prefix: Sequence[int]) -> TokenSeq:
         """The last token: BPE canonicality is a bigram property, so a valid
@@ -402,29 +409,34 @@ class BpeTokenizer(DeterministicTokenizer):
             v, _, v_consumed = producer[v]
 
     def encode(self, text: bytes) -> TokenSeq:
-        arr = self._single_table[np.frombuffer(text, dtype=np.uint8)]
-        if arr.size and arr.min() < 0:
-            bad = int(text[int(np.argmin(arr))])
+        chunks, joins = self._chunks, self._joins
+        out: list[int] = []
+        start = 0
+        # the pair (last byte, -1) is in no surface: it ends the last chunk
+        for end, (a, b) in enumerate(zip(text, chain(text[1:], (-1,))), 1):
+            if a << 8 | b not in joins:
+                chunk = text[start:end]
+                out += chunks.get(chunk) or self._encode_chunk(chunk)
+                start = end
+        return tuple(out)
+
+    def _encode_chunk(self, chunk: bytes) -> TokenSeq:
+        """Heap merge loop over one chunk, memoized within the memo's bounds."""
+        tok = [self._single.get(c) for c in chunk]
+        if None in tok:
+            bad = chunk[tok.index(None)]
             raise TokenizationError(f"no single-symbol token for byte {bad:#04x}")
-        tok = arr.tolist()
         n = len(tok)
-        if n < 2 or not self._pair_rank:
-            return tuple(tok)
-        nxt = list(range(1, n)) + [-1]
-        prv = [-1] + list(range(n - 1))
-        alive = [True] * n
         pair_rank = self._pair_rank
-        if self._rank_mat is not None:
-            ranks = self._rank_mat[arr[:-1], arr[1:]]
-            positions = np.flatnonzero(ranks)
-            heap = list(zip((ranks[positions] - 1).tolist(), positions.tolist()))
-        else:
-            heap = []
-            for i in range(n - 1):
-                hit = pair_rank.get((tok[i], tok[i + 1]))
-                if hit is not None:
-                    heap.append((hit[0], i))
+        heap = []
+        for i in range(n - 1):
+            hit = pair_rank.get((tok[i], tok[i + 1]))
+            if hit is not None:
+                heap.append((hit[0], i))
         heapq.heapify(heap)
+        nxt = list(range(1, n)) + [-1]
+        prv = list(range(-1, n - 1))
+        alive = [True] * n
         while heap:
             rank, pos = heapq.heappop(heap)
             if not alive[pos]:
@@ -449,12 +461,10 @@ class BpeTokenizer(DeterministicTokenizer):
                 new = pair_rank.get((tok[before], tok[pos]))
                 if new is not None:
                     heapq.heappush(heap, (new[0], before))
-        out = []
-        i = 0
-        while i >= 0:
-            out.append(tok[i])
-            i = nxt[i]
-        return tuple(out)
+        ids = tuple(t for t, live in zip(tok, alive) if live)
+        if len(chunk) <= _CHUNK_BYTES and len(self._chunks) < _CHUNK_ENTRIES:
+            self._chunks[chunk] = ids
+        return ids
 
 
 class NestedTokenizer(DeterministicTokenizer):

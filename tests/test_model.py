@@ -16,6 +16,7 @@ from lvr import (
     LanguageModel,
     ModelError,
     NestedTokenizer,
+    NgramModel,
     ReductionError,
     ReductionSession,
     TableModel,
@@ -657,3 +658,66 @@ class TestNgram:
     def test_requires_terminator(self, binary):
         with pytest.raises(ModelError):
             train_ngram([b"01"], binary.tokenizer, order=1, alpha=0.5)
+
+    def test_document_with_terminator_rejected(self):
+        tok = _letters_tokenizer("ab")
+        with pytest.raises(ModelError, match="corpus document contains the terminator"):
+            train_ngram([b"ab", b"a$b"], tok, order=1, alpha=0.5)
+
+    @pytest.mark.parametrize(
+        "order, alpha, message",
+        [(0, 0.5, "order must be at least 1"),
+         (1, float("nan"), "smoothing constant must be positive and finite"),
+         (2, float("inf"), "smoothing constant must be positive and finite"),
+         (1, 0.0, "smoothing constant must be positive and finite")],
+    )
+    def test_bad_order_or_alpha_refused_before_encoding(self, order, alpha, message):
+        tok = _letters_tokenizer("ab")
+        calls = []
+        tok.encode = lambda text: calls.append(text) or GreedyTokenizer.encode(tok, text)
+        with pytest.raises(ModelError, match=message):
+            train_ngram([b"ab"] * 5, tok, order=order, alpha=alpha)
+        assert calls == []
+        with pytest.raises(ModelError, match=message):
+            NgramModel(tok, order, alpha, {})
+
+
+def _reference_counts(corpus, tokenizer, order):
+    """The per-token counting loop ``train_ngram`` replaced: one row update
+    per token, rows made on first use."""
+    eos = tokenizer.vocab.eos_id
+    counts = {}
+    for doc in corpus:
+        ids = tokenizer.encode(doc) + (eos,)
+        for i, tok in enumerate(ids):
+            context = ids[max(0, i - order) : i]
+            row = counts.get(context)
+            if row is None:
+                row = counts.setdefault(context, np.zeros(len(tokenizer.vocab)))
+            row[tok] += 1.0
+    return counts
+
+
+def _counting_tokenizers():
+    alphabet = Alphabet.of("abc", eos="$")
+    surfaces = [b"$", b"a", b"b", b"c", b"ab", b"ca", b"abc", b"bb"]
+    vocab = Vocabulary(surfaces, alphabet)
+    merges = [(1, 2), (3, 1), (4, 3), (2, 2)]
+    return {"bpe": BpeTokenizer(vocab, merges), "greedy": GreedyTokenizer(vocab)}
+
+
+@pytest.mark.parametrize("kind", ["bpe", "greedy"])
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_ngram_counts_match_per_token_loop(kind, order):
+    tokenizer = _counting_tokenizers()[kind]
+    rng = np.random.default_rng(order)
+    corpus = [b"", b"a", b"ab"] + [
+        bytes(rng.choice(list(b"abc"), size=int(rng.integers(0, 30))).tolist())
+        for _ in range(30)
+    ]
+    counts = train_ngram(corpus, tokenizer, order=order, alpha=0.5).counts
+    expected = _reference_counts(corpus, tokenizer, order)
+    assert list(counts) == list(expected)
+    for context, row in expected.items():
+        assert counts[context].dtype == row.dtype
+        assert counts[context].tobytes() == row.tobytes(), context

@@ -22,6 +22,7 @@ from lvr import (
     TokenizationError,
     Vocabulary,
     byte_vocabulary,
+    tokenization,
 )
 
 
@@ -264,6 +265,67 @@ def test_bpe_matches_reference_on_random_merge_lists():
             )
 
 
+def _with_separator(tokenizer):
+    """The same merge list over the tokenizer's alphabet plus ``_``, which
+    only its own single-byte surface contains."""
+    vocab = tokenizer.vocab
+    symbols = bytes(sorted(vocab.alphabet.symbols)) + b"_"
+    return BpeTokenizer(
+        Vocabulary(vocab.surfaces + (b"_",), Alphabet.of(symbols)), tokenizer.merges
+    )
+
+
+@st.composite
+def _chunked_texts(draw):
+    """A random merge list, ordered or not, plus texts of a few words joined
+    by the separator, so chunks recur within and across texts."""
+    make = wide_merge_tokenizer if draw(st.booleans()) else random_merge_tokenizer
+    base = make(np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    letters = bytes(sorted(base.vocab.alphabet.symbols)).decode()
+    words = draw(st.lists(st.text(letters, max_size=8).map(str.encode),
+                          min_size=1, max_size=4))
+    texts = draw(st.lists(st.lists(st.sampled_from(words), max_size=8).map(b"_".join),
+                          min_size=1, max_size=4))
+    return _with_separator(base), texts
+
+
+@settings(max_examples=200, deadline=None)
+@given(_chunked_texts())
+def test_bpe_chunked_encode_matches_reference(case):
+    tokenizer, texts = case
+    expected = [_reference_bpe(tokenizer, text) for text in texts]
+    assert [tokenizer.encode(text) for text in texts] == expected, tokenizer.merges
+    # again, now from the memo
+    assert [tokenizer.encode(text) for text in texts] == expected, tokenizer.merges
+
+
+def _ab_separated():
+    vocab = Vocabulary([b"a", b"b", b"_", b"ab", b"aa"], Alphabet.of("ab_"))
+    return BpeTokenizer(vocab, [(0, 1), (0, 0)])
+
+
+def test_bpe_unknown_byte_named_after_memoized_chunks():
+    tokenizer = _ab_separated()
+    assert tokenizer.encode(b"ab_ab") == (3, 2, 3)
+    # the chunk ab is memoized; c is the first byte without a token
+    with pytest.raises(TokenizationError, match="^no single-symbol token for byte 0x63$"):
+        tokenizer.encode(b"ab_abc_ab\x07")
+
+
+def test_bpe_chunk_memo_is_bounded(monkeypatch):
+    text = b"_".join(b"a" * n for n in range(1, 41))
+    tokenizer = _ab_separated()
+    assert tokenizer.encode(text) == _reference_bpe(tokenizer, text)
+    assert set(tokenizer._chunks) == {b"_"} | {
+        b"a" * n for n in range(1, tokenization._CHUNK_BYTES + 1)
+    }
+    monkeypatch.setattr(tokenization, "_CHUNK_ENTRIES", 3)
+    tokenizer = _ab_separated()
+    for _ in range(2):
+        assert tokenizer.encode(text) == _reference_bpe(tokenizer, text)
+        assert len(tokenizer._chunks) == 3
+
+
 def _assert_masks_match_validity(tokenizer, text):
     """The bounded-context mask equals the full re-encode of every one-token
     extension, at every prefix of the text's encoding."""
@@ -321,15 +383,13 @@ def test_wide_merge_lists_are_ordered_and_not():
     assert ordered == {True, False}
 
 
-def _abcd_without_rank_matrix():
-    tokenizer = BpeTokenizer(
+def _abcd():
+    return BpeTokenizer(
         Vocabulary(
             [b"a", b"b", b"c", b"d", b"ab", b"cd", b"abc", b"da"], Alphabet.of("abcd")
         ),
         [(0, 1), (2, 3), (4, 2), (3, 0)],
     )
-    tokenizer._rank_mat = None  # as for vocabularies above 8M pairs
-    return tokenizer
 
 
 def _not_ordered():
@@ -353,9 +413,9 @@ def _b_bb():
         # the spine rule alone accepts bb + bbaabaa, which encodes as bbbbaa baa
         (_not_ordered, (5,), 8, False),
         # ab + c encodes as abc
-        (_abcd_without_rank_matrix, (4,), 2, True),
+        (_abcd, (4,), 2, True),
     ],
-    ids=["tie-rule", "not-ordered-fallback", "no-rank-matrix"],
+    ids=["tie-rule", "not-ordered-fallback", "abc-from-ab-and-c"],
 )
 def test_bpe_row_edge_cases(build, context, token, ordered):
     tokenizer = build()
