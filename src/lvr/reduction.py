@@ -22,22 +22,21 @@ Each step combines two sources:
 
 Only source (ii) touches the model, with exactly one distribution call per
 step; entry marginals are extended incrementally, never recomputed, and in
-exact mode the session re-encodes no text.  Each cover entry carries the
-model's tree node of its sequence minus the last token, so the call reaches
-the retokenization through that node and never hashes the prefix.  The
-efficient variant restricts source (ii) to the top-K most probable
-extensions and reports the marginal mass it dropped.
+exact mode the session re-encodes no text.  The efficient variant restricts
+source (ii) to the top-K most probable extensions and reports the marginal
+mass it dropped.
 
-A step sums each sub-token's carried entries in cover order, then scatters
-every extension (an exact ``0.0`` if invalid or top-K-dropped) onto its
-first sub-token with one unbuffered ``np.add.at``, which adds in input order,
-so every sum makes the naive reference's additions in its order, bit for
-bit.  It builds cover entries only
-for the bucket it steps into, picking that bucket's extension ids with the
-step's mask.  Those entries hold no prefix: each keeps the step's
-retokenization tuple by reference (shared by its siblings), its last outer
-token and the sub-token offset where its re-encoding ends, so a step copies
-one retokenization tuple and one prefix tuple whatever the cover's size.
+The cover is one *group* per step with extensions: the step's
+retokenization, its model tree node (the next call reaches the
+retokenization by one child lookup, never hashing the prefix), its
+extensions' marginals and kept mask, and a node of the nested tokenizer's
+re-encoding trie that lists which entries reach past the prefix, onto which
+sub-token, and which one ends at it.  A step adds each group's marginals
+with one unbuffered ``np.add.at``, oldest first, then every extension (an
+exact ``0.0`` if invalid or top-K-dropped) onto its first sub-token; in
+input order, as the naive reference adds, bit for bit.  Stepping moves each
+group one trie edge and appends the step's group: no per-entry object, and
+one retokenization tuple and one prefix tuple copied per step.
 """
 
 from __future__ import annotations
@@ -49,7 +48,7 @@ import numpy as np
 
 from .errors import ReductionError
 from .model import LanguageModel, Node
-from .tokenization import NestedTokenizer, TokenSeq
+from .tokenization import NestedTokenizer, ReencodingNode, TokenSeq
 
 DEFAULT_TOP_K = 300
 
@@ -65,19 +64,15 @@ class CoverEntry(NamedTuple):
     parent: Node | None = None
 
 
-class CompactEntry(NamedTuple):
-    """The cover entry a session keeps: sequence ``head + (x,)`` (``head``
-    alone when ``x`` is ``None``, the empty sequence's entry), whose
-    re-encoding ``mapping[x]`` ends at sub-token offset ``end``.  ``head``
-    is the retokenization the entry extended, shared with its siblings; the
-    next sub-token after a prefix of length ``k < end`` is
-    ``mapping[x][k - end]``."""
+class CoverGroup(NamedTuple):
+    """The cover entries one step added: ``retok + (x,)`` for each outer id
+    ``x`` that ``kept`` admits, with marginal ``ext[x]`` and the model's tree
+    node ``parent`` of ``retok``.  Never written once made."""
 
-    head: TokenSeq
-    x: int | None
-    end: int
-    marginal: float
-    parent: Node | None
+    retok: TokenSeq
+    parent: Node
+    ext: np.ndarray
+    kept: np.ndarray
 
 
 @dataclass
@@ -114,19 +109,17 @@ class ReductionSession:
     retokenization enter the cover at each step.  The attribute is read at
     each distribution computation, so it may be changed between steps.
 
-    The cover is a list of :class:`CompactEntry`; :attr:`cover_cache`,
-    :meth:`relative_cover` and ``_pending`` turn entries into
-    :class:`CoverEntry` records for readers.  A distribution computation
-    keeps, per sub-token, the carried cover entries, and for the extensions
-    the step's mask and marginals; :meth:`step` builds the chosen
-    sub-token's cover entries from them and drops the rest.  The model call
-    of a step passes the retokenization's parent node, taken from its cover
-    entry, and every new entry is stamped with the retokenization's node, so
-    no step looks a prefix up from the model's root.
+    The cover is a list of ``(trie node, CoverGroup)`` pairs, oldest first:
+    each step with extensions appends its group, kept while some of its
+    re-encodings run on.  The node (see :meth:`NestedTokenizer.trie_child`)
+    is that of the sub-tokens the group's re-encodings covered since.  :attr:`cover_cache`,
+    :meth:`relative_cover` and ``_pending`` enumerate :class:`CoverEntry`
+    records from the groups for readers.
 
     A session is a single-owner mutable object.  Several sessions may share
-    one model and tokenizer, but a model is not immutable: every new prefix
-    it is queried on adds a node to its prefix tree.
+    one model and tokenizer, but neither is immutable: every new prefix the
+    model is queried on adds a node to its prefix tree, and every new trie
+    position a cover group reaches adds one to the tokenizer's memo.
     """
 
     def __init__(
@@ -145,95 +138,94 @@ class ReductionSession:
         self.nested = nested
         self.topk = topk
         self.prefix: TokenSeq = ()
-        # relative cover of the prefix
-        self.cover: list[CompactEntry] = [CompactEntry((), None, 0, 1.0, None)]
-        # the last distribution's buckets: carried cover entries by
-        # sub-token, the extension groups by first sub-token and the mask
-        # that admits them, the retokenization they extend, their marginals,
-        # and the retokenization's tree node
-        self._buckets = None
+        # the relative cover; the empty prefix's, the empty sequence alone, is
+        # implicit
+        self.cover: list[tuple[ReencodingNode, CoverGroup]] = []
+        # the last distribution and its extensions' group (None if none)
+        self._group: CoverGroup | None = None
         self._last: SubTokenDistribution | None = None
 
-    def _view(self, entries: list[CompactEntry]) -> RelativeCover:
-        """``entries`` as :class:`CoverEntry` records; each entry's
-        re-encoding starts within the prefix."""
+    def _entries(self, members) -> RelativeCover:
+        """:class:`CoverEntry` records of ``(trie node, group, ascending
+        outer ids)`` triples, for the ids each group keeps."""
         mapping, prefix = self.nested.mapping, self.prefix
-        out = []
-        for e in entries:
-            if e.x is None:
-                out.append(CoverEntry(e.head, (), e.marginal, e.parent))
-                continue
-            m = mapping[e.x]
-            out.append(CoverEntry(
-                e.head + (e.x,), prefix[: e.end - len(m)] + m, e.marginal, e.parent))
-        return RelativeCover(out)
+        return RelativeCover([
+            CoverEntry(g.retok + (x,), prefix[: len(prefix) - at.depth] + mapping[x],
+                       g.ext.item(x), g.parent)
+            for at, g, xs in members for x in xs if g.kept[x]
+        ])
+
+    def _groups(self) -> list[tuple[ReencodingNode, CoverGroup]]:
+        """The cover, then the last distribution's group at the trie root."""
+        group = self._group
+        return self.cover if group is None else [*self.cover, (self.nested.trie, group)]
+
+    def _bucket(self, y: int) -> RelativeCover:
+        """Relative cover of ``prefix + (y,)`` from the last distribution:
+        the carried entries whose next sub-token is ``y``, then the step's
+        extensions whose re-encoding starts with ``y``."""
+        return self._entries((at, g, at.split.get(y, ())) for at, g in self._groups())
 
     @property
     def cover_cache(self) -> dict[TokenSeq, RelativeCover]:
         """A new ``{prefix: relative cover}`` dict over the one cover the
         session keeps, for readers; writing to it changes nothing."""
-        return {self.prefix: self._view(self.cover)}
+        if not self.prefix:
+            return {(): RelativeCover([CoverEntry((), (), 1.0, None)])}
+        return {self.prefix: self._entries(
+            (at, g, sorted({*at.ids.tolist(), at.exact} - {-1})) for at, g in self.cover)}
 
     # -- per-step computation ------------------------------------------------
 
     def _prologue(self):
-        cover = self.cover
-        k = len(self.prefix)
-        for e in cover:
-            if e.end == k:
-                retok = e.head if e.x is None else e.head + (e.x,)
-                base, parent = e.marginal, e.parent
-                break
+        """The step's retokenization, its extensions' marginals, the mask of
+        extensions that enter the cover, and the retokenization's node."""
+        if not self.prefix:
+            retok, base, parent = (), 1.0, None
         else:
-            # No cover entry ends at the prefix.  The only valid outer
-            # sequence that could is the encoding of the prefix's text: when
-            # its nested encoding is the prefix, top-K truncation dropped its
-            # entry and its marginal is recomputed; otherwise no valid
-            # sequence ends here and source (ii) is empty.
-            retok = self.nested.outer.encode(self.nested.decode(self.prefix))
-            if self.nested.nested_encode(retok) != self.prefix:
-                size = len(self.model.vocab)
-                return cover, retok, np.zeros(size), np.zeros(size, dtype=bool), None
-            base, parent = self.model.marginal(retok), self.model.node(retok[:-1])
+            for at, g in self.cover:
+                x = at.exact
+                if x >= 0 and g.kept[x]:
+                    retok, base, parent = g.retok + (x,), g.ext.item(x), g.parent
+                    break
+            else:
+                # No cover entry ends at the prefix.  The only valid outer
+                # sequence that could is the encoding of the prefix's text:
+                # when its nested encoding is the prefix, top-K truncation
+                # dropped its entry and its marginal is recomputed; otherwise
+                # no valid sequence ends here and source (ii) is empty.
+                retok = self.nested.outer.encode(self.nested.decode(self.prefix))
+                if self.nested.nested_encode(retok) != self.prefix:
+                    size = len(self.model.vocab)
+                    return retok, np.zeros(size), np.zeros(size, dtype=bool), None
+                base, parent = self.model.marginal(retok), self.model.node(retok[:-1])
         ext = base * self.model.next_token_dist(retok, parent)
         # the call added the node; only the empty sequence has no parent
         node = parent.children[retok[-1]] if parent is not None else self.model.root
-        return cover, retok, ext, node.mask, node
+        return retok, ext, node.mask, node
 
-    def _finish(self, raw: np.ndarray, dropped: float, buckets) -> SubTokenDistribution:
+    def _finish(self, raw, dropped, retok, ext, kept, node) -> SubTokenDistribution:
         total = raw.sum()
         if total <= 0.0:
             raise ReductionError("no sub-token continuation has positive probability")
         dist = SubTokenDistribution(raw / total, raw, dropped)
-        self._buckets = buckets
+        self._group = None if node is None else CoverGroup(retok, node, ext, kept)
         self._last = dist
         return dist
 
     def next_subtoken_dist(self) -> SubTokenDistribution:
-        """Efficient variant: one pass over the cover, then one scatter-add
-        of the extensions.  ``ext`` is exactly ``0.0`` at every invalid id,
-        and top-K zeroes the ids it drops, so each sub-token adds every id
-        of its ``by_first`` group, in ascending id after its carried
-        entries, as :meth:`next_subtoken_dist_naive` does; its cover entries
-        are built only for a bucket that is read (see :meth:`_bucket`)."""
-        cover, retok, ext, valid, node = self._prologue()
-        k = len(self.prefix)
-        mapping = self.nested.mapping
-        carried: dict[int, list[CompactEntry]] = {}
-        for e in cover:
-            if e.end > k:
-                y = mapping[e.x][k - e.end]
-                group = carried.get(y)
-                if group is None:
-                    carried[y] = [e]
-                else:
-                    group.append(e)
+        """Efficient variant: one scatter-add per cover group, oldest first,
+        each over the ids its trie node lists, then one of the extensions.
+        ``ext`` is exactly ``0.0`` at every invalid id, and top-K zeroes the
+        ids it drops, so each sub-token adds its carried entries in cover
+        order and then every id whose re-encoding starts with it, in
+        ascending id, as :meth:`next_subtoken_dist_naive` does, with exact
+        zeros between."""
+        retok, ext, valid, node = self._prologue()
         raw = np.zeros(len(self.nested.vocab))
-        for y, group in carried.items():
-            total = 0.0
-            for e in group:
-                total += e.marginal
-            raw[y] = total
+        for at, g in self.cover:
+            if at.ids.size:
+                np.add.at(raw, at.ys, g.ext[at.ids])
         size = len(ext)
         if self.topk is not None and self.topk < size:
             order = np.argsort(-ext, kind="stable")
@@ -246,47 +238,27 @@ class ReductionSession:
         else:
             dropped = 0.0
         # unbuffered, in input order, as the naive loop adds (+0.0 is exact)
-        np.add.at(raw, self.nested.first, ext)
-        return self._finish(raw, dropped, (carried, self.nested.by_first, valid, retok, ext, node))
+        np.add.at(raw, self.nested.trie.ys, ext)
+        return self._finish(raw, dropped, retok, ext, valid, node)
 
     def next_subtoken_dist_naive(self) -> SubTokenDistribution:
-        """Reference variant: for every sub-token, scan the whole cover and
-        the whole vocabulary, building every cover entry.  Always exact;
-        bit-identical to the efficient variant run with K >= |V|."""
-        cover, retok, ext, valid, node = self._prologue()
-        k = len(self.prefix)
-        mapping = self.nested.mapping
+        """Reference variant: for every sub-token, scan every cover entry
+        and the whole vocabulary.  Always exact; bit-identical to the
+        efficient variant run with K >= |V|."""
+        retok, ext, valid, node = self._prologue()
+        k, mapping = len(self.prefix), self.nested.mapping
+        cover = self.cover_cache[self.prefix].entries
         sums = [0.0] * len(self.nested.vocab)
-        buckets: dict[int, list[CompactEntry]] = {}
-        for y in range(len(self.nested.vocab)):
+        for y in range(len(sums)):
             collected = 0.0
-            entries: list[CompactEntry] = []
             for e in cover:
-                if e.end > k and mapping[e.x][k - e.end] == y:
-                    entries.append(e)
+                if len(e.nested) > k and e.nested[k] == y:
                     collected += e.marginal
             for x in range(len(ext)):
                 if mapping[x][0] == y and valid[x]:
-                    entry = CompactEntry(
-                        retok, x, k + len(mapping[x]), float(ext[x]), node)
-                    entries.append(entry)
-                    collected += entry.marginal
-            if entries:
-                buckets[y] = entries
+                    collected += float(ext[x])
             sums[y] = collected
-        return self._finish(np.array(sums), 0.0, (buckets, {}, valid, retok, None, node))
-
-    def _bucket(self, y: int) -> list[CompactEntry]:
-        """Relative cover of ``prefix + (y,)`` from the last distribution:
-        bucket ``y``'s carried entries, then the entries of its extensions
-        that the step's mask admits, built here, sharing the retokenization
-        tuple and stamped with its node."""
-        carried, groups, valid, retok, ext, node = self._buckets
-        k, mapping = len(self.prefix), self.nested.mapping
-        return carried.get(y, []) + [
-            CompactEntry(retok, x, k + len(mapping[x]), ext.item(x), node)
-            for x in groups.get(y, ()) if valid[x]
-        ]
+        return self._finish(np.array(sums), 0.0, retok, ext, valid, node)
 
     @property
     def _pending(self) -> dict[int, RelativeCover] | None:
@@ -295,16 +267,19 @@ class ReductionSession:
         computed."""
         if self._last is None:
             return None
-        carried, groups = self._buckets[:2]
-        buckets = {y: self._bucket(y) for y in sorted(carried.keys() | groups.keys())}
-        return {y: self._view(b) for y, b in buckets.items() if b}
+        ys = set().union(*(at.split for at, _ in self._groups()))
+        return {y: b for y in sorted(ys) if (b := self._bucket(y)).entries}
 
     # -- state transitions ---------------------------------------------------
 
     def _adopt(self, chosen: int) -> None:
-        self.cover = self._bucket(chosen)
+        """Move every group, the step's last, one trie edge along ``chosen``,
+        dropping those that no re-encoding continues."""
+        child = self.nested.trie_child
+        moved = [(child(at, chosen), g) for at, g in self._groups()]
+        self.cover = [(at, g) for at, g in moved if at is not None]
         self.prefix = self.prefix + (chosen,)
-        self._buckets = self._last = None
+        self._group = self._last = None
 
     def step(self, chosen: int) -> None:
         """Commit to a sub-token: extend the prefix, keep its cover, evict
@@ -347,7 +322,7 @@ class ReductionSession:
         computing (and discarding) any intermediate distributions needed."""
         y_prefix = tuple(y_prefix)
         if y_prefix == self.prefix:
-            return self._view(self.cover)
+            return self.cover_cache[y_prefix]
         if y_prefix[: len(self.prefix)] != self.prefix:
             raise ReductionError(
                 f"{y_prefix} does not extend the session prefix {self.prefix}"
@@ -357,7 +332,7 @@ class ReductionSession:
         for i, y in enumerate(rest):
             walker.next_subtoken_dist()
             if i + 1 == len(rest):
-                return walker._view(walker._bucket(y))
+                return walker._bucket(y)
             walker = walker.branch(y)
         raise AssertionError("unreachable")
 

@@ -22,6 +22,8 @@ from .errors import TokenizationError
 
 TokenSeq = tuple[int, ...]
 
+_NO_IDS = np.zeros(0, dtype=np.intp)  # ids and ys of every trie node with no id past σ
+
 # bounds of a BPE tokenizer's chunk memo: entries, and bytes per chunk
 _CHUNK_ENTRIES = 4096
 _CHUNK_BYTES = 32
@@ -467,6 +469,21 @@ class BpeTokenizer(DeterministicTokenizer):
         return ids
 
 
+class ReencodingNode(NamedTuple):
+    """Node of a nested tokenizer's re-encoding trie for a sub-token sequence
+    σ of length ``depth``: the outer ids whose re-encoding extends past σ,
+    ascending, with each one's next sub-token (``ids``, ``ys``), the id that
+    re-encodes to σ itself (``exact``, or -1), the ids grouped by next
+    sub-token (``split``), and the children built so far."""
+
+    depth: int
+    ids: np.ndarray
+    ys: np.ndarray
+    exact: int
+    split: dict[int, list[int]]
+    children: dict[int, ReencodingNode]
+
+
 class NestedTokenizer(DeterministicTokenizer):
     """Composition of an outer tokenizer over V with an inner tokenizer over
     a sub-vocabulary: encode with the outer tokenizer, then re-encode each
@@ -474,6 +491,12 @@ class NestedTokenizer(DeterministicTokenizer):
 
     This is itself a deterministic tokenizer over the sub-vocabulary, so it
     plugs directly into the cover-enumeration oracle.
+
+    ``trie`` is the root of a trie over the re-encodings ``mapping``; every
+    other node is built on first use (:meth:`trie_child`) and memoized, so
+    reduction sessions over this tokenizer add nodes as they step.  A node
+    exists only for a prefix of some re-encoding: at most
+    ``sum(map(len, mapping)) + 1`` nodes.
     """
 
     def __init__(self, outer: DeterministicTokenizer, inner: DeterministicTokenizer):
@@ -489,16 +512,35 @@ class NestedTokenizer(DeterministicTokenizer):
         self.mapping: tuple[TokenSeq, ...] = tuple(
             inner.encode(surf) for surf in outer.vocab.surfaces
         )
-        # Outer ids grouped by the first sub-token of their re-encoding, the
-        # sub-token a one-token extension lands on; ascending in both.
-        groups: dict[int, list[int]] = {}
-        for x, m in enumerate(self.mapping):
-            groups.setdefault(m[0], []).append(x)
-        self.by_first: dict[int, tuple[int, ...]] = {
-            y: tuple(xs) for y, xs in sorted(groups.items())
-        }
-        # first[x] = mapping[x][0]: where a step's scatter-add puts x's mass
-        self.first = np.array([m[0] for m in self.mapping], dtype=np.intp)
+        # every outer id; ys[x] = mapping[x][0], the sub-token a one-token
+        # extension lands on and where a step's scatter-add puts x's mass
+        self.trie = self._trie_node(range(len(self.mapping)), 0)
+
+    def _trie_node(self, xs: Iterable[int], depth: int) -> ReencodingNode:
+        """The node at ``depth`` over ``xs``, the ascending ids whose
+        re-encoding starts with its σ: one pass, and no new arrays if no
+        re-encoding extends past σ."""
+        exact, ids, ys, split = -1, [], [], {}
+        for x in xs:
+            m = self.mapping[x]
+            if len(m) == depth:
+                exact = x
+            else:
+                ids.append(x)
+                ys.append(m[depth])
+                split.setdefault(m[depth], []).append(x)
+        if not ids:
+            return ReencodingNode(depth, _NO_IDS, _NO_IDS, exact, split, {})
+        ids, ys = np.array(ids, dtype=np.intp), np.array(ys, dtype=np.intp)
+        return ReencodingNode(depth, ids, ys, exact, split, {})
+
+    def trie_child(self, node: ReencodingNode, y: int) -> ReencodingNode | None:
+        """The trie node of σ + (y,), built on first use; ``None`` if no
+        re-encoding extends σ by ``y``."""
+        child = node.children.get(y)
+        if child is None and y in node.split:
+            child = node.children[y] = self._trie_node(node.split[y], node.depth + 1)
+        return child
 
     def nested_encode(self, outer_ids: Sequence[int]) -> TokenSeq:
         """Concatenated per-token re-encodings; preserves decode."""

@@ -17,6 +17,7 @@ from lvr import (
     TableModel,
     Vocabulary,
 )
+from lvr.mcv import build_mcv
 
 LETTERS = b"abcdefgh"
 
@@ -146,3 +147,14 @@ def has_followers(tokenizer) -> bool:
     return all(
         tokenizer.valid_continuations((t,)).any() for t in range(len(tokenizer.vocab))
     )
+
+
+def mcv_instance(rng) -> tuple[TableModel, NestedTokenizer]:
+    """A ``random_merge_tokenizer`` reduced onto its common vocabulary with
+    a second draw (``build_mcv``), a BPE inner tokenizer, under a table
+    model whose default weights take three levels."""
+    tokenizer = random_merge_tokenizer(rng)
+    _, common = build_mcv([tokenizer, random_merge_tokenizer(rng)])
+    vec = rng.integers(1, 4, len(tokenizer.vocab)).astype(float)
+    model = TableModel(tokenizer, {}, default=vec / vec.sum())
+    return model, NestedTokenizer(tokenizer, common)

@@ -1,6 +1,7 @@
 """Reduction engine: relative covers, marginal recursion, top-K truncation,
 stepping, generation, and the naive-restriction baseline."""
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -9,7 +10,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bruteforce import brute_relative_cover
-from conftest import has_followers, make_instance, random_merge_tokenizer, wide_merge_tokenizer
+from conftest import (
+    has_followers,
+    make_instance,
+    mcv_instance,
+    random_merge_tokenizer,
+    wide_merge_tokenizer,
+)
 
 from lvr import (
     Alphabet,
@@ -26,6 +33,7 @@ from lvr import (
     byte_vocabulary,
     decode,
     naive_restriction_dist,
+    train_ngram,
 )
 from lvr import reduction
 from lvr.mcv import build_mcv
@@ -227,7 +235,7 @@ def _assert_cover_holds_retokenization(session, steps, seed):
         ends = [e for e in session.cover_cache[session.prefix].entries if len(e.nested) == k]
         retok = session.nested.outer.encode(session.nested.decode(session.prefix))
         assert [e.seq for e in ends] == [retok], session.prefix
-        assert session._prologue()[1] == retok
+        assert session._prologue()[0] == retok
         return session.next_subtoken_dist()
 
     eos = session.nested.vocab.eos_id
@@ -301,17 +309,6 @@ class TestCoverHoldsRetokenization:
             original_prefix_prob_table(model, 3)
 
 
-def _mcv_instance(rng) -> tuple[TableModel, NestedTokenizer]:
-    """A ``random_merge_tokenizer`` reduced onto its common vocabulary with
-    a second draw (``build_mcv``), a BPE inner tokenizer, under a table
-    model whose default weights take three levels."""
-    tokenizer = random_merge_tokenizer(rng)
-    _, common = build_mcv([tokenizer, random_merge_tokenizer(rng)])
-    vec = rng.integers(1, 4, len(tokenizer.vocab)).astype(float)
-    model = TableModel(tokenizer, {}, default=vec / vec.sum())
-    return model, NestedTokenizer(tokenizer, common)
-
-
 def _assert_naive_equal_along_generation(rng, model, nested, steps):
     """At each step of a sampled generation, the efficient variant at
     K = |V| gives the naive variant's marginals bit for bit and its
@@ -348,21 +345,23 @@ class TestNaiveEquivalence:
         # a BPE inner tokenizer: a sub-token heads several outer ids, and a
         # prefix the cover reaches may have no extension at all
         rng = np.random.default_rng(seed)
-        model, nested = _mcv_instance(rng)
+        model, nested = mcv_instance(rng)
         assume(has_followers(model.tokenizer))
         _assert_naive_equal_along_generation(rng, model, nested, 12)
 
 
-def _per_group_sums(nested, cover, ext) -> list[float]:
-    """The sums of a step at the empty prefix as a Python loop: each
-    sub-token's carried entries in cover order, then its ``by_first``
-    group's extensions in ascending id."""
+def _per_group_sums(nested, groups, ext) -> list[float]:
+    """The sums of a step at the empty prefix as a Python loop over
+    ``(σ, marginals)`` groups, oldest first, then the extensions as a group
+    at the empty σ, each listing its entries by a scan of ``mapping``: every
+    id whose re-encoding extends past σ, in ascending id, adds onto its next
+    sub-token."""
     sums = [0.0] * len(nested.vocab)
-    for e in cover:
-        sums[nested.mapping[e.x][-e.end]] += e.marginal
-    for y, xs in nested.by_first.items():
-        for x in xs:
-            sums[y] += float(ext[x])
+    for sigma, marginals in [*groups, ((), ext.tolist())]:
+        d = len(sigma)
+        for x, m in enumerate(nested.mapping):
+            if len(m) > d and m[:d] == sigma:
+                sums[m[d]] += marginals[x]
     return sums
 
 
@@ -383,27 +382,35 @@ class TestScatterKernel:
     @settings(max_examples=200, deadline=None)
     @given(
         st.lists(value, min_size=39, max_size=39),
-        st.lists(st.tuples(st.integers(0, 38), st.integers(1, 3), value), max_size=12),
+        st.lists(st.tuples(st.integers(0, 38), st.integers(1, 3),
+                           st.lists(value, min_size=39, max_size=39)), max_size=6),
     )
     def test_matches_per_group_loop(self, ext, picks):
-        # carried entries in random bins, repeats and an empty cover
-        # included, then every extension, exact zeros included
+        # cover groups at random trie nodes (one node twice, a node with no
+        # id past it and an empty cover included), then every extension,
+        # exact zeros included
         ext = np.array(ext)
-        cover = [
-            reduction.CompactEntry((), x, min(end, len(self.nested.mapping[x])), marginal, None)
-            for x, end, marginal in picks
-        ]
-        expected = _per_group_sums(self.nested, cover, ext)
+        groups, cover = [], []
+        for x, depth, marginals in picks:
+            sigma = self.nested.mapping[x][:depth]
+            at = self.nested.trie
+            for y in sigma:
+                at = self.nested.trie_child(at, y)
+            groups.append((sigma, marginals))
+            kept = np.ones(39, dtype=bool)
+            cover.append((at, reduction.CoverGroup((), None, np.array(marginals), kept)))
+        expected = _per_group_sums(self.nested, groups, ext)
         assume(sum(expected) > 0.0)
         session = ReductionSession(self.model, self.nested, topk=None)
-        session._prologue = lambda: (cover, (), ext.copy(), np.ones(39, dtype=bool), None)
+        session.cover = cover
+        session._prologue = lambda: ((), ext.copy(), np.ones(39, dtype=bool), None)
         assert session.next_subtoken_dist().raw_marginals.tolist() == expected
 
 
 def _random_instance(rng) -> tuple[TableModel, NestedTokenizer]:
     """A ``make_instance`` greedy instance, a ``wide_merge_tokenizer`` BPE
     reduced to bytes under a table model whose default weights take three
-    levels, so that top-K meets ties, or an ``_mcv_instance``."""
+    levels, so that top-K meets ties, or an ``mcv_instance``."""
     kind = rng.integers(3)
     if kind == 0:
         inst = make_instance(
@@ -414,7 +421,7 @@ def _random_instance(rng) -> tuple[TableModel, NestedTokenizer]:
         )
         return inst.model, inst.nested
     if kind == 2:
-        return _mcv_instance(rng)
+        return mcv_instance(rng)
     tokenizer = wide_merge_tokenizer(rng)
     vec = rng.integers(1, 4, len(tokenizer.vocab)).astype(float)
     model = TableModel(tokenizer, {}, default=vec / vec.sum())
@@ -439,7 +446,7 @@ class TestLazyBucketsMatchNaive:
         for _ in range(8):
             ref = session.next_subtoken_dist_naive()
             naive = {y: c.entries for y, c in session._pending.items()}
-            ext = session._prologue()[2]
+            ext = session._prologue()[1]
             kept = set(np.argsort(-ext, kind="stable")[:topk].tolist())
             carried = set(session.cover_cache[session.prefix].entries)
             dist = session.next_subtoken_dist()
@@ -459,11 +466,11 @@ class TestLazyBucketsMatchNaive:
                 break
 
 
-class TestCoverEntriesOnlyForTheChosenBucket:
+class TestOneGroupPerStep:
     def test_cold_generation(self, monkeypatch):
-        # A step records extension ids per sub-token and builds cover
-        # entries for the bucket it steps into only.  An eager step builds
-        # one per valid extension of every bucket.
+        # A step builds no cover entry object and at most one cover group,
+        # made from its own extensions; an eager step builds one entry per
+        # valid extension of every bucket.
         alphabet = Alphabet.of("abcd", eos="\x00")
         surfaces = [bytes([s]) for s in sorted(alphabet.symbols)]
         merges = []
@@ -479,50 +486,68 @@ class TestCoverEntriesOnlyForTheChosenBucket:
         model = TableModel(tokenizer, {}, default=vec / vec.sum())
         nested = NestedTokenizer(tokenizer, GreedyTokenizer(byte_vocabulary(alphabet)))
         session = ReductionSession(model, nested, topk=None)
-        built = []
+        entries, groups = [], []
 
-        class Counted(reduction.CompactEntry):
-            __slots__ = ()
+        def counted(base, log):
+            class Counted(base):
+                __slots__ = ()
 
-            def __new__(cls, *fields):
-                built.append(fields)
-                return super().__new__(cls, *fields)
+                def __new__(cls, *fields):
+                    log.append(fields)
+                    return super().__new__(cls, *fields)
 
-        monkeypatch.setattr(reduction, "CompactEntry", Counted)
-        chosen_bucket_extensions = 0
+            return Counted
+
+        monkeypatch.setattr(reduction, "CoverEntry", counted(reduction.CoverEntry, entries))
+        monkeypatch.setattr(reduction, "CoverGroup", counted(reduction.CoverGroup, groups))
+        appended = 0
 
         def step(chosen):
-            nonlocal chosen_bucket_extensions
-            old = {id(e) for e in session.cover}
+            nonlocal appended
+            k = len(session.prefix)
+            made = len(groups)
+            old = {id(g) for _, g in session.cover}
             session.step(chosen)
-            chosen_bucket_extensions += sum(1 for e in session.cover if id(e) not in old)
+            new = [at for at, g in session.cover if id(g) not in old]
+            assert len(new) <= 1 and len(groups) == made, k
+            assert all(at.depth == 1 for at in new), k
+            appended += len(new)
 
         steps = list(decode(session.next_subtoken_dist, step, None, 120, "sample", 0))
         assert len(steps) == 120
-        assert 0 < len(built) <= chosen_bucket_extensions
+        assert entries == []
+        assert 0 < appended <= len(groups) <= 120
 
 
-class TestCompactCover:
-    def test_entries_copy_no_prefix(self, binary):
-        # Over 1,000 greedy steps, the entries built in one step share one
-        # head tuple (the step's retokenization) and hold no other tuple
-        # longer than the longest re-encoding, so no entry copies a prefix.
+class TestGroupedCover:
+    def test_groups_copy_no_prefix(self, binary):
+        # Over 1,000 greedy steps, a group holds no tuple but the
+        # retokenization its step extended, the very tuple the step passed
+        # to the model, and no more groups live than the longest
+        # re-encoding has sub-tokens, so no step copies a prefix per entry.
         session = ReductionSession(binary.model, binary.nested, topk=None)
         longest = max(len(m) for m in binary.nested.mapping)
+        calls = []
+        next_token_dist = binary.model.next_token_dist
+
+        def spy(prefix, parent=None):
+            calls.append(prefix)
+            return next_token_dist(prefix, parent)
+
+        binary.model.next_token_dist = spy
+        live = []
 
         def step(chosen):
-            old = {id(e) for e in session.cover}
             session.step(chosen)
-            heads = set()
-            for e in session.cover:
-                long = [f for f in e if isinstance(f, tuple) and len(f) > longest]
-                assert len(long) <= 1, (session.prefix, e)
-                if long and id(e) not in old:
-                    heads.add(id(long[0]))
-            assert len(heads) <= 1, len(session.prefix)
+            for at, g in session.cover:
+                assert [f for f in g if isinstance(f, tuple)] == [g.retok]
+                assert any(g.retok is c for c in calls[-longest:]), len(session.prefix)
+                assert not any(isinstance(f, tuple) for f in at)
+            live.append(len(session.cover))
 
         steps = list(decode(session.next_subtoken_dist, step, None, 1000))
         assert len(steps) == 1000
+        assert 0 < max(live) <= longest
 
 
 class TestByteLevelSpecialCase:
@@ -646,3 +671,84 @@ class TestNaiveRestriction:
         np.testing.assert_allclose(
             dist.probs, binary.model.next_token_dist(()), atol=1e-15
         )
+
+
+def _generation_digest(session, steps, seed) -> str:
+    """sha256 over a sampled generation's chosen ids and every step's
+    ``raw_marginals`` bytes."""
+    digest = hashlib.sha256()
+
+    def dist():
+        d = session.next_subtoken_dist()
+        digest.update(d.raw_marginals.tobytes())
+        return d
+
+    for s in decode(dist, session.step, session.nested.vocab.eos_id, steps, "sample", seed):
+        digest.update(s.chosen.to_bytes(4, "little"))
+    return digest.hexdigest()[:16]
+
+
+def _pinned_bpe_members():
+    """Two order-2 BPE n-grams over one alphabet with a terminator, sharing
+    most merges, some of them whole words, trained on one seeded corpus."""
+    alphabet = Alphabet.of(" aehinorst", eos="$")
+    shared = [(b"t", b"h"), (b"h", b"e"), (b"th", b"e"), (b"e", b"r"), (b"a", b"n"),
+              (b"i", b"n"), (b"s", b"t"), (b"r", b"e"), (b"o", b"n"), (b"e", b" "),
+              (b"the", b" "), (b"st", b"a"), (b"er", b" "), (b"o", b"r"), (b"a", b"r"),
+              (b"the", b"n"), (b"the", b"re"), (b"o", b"the"), (b"n", b"or"),
+              (b"nor", b"th"), (b"s", b"h"), (b"sh", b"ar"), (b"st", b"on"),
+              (b"ston", b"e"), (b"he", b"ar"), (b"hear", b"t"), (b"e", b"ar"),
+              (b"ear", b"th"), (b"t", b"r"), (b"tr", b"a"), (b"tra", b"in")]
+    words = "the then there other north shore stone heart earth train notes share".split()
+    rng = np.random.default_rng(4242)
+    corpus = [" ".join(words[i] for i in rng.integers(len(words), size=60)).encode()
+              for _ in range(3)]
+    members = []
+    for extra in ([(b"i", b"s"), (b"r", b"a")], [(b"n", b"o"), (b"h", b"a")]):
+        surfaces = [bytes([s]) for s in sorted(alphabet.symbols)]
+        merges = []
+        for a, b in shared + extra:
+            if a + b not in surfaces:
+                surfaces.append(a + b)
+            merges.append((surfaces.index(a), surfaces.index(b)))
+        tokenizer = BpeTokenizer(Vocabulary(surfaces, alphabet), merges)
+        members.append(train_ngram(corpus, tokenizer, order=2, alpha=0.1))
+    return members
+
+
+class TestPinnedDigests:
+    # Digests of sampled generations, recorded on the per-entry cover
+    # engine that the grouped cover replaced.  They pin the chosen ids and
+    # every step's raw marginals bit for bit, independently of the
+    # session's naive variant.  The BPE runs change if extensions are
+    # summed per sub-token and then added (``np.bincount``, pairwise or
+    # ``reduceat``), if a group's entries are, or if extensions are added
+    # before carried entries.
+    def test_greedy_exact(self):
+        inst = make_instance(np.random.default_rng(11), n_symbols=3, n_multi=16, n_sub_multi=4)
+        got = [_generation_digest(ReductionSession(inst.model, inst.nested, topk=None), 60, s)
+               for s in range(3)]
+        assert got == GREEDY_DIGESTS
+
+    def test_bpe_ngram_to_bytes_truncated(self):
+        model = _pinned_bpe_members()[0]
+        nested = NestedTokenizer(
+            model.tokenizer, GreedyTokenizer(byte_vocabulary(model.vocab.alphabet)))
+        topk = len(model.vocab) - 4
+        got = [_generation_digest(ReductionSession(model, nested, topk=topk), 60, s)
+               for s in range(4)]
+        assert got == BPE_DIGESTS
+
+    def test_mcv_member(self):
+        members = _pinned_bpe_members()
+        _, common = build_mcv([m.tokenizer for m in members])
+        nested = NestedTokenizer(members[0].tokenizer, common)
+        assert len(common.vocab) < len(members[0].vocab)
+        got = [_generation_digest(ReductionSession(members[0], nested, topk=None), 40, s)
+               for s in range(3)]
+        assert got == MCV_DIGESTS
+
+
+GREEDY_DIGESTS = ["233d16dd2dab73b0", "de390408ddc3ba38", "df3006dfd794490d"]
+BPE_DIGESTS = ["a5835baedbe9310a", "c38aab7e19fda55f", "2317aa25c6e39e8e", "53061ff305e4eca5"]
+MCV_DIGESTS = ["48c7c6d95da735ad", "3242fd4524efbe9a", "3459f5a172eb9445"]

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import (
     binary_instance,
     make_instance,
+    mcv_instance,
     random_merge_tokenizer,
     wide_merge_tokenizer,
 )
@@ -496,3 +497,73 @@ def test_make_instance_rejects_impossible_surface_count():
     # two symbols have only four distinct two-symbol surfaces
     with pytest.raises(ValueError):
         make_instance(np.random.default_rng(0), n_symbols=2, max_surface=2, n_multi=5)
+
+
+def _trie_instance(rng, kind) -> NestedTokenizer:
+    """A greedy instance, a ``wide_merge_tokenizer`` BPE reduced to bytes,
+    or an ``mcv_instance`` (a BPE inner tokenizer)."""
+    if kind == 0:
+        return make_instance(
+            rng,
+            n_symbols=int(rng.integers(2, 4)),
+            n_multi=int(rng.integers(1, 6)),
+            n_sub_multi=int(rng.integers(0, 3)),
+        ).nested
+    if kind == 1:
+        tokenizer = wide_merge_tokenizer(rng)
+        inner = GreedyTokenizer(byte_vocabulary(tokenizer.vocab.alphabet))
+        return NestedTokenizer(tokenizer, inner)
+    return mcv_instance(rng)[1]
+
+
+def _scan_mapping(mapping, sigma):
+    """Brute-force trie node of ``sigma``: the ids whose re-encoding extends
+    past it, ascending, their next sub-tokens, and the id re-encoding to it
+    exactly (or -1)."""
+    d = len(sigma)
+    ids = [x for x, m in enumerate(mapping) if len(m) > d and m[:d] == sigma]
+    exact = [x for x, m in enumerate(mapping) if m == sigma]
+    assert len(exact) <= 1
+    return ids, [mapping[x][d] for x in ids], exact[0] if exact else -1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 2),
+       st.lists(st.lists(st.integers(0, 2**16), max_size=8), max_size=10))
+def test_reencoding_trie_matches_mapping(seed, kind, paths):
+    # Random sub-token paths (mostly along some re-encoding, sometimes off
+    # every one) reach trie nodes that each equal a scan of ``mapping``;
+    # the memo then holds only such nodes, at most one per prefix of a
+    # re-encoding and the root.
+    nested = _trie_instance(np.random.default_rng(seed), kind)
+    mapping, size = nested.mapping, len(nested.vocab)
+
+    def check(node, sigma):
+        ids, ys, exact = _scan_mapping(mapping, sigma)
+        assert node.depth == len(sigma)
+        assert node.ids.tolist() == ids and node.ys.tolist() == ys, sigma
+        assert node.exact == exact, sigma
+        assert node.split == {y: [x for x, z in zip(ids, ys) if z == y] for y in ys}, sigma
+        return ys
+
+    for path in paths:
+        node, sigma = nested.trie, ()
+        ys = check(node, sigma)
+        for r in path:
+            nexts = sorted(set(ys))
+            y = nexts[r // 4 % len(nexts)] if nexts and r % 4 else r // 4 % size
+            child = nested.trie_child(node, y)
+            if y not in nexts:
+                assert child is None, sigma + (y,)
+                break
+            node, sigma = child, sigma + (y,)
+            ys = check(node, sigma)
+
+    count = 0
+    stack = [(nested.trie, ())]
+    while stack:
+        node, sigma = stack.pop()
+        check(node, sigma)
+        count += 1
+        stack.extend((child, sigma + (y,)) for y, child in node.children.items())
+    assert count <= sum(map(len, mapping)) + 1
