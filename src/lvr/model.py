@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from functools import cached_property
-from typing import Sequence
+from typing import Hashable, Sequence
 
 import numpy as np
 
@@ -23,9 +23,9 @@ from .tokenization import DeterministicTokenizer, TokenSeq
 
 
 class Node:
-    """One valid prefix in a model's cache: its validity mask, its masked
-    distribution once computed (``None`` until then), and the nodes of its
-    one-token extensions by token id.  A node does not store its prefix."""
+    """One valid prefix in a model's cache: its validity mask and its masked
+    distribution (``None`` until computed), both shared read-only arrays, and
+    the nodes of its one-token extensions by id.  It does not store its prefix."""
 
     __slots__ = ("dist", "mask", "children")
 
@@ -45,7 +45,8 @@ class LanguageModel:
     is re-encoded to validate it.  The mask is the tokenizer's memoized
     row (:meth:`DeterministicTokenizer.valid_continuations`), shared with
     every other model over that tokenizer.  The tree grows by one node per
-    valid prefix reached, ancestors included, and is never pruned.
+    valid prefix reached, ancestors included, and is never pruned, but its
+    nodes share one distribution per (:meth:`model_context`, mask) pair.
 
     A valid prefix must have at least one valid continuation.  A vocabulary
     with no terminator in which every follower of some token would be
@@ -66,10 +67,18 @@ class LanguageModel:
     def raw_next_token_dist(self, prefix: TokenSeq) -> np.ndarray:
         raise NotImplementedError
 
+    def model_context(self, prefix: TokenSeq) -> Hashable | None:
+        """Key that fixes ``raw_next_token_dist(prefix)``; ``None`` shares nothing."""
+        return None
+
     @cached_property
     def root(self) -> Node:
         """Node of the empty prefix, built on first use: construction builds no mask."""
         return Node(self.tokenizer.valid_continuations(()))
+
+    @cached_property
+    def _dists(self) -> dict[tuple[Hashable, int], np.ndarray]:
+        return {}  # (model context, id of the mask) -> masked distribution
 
     def node(self, prefix: Sequence[int], parent: Node | None = None) -> Node:
         """Tree node of the valid prefix ``prefix``, added with its missing
@@ -126,13 +135,21 @@ class LanguageModel:
         the valid continuations, in one call.
 
         The prefix must be valid and must not contain the terminator; it is
-        reached or added by :meth:`node`, with ``parent`` passed on, and its
-        distribution is computed on the first request.  The returned array
-        is cached and read-only.
+        reached or added by :meth:`node`, with ``parent`` passed on.  Its
+        distribution is computed once per (model context, mask) pair, and the
+        returned array is read-only and shared.  Refusals are not stored.
         """
         node = self.node(prefix, parent)
-        if node.dist is None:
-            key = tuple(prefix)
+        if node.dist is not None:
+            return node.dist
+        key = tuple(prefix)
+        context = self.model_context(key)
+        # The fill reads the raw row, fixed by the model context, and the mask.
+        # A mask is a read-only row that its node keeps alive (nodes are never
+        # freed), so its id names one row; rows are interned per mask context.
+        memo = None if context is None else (context, id(node.mask))
+        out = self._dists.get(memo)
+        if out is None:
             raw = np.asarray(self.raw_next_token_dist(key), dtype=float)
             out = np.where(node.mask, raw, 0.0)
             total = out.sum()
@@ -142,8 +159,10 @@ class LanguageModel:
                 )
             out = out / total
             out.setflags(write=False)
-            node.dist = out
-        return node.dist
+            if memo is not None:
+                self._dists[memo] = out
+        node.dist = out
+        return out
 
     def marginal(self, ids: Sequence[int]) -> float:
         """Probability that a generated sequence starts with ``ids``,
@@ -192,6 +211,8 @@ class TableModel(LanguageModel):
     The table is fixed at construction.
     """
 
+    _DEFAULT_ROW = object()  # model context of every prefix the default serves
+
     def __init__(
         self,
         tokenizer: DeterministicTokenizer,
@@ -212,10 +233,16 @@ class TableModel(LanguageModel):
         # a prefix longer than every key is not hashed to miss the table
         self._longest = max(map(len, self.entries), default=-1)
 
+    def model_context(self, prefix: TokenSeq) -> Hashable:
+        """The prefix if it is a table key, else the default row's key."""
+        if len(prefix) <= self._longest and prefix in self.entries:
+            return prefix
+        return self._DEFAULT_ROW
+
     def raw_next_token_dist(self, prefix: TokenSeq) -> np.ndarray:
-        hit = self.entries.get(prefix) if len(prefix) <= self._longest else None
-        if hit is not None:
-            return hit
+        context = self.model_context(prefix)
+        if context is not self._DEFAULT_ROW:
+            return self.entries[context]
         if self.default is None:
             raise ModelError(f"no table entry for prefix {prefix} and no default")
         return self.default
@@ -245,9 +272,12 @@ class NgramModel(LanguageModel):
         self.alpha = alpha
         self.counts = counts
 
+    def model_context(self, prefix: TokenSeq) -> TokenSeq:
+        """The last ``order`` tokens, all that the conditional reads."""
+        return prefix[-self.order :]
+
     def raw_next_token_dist(self, prefix: TokenSeq) -> np.ndarray:
-        context = prefix[-self.order :] if self.order else ()
-        counts = self.counts.get(context)
+        counts = self.counts.get(self.model_context(prefix))
         size = len(self.vocab)
         if counts is None:
             counts = np.zeros(size)

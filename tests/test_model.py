@@ -1,6 +1,8 @@
 """Model contracts: masked next-token distributions, chain-rule marginals,
 and n-gram training."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -54,8 +56,19 @@ class TestNextTokenDist:
 
     def test_missing_entry_without_default(self, binary):
         model = TableModel(binary.tokenizer, {(): np.full(4, 0.25)}, default=None)
-        with pytest.raises(ModelError):
-            model.next_token_dist((0,))
+        for _ in range(2):
+            with pytest.raises(ModelError, match="no table entry"):
+                model.next_token_dist((0,))
+
+    def test_refusal_is_not_shared(self, binary):
+        # (0,) and (2, 0) share the default row and the mask context (0,);
+        # after "0" the default's mass falls on "0" and "00", both invalid
+        model = TableModel(binary.tokenizer, {}, default=np.array([0.5, 0.0, 0.5, 0.0]))
+        assert model.model_context((0,)) is model.model_context((2, 0))
+        assert model.node((0,)).mask is model.node((2, 0)).mask
+        for prefix in [(0,), (2, 0), (0,)]:
+            with pytest.raises(ModelError, match=re.escape(f"continuations of {prefix}") + "$"):
+                model.next_token_dist(prefix)
 
 
 class TestMarginal:
@@ -182,14 +195,20 @@ class TestDistributionInvariants:
                         assert dist[tid] == 0.0
 
 
+def filled_nodes(model):
+    """``(prefix, dist)`` of each node of the model's prefix tree whose
+    distribution is computed."""
+    stack = [((), model.root)]
+    while stack:
+        key, node = stack.pop()
+        if node.dist is not None:
+            yield key, node.dist
+        stack.extend((key + (t,), child) for t, child in node.children.items())
+
+
 def computed_nodes(model) -> int:
     """Nodes of the model's prefix tree whose distribution is computed."""
-    count, stack = 0, [model.root]
-    while stack:
-        node = stack.pop()
-        count += node.dist is not None
-        stack.extend(node.children.values())
-    return count
+    return sum(1 for _ in filled_nodes(model))
 
 
 def _record_encodes(monkeypatch, tokenizer) -> list[tuple[bool, bytes]]:
@@ -456,6 +475,42 @@ def _greedy_table(rng) -> TableModel:
     ).model
 
 
+def _ngram_instance(rng, kind, order) -> tuple[NgramModel, NestedTokenizer]:
+    """An n-gram of ``order`` trained by ``train_ngram`` on random texts over
+    a random greedy vocabulary (reduced onto a random sub-vocabulary) or a
+    random BPE with a terminator (reduced onto its symbols)."""
+    if kind == "greedy":
+        inst = make_instance(
+            rng,
+            n_symbols=int(rng.integers(2, 4)),
+            n_multi=int(rng.integers(1, 5)),
+            n_sub_multi=int(rng.integers(0, 2)),
+        )
+        tokenizer, nested = inst.tokenizer, inst.nested
+    else:
+        bpe = wide_merge_tokenizer(rng)
+        symbols = bytes(sorted(bpe.vocab.alphabet.symbols))
+        vocab = Vocabulary([*bpe.vocab.surfaces, b"$"], Alphabet.of(symbols, eos="$"))
+        tokenizer = BpeTokenizer(vocab, bpe.merges)
+        nested = NestedTokenizer(tokenizer, GreedyTokenizer(byte_vocabulary(vocab.alphabet)))
+    alphabet = tokenizer.vocab.alphabet
+    symbols = sorted(alphabet.symbols - {alphabet.eos})
+    corpus = [
+        bytes(int(s) for s in rng.choice(symbols, int(rng.integers(0, 12))))
+        for _ in range(int(rng.integers(1, 8)))
+    ]
+    alpha = float(rng.uniform(0.05, 1.0))
+    return train_ngram(corpus, tokenizer, order, alpha), nested
+
+
+def _greedy_ngram(rng) -> NgramModel:
+    return _ngram_instance(rng, "greedy", int(rng.integers(1, 4)))[0]
+
+
+def _bpe_ngram(rng) -> NgramModel:
+    return _ngram_instance(rng, "bpe", int(rng.integers(1, 4)))[0]
+
+
 class TestNodeValidation:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.sampled_from([_bpe_table, _greedy_table]))
@@ -570,6 +625,12 @@ class TestPrefixTree:
         inner = GreedyTokenizer(byte_vocabulary(tokenizer.vocab.alphabet))
         _assert_tree_matches_reference(model, NestedTokenizer(tokenizer, inner), rng)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.sampled_from(["greedy", "bpe"]))
+    def test_ngram_instances_match_reference(self, seed, order, kind):
+        rng = np.random.default_rng(seed)
+        _assert_tree_matches_reference(*_ngram_instance(rng, kind, order), rng)
+
     def test_cold_binary_generation_walks_no_prefix(self, monkeypatch):
         # every step reaches its retokenization through the parent node in
         # its cover entry; a lookup from the root walks the whole prefix
@@ -579,6 +640,68 @@ class TestPrefixTree:
         assert len(session.generate(1000)) == 1000
         assert computed_nodes(inst.model) >= 1000
         assert sum(walked) == 0
+
+
+def _assert_shared_by_key(model, rng) -> None:
+    """On random prefixes, prefixes of one model context have equal raw
+    rows, and two filled nodes hold one array iff their (model context,
+    mask context) keys are equal."""
+    tokenizer = model.tokenizer
+    for key in _random_prefixes(rng, tokenizer, 30):
+        _outcome(lambda: model.next_token_dist(key))
+    filled = list(filled_nodes(model))
+    for a, dist_a in filled:
+        for b, dist_b in filled:
+            same_context = model.model_context(a) == model.model_context(b)
+            if same_context:
+                assert np.array_equal(model.raw_next_token_dist(a), model.raw_next_token_dist(b))
+            same_key = same_context and tokenizer.mask_context(a) == tokenizer.mask_context(b)
+            assert (dist_a is dist_b) == same_key, (a, b)
+
+
+class TestSharedDistributions:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([_bpe_table, _greedy_table, _greedy_ngram, _bpe_ngram]),
+    )
+    def test_nodes_share_exactly_by_key(self, seed, build):
+        rng = np.random.default_rng(seed)
+        _assert_shared_by_key(build(rng), rng)
+
+    def test_binary_outputs_hold_few_arrays(self):
+        # one distribution per (default row or table key, mask row), however
+        # long the outputs; 800 steps stay short of the underflow near 880
+        inst = binary_instance()
+        for seed in range(20):
+            session = ReductionSession(inst.model, inst.nested, topk=None)
+            assert len(session.generate(800, decoding="sample", seed=seed)) == 800
+        filled = list(filled_nodes(inst.model))
+        assert len(filled) >= 15000
+        assert len({id(dist) for _, dist in filled}) <= 9
+
+    @pytest.mark.parametrize("kind", ["greedy", "bpe"])
+    def test_ngram_arrays_match_distinct_keys(self, kind):
+        model, nested = _ngram_instance(np.random.default_rng(7), kind, 2)
+        for seed in range(20):
+            ReductionSession(model, nested, topk=None).generate(60, decoding="sample", seed=seed)
+        filled = list(filled_nodes(model))
+        keys = {(model.model_context(p), model.tokenizer.mask_context(p)) for p, _ in filled}
+        assert len({id(dist) for _, dist in filled}) == len(keys) < len(filled)
+
+    def test_model_without_context_shares_nothing(self, binary):
+        # a model that overrides no model_context may read its whole prefix
+        class ByLength(LanguageModel):
+            def raw_next_token_dist(self, prefix):
+                vec = np.arange(1.0, 5.0) + len(prefix)
+                return vec / vec.sum()
+
+        model = ByLength(binary.tokenizer)
+        ReductionSession(model, binary.nested, topk=None).generate(50, decoding="sample", seed=0)
+        filled = list(filled_nodes(model))
+        assert len({id(dist) for _, dist in filled}) == len(filled) >= 50
+        for key, dist in filled:
+            assert _same(("ok", dist), _reference_dist(model, key)), key
 
 
 class TestTableValidation:
