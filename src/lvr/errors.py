@@ -14,8 +14,7 @@ class ModelError(LvrError):
 
 
 class ReductionError(LvrError):
-    """Reduction session failure: zero mass, vocabulary mismatch, or a
-    sub-token prefix whose canonical retokenization does not reproduce it."""
+    """Reduction session failure: zero mass or a vocabulary mismatch."""
 
 
 class EnsembleError(LvrError):

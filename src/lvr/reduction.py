@@ -22,13 +22,14 @@ Each step combines two sources:
 
 Only source (ii) touches the model, with exactly one distribution call per
 step; entry marginals are extended incrementally, never recomputed, and in
-exact mode the session re-encodes no text.  The efficient variant restricts
-source (ii) to the top-K most probable extensions and reports the marginal
-mass it dropped.
+either mode the session re-encodes no text: the retokenization and its
+marginal are read from the cover.  The efficient variant restricts source
+(ii) to the top-K most probable extensions and reports the marginal mass it
+dropped.
 
 The cover is one *group* per step with extensions: the step's
-retokenization, its model tree node (the next call reaches the
-retokenization by one child lookup, never hashing the prefix), its
+retokenization and its marginal, its model tree node (the next call reaches
+the retokenization by one child lookup, never hashing the prefix), its
 extensions' marginals and kept mask, and a node of the nested tokenizer's
 re-encoding trie that lists which entries reach past the prefix, onto which
 sub-token, and which one ends at it.  A step adds each group's marginals
@@ -67,9 +68,12 @@ class CoverEntry(NamedTuple):
 class CoverGroup(NamedTuple):
     """The cover entries one step added: ``retok + (x,)`` for each outer id
     ``x`` that ``kept`` admits, with marginal ``ext[x]`` and the model's tree
-    node ``parent`` of ``retok``.  Never written once made."""
+    node ``parent`` of ``retok``.  ``retok`` has marginal ``base``, and
+    ``retok + (x,)`` has ``base * parent.dist[x]`` even if top-K dropped it.
+    Never written once made."""
 
     retok: TokenSeq
+    base: float
     parent: Node
     ext: np.ndarray
     kept: np.ndarray
@@ -114,7 +118,8 @@ class ReductionSession:
     re-encodings run on.  The node (see :meth:`NestedTokenizer.trie_child`)
     is that of the sub-tokens the group's re-encodings covered since.  :attr:`cover_cache`,
     :meth:`relative_cover` and ``_pending`` enumerate :class:`CoverEntry`
-    records from the groups for readers.
+    records from the groups for readers; ``cover_cache`` and ``_pending``
+    stay because the benchmark tracer reads them.
 
     A session is a single-owner mutable object.  Several sessions may share
     one model and tokenizer, but neither is immutable: every new prefix the
@@ -178,38 +183,37 @@ class ReductionSession:
     # -- per-step computation ------------------------------------------------
 
     def _prologue(self):
-        """The step's retokenization, its extensions' marginals, the mask of
-        extensions that enter the cover, and the retokenization's node."""
+        """The step's retokenization and its marginal, its extensions'
+        marginals, the mask of extensions that enter the cover, and the
+        retokenization's node; the retokenization and the node are ``None``
+        when no valid outer sequence ends at the prefix."""
         if not self.prefix:
             retok, base, parent = (), 1.0, None
         else:
+            # The prefix's canonical retokenization R, if it exists, is in a
+            # live group: R[:-1] was an earlier step's, whose group has since
+            # followed mapping[R[-1]] down the trie.  The mask, not `kept`,
+            # admits R[-1], so an entry that top-K dropped is found too.
             for at, g in self.cover:
                 x = at.exact
-                if x >= 0 and g.kept[x]:
-                    retok, base, parent = g.retok + (x,), g.ext.item(x), g.parent
+                if x >= 0 and g.parent.mask[x]:
+                    retok, parent = g.retok + (x,), g.parent
+                    base = g.base * parent.dist.item(x)
                     break
-            else:
-                # No cover entry ends at the prefix.  The only valid outer
-                # sequence that could is the encoding of the prefix's text:
-                # when its nested encoding is the prefix, top-K truncation
-                # dropped its entry and its marginal is recomputed; otherwise
-                # no valid sequence ends here and source (ii) is empty.
-                retok = self.nested.outer.encode(self.nested.decode(self.prefix))
-                if self.nested.nested_encode(retok) != self.prefix:
-                    size = len(self.model.vocab)
-                    return retok, np.zeros(size), np.zeros(size, dtype=bool), None
-                base, parent = self.model.marginal(retok), self.model.node(retok[:-1])
+            else:  # no R: source (ii) is empty
+                size = len(self.model.vocab)
+                return None, 0.0, np.zeros(size), np.zeros(size, dtype=bool), None
         ext = base * self.model.next_token_dist(retok, parent)
         # the call added the node; only the empty sequence has no parent
         node = parent.children[retok[-1]] if parent is not None else self.model.root
-        return retok, ext, node.mask, node
+        return retok, base, ext, node.mask, node
 
-    def _finish(self, raw, dropped, retok, ext, kept, node) -> SubTokenDistribution:
+    def _finish(self, raw, dropped, retok, base, ext, kept, node) -> SubTokenDistribution:
         total = raw.sum()
         if total <= 0.0:
             raise ReductionError("no sub-token continuation has positive probability")
         dist = SubTokenDistribution(raw / total, raw, dropped)
-        self._group = None if node is None else CoverGroup(retok, node, ext, kept)
+        self._group = None if node is None else CoverGroup(retok, base, node, ext, kept)
         self._last = dist
         return dist
 
@@ -221,7 +225,7 @@ class ReductionSession:
         order and then every id whose re-encoding starts with it, in
         ascending id, as :meth:`next_subtoken_dist_naive` does, with exact
         zeros between."""
-        retok, ext, valid, node = self._prologue()
+        retok, base, ext, valid, node = self._prologue()
         raw = np.zeros(len(self.nested.vocab))
         for at, g in self.cover:
             if at.ids.size:
@@ -239,13 +243,13 @@ class ReductionSession:
             dropped = 0.0
         # unbuffered, in input order, as the naive loop adds (+0.0 is exact)
         np.add.at(raw, self.nested.trie.ys, ext)
-        return self._finish(raw, dropped, retok, ext, valid, node)
+        return self._finish(raw, dropped, retok, base, ext, valid, node)
 
     def next_subtoken_dist_naive(self) -> SubTokenDistribution:
         """Reference variant: for every sub-token, scan every cover entry
         and the whole vocabulary.  Always exact; bit-identical to the
         efficient variant run with K >= |V|."""
-        retok, ext, valid, node = self._prologue()
+        retok, base, ext, valid, node = self._prologue()
         k, mapping = len(self.prefix), self.nested.mapping
         cover = self.cover_cache[self.prefix].entries
         sums = [0.0] * len(self.nested.vocab)
@@ -258,7 +262,7 @@ class ReductionSession:
                 if mapping[x][0] == y and valid[x]:
                     collected += float(ext[x])
             sums[y] = collected
-        return self._finish(np.array(sums), 0.0, retok, ext, valid, node)
+        return self._finish(np.array(sums), 0.0, retok, base, ext, valid, node)
 
     @property
     def _pending(self) -> dict[int, RelativeCover] | None:
@@ -321,20 +325,15 @@ class ReductionSession:
         """Relative cover of a sub-token prefix extending the current one,
         computing (and discarding) any intermediate distributions needed."""
         y_prefix = tuple(y_prefix)
-        if y_prefix == self.prefix:
-            return self.cover_cache[y_prefix]
         if y_prefix[: len(self.prefix)] != self.prefix:
             raise ReductionError(
                 f"{y_prefix} does not extend the session prefix {self.prefix}"
             )
         walker = self
-        rest = y_prefix[len(self.prefix) :]
-        for i, y in enumerate(rest):
+        for y in y_prefix[len(self.prefix) :]:
             walker.next_subtoken_dist()
-            if i + 1 == len(rest):
-                return walker._bucket(y)
             walker = walker.branch(y)
-        raise AssertionError("unreachable")
+        return walker.cover_cache[y_prefix]
 
     def generate(
         self,

@@ -17,6 +17,7 @@ from conftest import (
     random_merge_tokenizer,
     wide_merge_tokenizer,
 )
+from test_model import _record_encodes
 
 from lvr import (
     Alphabet,
@@ -37,7 +38,7 @@ from lvr import (
 )
 from lvr import reduction
 from lvr.mcv import build_mcv
-from lvr.oracle import original_prefix_prob_table
+from lvr.oracle import lossless_check, original_prefix_prob_table
 
 
 class TestSessionSetup:
@@ -162,8 +163,8 @@ class TestStep:
     def test_evicted_retokenization_marginal_recomputed(self, binary):
         # the root row ranks 001 above 00, so K=1 keeps only (001,) in the
         # bucket of sub-token 00: the prefix's canonical retokenization (00,)
-        # is not in its cover, and the next step recovers its marginal by
-        # telescoping
+        # is not in its cover, and the next step reads its marginal from the
+        # root's group, whose mask still admits 00
         model = TableModel(
             binary.tokenizer,
             {(): np.array([0.1, 0.1, 0.3, 0.5]), (2,): np.array([0.6, 0.0, 0.3, 0.1])},
@@ -179,7 +180,7 @@ class TestStep:
         exact.next_subtoken_dist()
         exact.step(2)
         reference = exact.next_subtoken_dist().raw_marginals
-        np.testing.assert_allclose(recovered, reference, atol=1e-15)
+        assert recovered.tolist() == reference.tolist()
 
 
 class TestAgainstBruteForce:
@@ -225,28 +226,54 @@ class TestAgainstBruteForce:
                 frontier = next_frontier
 
 
+def _reference_retokenization(nested, prefix):
+    """The text round trip the session does not make: the outer encoding of
+    the prefix's text if its nested encoding is the prefix, else ``None``."""
+    retok = nested.outer.encode(nested.decode(prefix))
+    return retok if nested.nested_encode(retok) == prefix else None
+
+
 def _assert_cover_holds_retokenization(session, steps, seed):
-    """At every step of an exact sampled generation, exactly one cover entry
-    ends at the prefix, and it is the canonical retokenization that the
-    step extends."""
+    """At every step of a sampled generation, the step's retokenization is
+    the reference round trip's and its base is ``model.marginal`` of it, bit
+    for bit; without one, the step has no node.  No step encodes text
+    outside a mask row fill or calls ``model.marginal``.  In exact mode the
+    retokenization is also the one cover entry that ends at the prefix."""
+    nested, model = session.nested, session.model
+    marginal = model.marginal
 
     def checked_dist():
-        k = len(session.prefix)
-        ends = [e for e in session.cover_cache[session.prefix].entries if len(e.nested) == k]
-        retok = session.nested.outer.encode(session.nested.decode(session.prefix))
-        assert [e.seq for e in ends] == [retok], session.prefix
-        assert session._prologue()[0] == retok
-        return session.next_subtoken_dist()
+        prefix = session.prefix
+        retok = _reference_retokenization(nested, prefix)
+        with pytest.MonkeyPatch.context() as mp:
+            encodes, marginals = _record_encodes(mp, nested.outer), []
+            mp.setattr(model, "marginal", lambda ids: marginals.append(ids) or marginal(ids))
+            got, base, _, _, node = session._prologue()
+            dist = session.next_subtoken_dist()
+        assert [text for inside, text in encodes if not inside] == [], prefix
+        assert marginals == [], prefix
+        assert (got, node is None) == (retok, retok is None), prefix
+        if retok is not None:
+            assert base == marginal(retok), prefix
+        if session.topk is None:
+            k = len(prefix)
+            ends = [e.seq for e in session.cover_cache[prefix].entries if len(e.nested) == k]
+            assert ends == ([] if retok is None else [retok]), prefix
+        return dist
 
     eos = session.nested.vocab.eos_id
     for _ in decode(checked_dist, session.step, eos, steps, "sample", seed):
         pass
 
 
+def _random_topk(rng, model, truncate):
+    return int(rng.integers(1, len(model.vocab))) if truncate else None
+
+
 class TestCoverHoldsRetokenization:
     @settings(max_examples=40, deadline=None)
-    @given(st.integers(0, 2**32 - 1))
-    def test_random_greedy_instances(self, seed):
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    def test_random_greedy_instances(self, seed, truncate):
         rng = np.random.default_rng(seed)
         inst = make_instance(
             rng,
@@ -254,12 +281,13 @@ class TestCoverHoldsRetokenization:
             n_multi=int(rng.integers(1, 5)),
             n_sub_multi=int(rng.integers(0, 2)),
         )
-        session = ReductionSession(inst.model, inst.nested, topk=None)
+        topk = _random_topk(rng, inst.model, truncate)
+        session = ReductionSession(inst.model, inst.nested, topk=topk)
         _assert_cover_holds_retokenization(session, 24, seed)
 
     @settings(max_examples=40, deadline=None)
-    @given(st.integers(0, 2**32 - 1))
-    def test_random_bpe_merge_lists(self, seed):
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    def test_random_bpe_merge_lists(self, seed, truncate):
         rng = np.random.default_rng(seed)
         tokenizer = random_merge_tokenizer(rng)
         size = len(tokenizer.vocab)
@@ -268,7 +296,18 @@ class TestCoverHoldsRetokenization:
         vec = rng.uniform(0.05, 1.0, size)
         model = TableModel(tokenizer, {}, default=vec / vec.sum())
         inner = GreedyTokenizer(byte_vocabulary(tokenizer.vocab.alphabet))
-        session = ReductionSession(model, NestedTokenizer(tokenizer, inner), topk=None)
+        topk = _random_topk(rng, model, truncate)
+        session = ReductionSession(model, NestedTokenizer(tokenizer, inner), topk=topk)
+        _assert_cover_holds_retokenization(session, 24, seed)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    def test_random_mcv_instances(self, seed, truncate):
+        # a BPE inner tokenizer can leave a prefix with no retokenization
+        rng = np.random.default_rng(seed)
+        model, nested = mcv_instance(rng)
+        assume(has_followers(model.tokenizer))
+        session = ReductionSession(model, nested, topk=_random_topk(rng, model, truncate))
         _assert_cover_holds_retokenization(session, 24, seed)
 
     def test_token_with_no_follower_is_refused(self):
@@ -398,12 +437,12 @@ class TestScatterKernel:
                 at = self.nested.trie_child(at, y)
             groups.append((sigma, marginals))
             kept = np.ones(39, dtype=bool)
-            cover.append((at, reduction.CoverGroup((), None, np.array(marginals), kept)))
+            cover.append((at, reduction.CoverGroup((), 1.0, None, np.array(marginals), kept)))
         expected = _per_group_sums(self.nested, groups, ext)
         assume(sum(expected) > 0.0)
         session = ReductionSession(self.model, self.nested, topk=None)
         session.cover = cover
-        session._prologue = lambda: ((), ext.copy(), np.ones(39, dtype=bool), None)
+        session._prologue = lambda: ((), 1.0, ext.copy(), np.ones(39, dtype=bool), None)
         assert session.next_subtoken_dist().raw_marginals.tolist() == expected
 
 
@@ -446,7 +485,7 @@ class TestLazyBucketsMatchNaive:
         for _ in range(8):
             ref = session.next_subtoken_dist_naive()
             naive = {y: c.entries for y, c in session._pending.items()}
-            ext = session._prologue()[1]
+            ext = session._prologue()[2]
             kept = set(np.argsort(-ext, kind="stable")[:topk].tolist())
             carried = set(session.cover_cache[session.prefix].entries)
             dist = session.next_subtoken_dist()
@@ -752,3 +791,61 @@ class TestPinnedDigests:
 GREEDY_DIGESTS = ["233d16dd2dab73b0", "de390408ddc3ba38", "df3006dfd794490d"]
 BPE_DIGESTS = ["a5835baedbe9310a", "c38aab7e19fda55f", "2317aa25c6e39e8e", "53061ff305e4eca5"]
 MCV_DIGESTS = ["48c7c6d95da735ad", "3242fd4524efbe9a", "3459f5a172eb9445"]
+
+
+class TestEmptySource:
+    # Outer BPE over abc with merges b+c then a+b; the inner BPE merges a+b
+    # only.  After sub-tokens a, b no valid outer sequence ends: (a, bc)
+    # re-encodes to a, b, c, and (ab,) to the one sub-token ab.  So a step
+    # there has no retokenization and no extensions (source (ii) is empty).
+    alphabet = Alphabet.of("abc")
+    outer = BpeTokenizer(
+        Vocabulary([b"a", b"b", b"c", b"bc", b"ab"], alphabet), [(1, 2), (0, 1)])
+    inner = BpeTokenizer(Vocabulary([b"a", b"b", b"c", b"ab"], alphabet), [(0, 1)])
+    model = TableModel(outer, {}, default=np.full(5, 0.2))
+    nested = NestedTokenizer(outer, inner)
+
+    def test_step_after_a_b(self):
+        session = ReductionSession(self.model, self.nested, topk=None)
+        for y in (0, 1):
+            session.next_subtoken_dist()
+            session.step(y)
+        retok, base, ext, kept, node = session._prologue()
+        assert (retok, node) == (None, None)
+        assert not ext.any() and not kept.any()
+        assert session.next_subtoken_dist().raw_marginals.tolist() == [0.0, 0.0, 0.05, 0.0]
+        assert session.cover_cache[(0, 1)].sequences() == {(0, 3)}
+
+    def test_lossless(self):
+        report = lossless_check(self.model, self.nested, max_len=6)
+        assert report.passed and report.max_discrepancy == 0.0
+
+    @pytest.mark.parametrize("topk", [1, 2, 3, None])
+    def test_sampled_digests(self, topk):
+        # Recorded on the engine that re-encoded the prefix's text when no
+        # cover entry ended at it.  At K=1 and K=2 ties keep the lowest ids,
+        # so bc never follows a and no run reaches an empty source; the K=3
+        # and exact runs reach it.
+        got, empty = [], 0
+        for seed in range(3):
+            session = ReductionSession(self.model, self.nested, topk=topk)
+            prologue = session._prologue
+
+            def counted():
+                nonlocal empty
+                out = prologue()
+                empty += out[-1] is None
+                return out
+
+            session._prologue = counted
+            got.append(_generation_digest(session, 40, seed))
+        assert got == EMPTY_SOURCE_DIGESTS[topk]
+        assert (empty > 0) == (topk not in (1, 2))
+
+
+EMPTY_SOURCE_DIGESTS = {
+    1: ["fc767d6c9cdd98a7", "fc767d6c9cdd98a7", "fc767d6c9cdd98a7"],
+    2: ["892efc44ad6a296e", "00dc9c49d74e7a5a", "20c10ee2173ff5c9"],
+    3: ["63db1bde3e0d5021", "51068d650f6ee507", "dfb4e37470521dc9"],
+    None: ["38b0e3980856d28e", "22d593b5e676e4ab", "455c8407d5411f87"],
+}
