@@ -28,9 +28,7 @@ from .tokenization import (
 from .model import LanguageModel, NgramModel, TableModel, train_ngram
 from .reduction import (
     DEFAULT_TOP_K,
-    CoverEntry,
     ReductionSession,
-    RelativeCover,
     Step,
     SubTokenDistribution,
     decode,

@@ -32,12 +32,14 @@ retokenization and its marginal, its model tree node (the next call reaches
 the retokenization by one child lookup, never hashing the prefix), its
 extensions' marginals and kept mask, and a node of the nested tokenizer's
 re-encoding trie that lists which entries reach past the prefix, onto which
-sub-token, and which one ends at it.  A step adds each group's marginals
-with one unbuffered ``np.add.at``, oldest first, then every extension (an
-exact ``0.0`` if invalid or top-K-dropped) onto its first sub-token; in
-input order, as the naive reference adds, bit for bit.  Stepping moves each
-group one trie edge and appends the step's group: no per-entry object, and
-one retokenization tuple and one prefix tuple copied per step.
+sub-token, and which one ends at it.  Source (ii) is one more such group, at
+the trie root, which lists every outer id under its re-encoding's first
+sub-token.  A step adds each pending group's marginals (an extension's is an
+exact ``0.0`` if invalid or top-K-dropped) with one unbuffered
+``np.add.at``, the cover's oldest first and its own last; in input order,
+as the naive reference adds, bit for bit.  Stepping moves each pending group
+one trie edge: no per-entry object, and one retokenization tuple and one
+prefix tuple copied per step.
 """
 
 from __future__ import annotations
@@ -56,13 +58,11 @@ DEFAULT_TOP_K = 300
 
 class CoverEntry(NamedTuple):
     """One relative-cover element: a valid outer-token sequence, its nested
-    (sub-token) encoding, its cached marginal probability, and the model's
-    tree node of ``seq[:-1]`` (``None`` for the empty sequence)."""
+    (sub-token) encoding and its cached marginal probability."""
 
     seq: TokenSeq
     nested: TokenSeq
     marginal: float
-    parent: Node | None = None
 
 
 class CoverGroup(NamedTuple):
@@ -116,7 +116,9 @@ class ReductionSession:
     The cover is a list of ``(trie node, CoverGroup)`` pairs, oldest first:
     each step with extensions appends its group, kept while some of its
     re-encodings run on.  The node (see :meth:`NestedTokenizer.trie_child`)
-    is that of the sub-tokens the group's re-encodings covered since.  :attr:`cover_cache`,
+    is that of the sub-tokens the group's re-encodings covered since.  A
+    distribution sums one pending list, the cover plus the step's own group
+    at the trie root, and stepping moves that list.  :attr:`cover_cache`,
     :meth:`relative_cover` and ``_pending`` enumerate :class:`CoverEntry`
     records from the groups for readers; ``cover_cache`` and ``_pending``
     stay because the benchmark tracer reads them.
@@ -146,9 +148,10 @@ class ReductionSession:
         # the relative cover; the empty prefix's, the empty sequence alone, is
         # implicit
         self.cover: list[tuple[ReencodingNode, CoverGroup]] = []
-        # the last distribution and its extensions' group (None if none)
-        self._group: CoverGroup | None = None
+        # the last distribution and the groups it summed, which the next
+        # step moves
         self._last: SubTokenDistribution | None = None
+        self._pending_groups: list[tuple[ReencodingNode, CoverGroup]] = []
 
     def _entries(self, members) -> RelativeCover:
         """:class:`CoverEntry` records of ``(trie node, group, ascending
@@ -156,37 +159,32 @@ class ReductionSession:
         mapping, prefix = self.nested.mapping, self.prefix
         return RelativeCover([
             CoverEntry(g.retok + (x,), prefix[: len(prefix) - at.depth] + mapping[x],
-                       g.ext.item(x), g.parent)
+                       g.ext.item(x))
             for at, g, xs in members for x in xs if g.kept[x]
         ])
-
-    def _groups(self) -> list[tuple[ReencodingNode, CoverGroup]]:
-        """The cover, then the last distribution's group at the trie root."""
-        group = self._group
-        return self.cover if group is None else [*self.cover, (self.nested.trie, group)]
 
     def _bucket(self, y: int) -> RelativeCover:
         """Relative cover of ``prefix + (y,)`` from the last distribution:
         the carried entries whose next sub-token is ``y``, then the step's
         extensions whose re-encoding starts with ``y``."""
-        return self._entries((at, g, at.split.get(y, ())) for at, g in self._groups())
+        return self._entries((at, g, at.split.get(y, ())) for at, g in self._pending_groups)
 
     @property
     def cover_cache(self) -> dict[TokenSeq, RelativeCover]:
         """A new ``{prefix: relative cover}`` dict over the one cover the
         session keeps, for readers; writing to it changes nothing."""
         if not self.prefix:
-            return {(): RelativeCover([CoverEntry((), (), 1.0, None)])}
+            return {(): RelativeCover([CoverEntry((), (), 1.0)])}
         return {self.prefix: self._entries(
             (at, g, sorted({*at.ids.tolist(), at.exact} - {-1})) for at, g in self.cover)}
 
     # -- per-step computation ------------------------------------------------
 
-    def _prologue(self):
-        """The step's retokenization and its marginal, its extensions'
-        marginals, the mask of extensions that enter the cover, and the
-        retokenization's node; the retokenization and the node are ``None``
-        when no valid outer sequence ends at the prefix."""
+    def _step_group(self, topk: int | None) -> tuple[CoverGroup | None, float]:
+        """The step's group, the one-token extensions of the prefix's
+        canonical retokenization that enter the cover, and the marginal mass
+        top-K dropped from it; no group when no valid outer sequence ends at
+        the prefix."""
         if not self.prefix:
             retok, base, parent = (), 1.0, None
         else:
@@ -201,55 +199,55 @@ class ReductionSession:
                     base = g.base * parent.dist.item(x)
                     break
             else:  # no R: source (ii) is empty
-                size = len(self.model.vocab)
-                return None, 0.0, np.zeros(size), np.zeros(size, dtype=bool), None
+                return None, 0.0
         ext = base * self.model.next_token_dist(retok, parent)
         # the call added the node; only the empty sequence has no parent
         node = parent.children[retok[-1]] if parent is not None else self.model.root
-        return retok, base, ext, node.mask, node
+        kept, dropped = node.mask, 0.0
+        if topk is not None and topk < len(ext):
+            drop = np.argsort(-ext, kind="stable")[topk:]
+            dropped = float(ext[drop].sum())
+            ext[drop] = 0.0  # the step's own array, not the model's
+            kept = kept.copy()
+            kept[drop] = False
+        return CoverGroup(retok, base, node, ext, kept), dropped
 
-    def _finish(self, raw, dropped, retok, base, ext, kept, node) -> SubTokenDistribution:
+    def _finish(self, raw, dropped, pending) -> SubTokenDistribution:
         total = raw.sum()
         if total <= 0.0:
             raise ReductionError("no sub-token continuation has positive probability")
-        dist = SubTokenDistribution(raw / total, raw, dropped)
-        self._group = None if node is None else CoverGroup(retok, base, node, ext, kept)
-        self._last = dist
-        return dist
+        self._last = SubTokenDistribution(raw / total, raw, dropped)
+        self._pending_groups = pending
+        return self._last
+
+    def _scatter_dist(self, topk: int | None) -> SubTokenDistribution:
+        group, dropped = self._step_group(topk)
+        # the step's group sits at the trie root, which lists every outer id,
+        # ascending, under its re-encoding's first sub-token
+        pending = self.cover if group is None else [*self.cover, (self.nested.trie, group)]
+        raw = np.zeros(len(self.nested.vocab))
+        for at, g in pending:
+            if at.ids.size:
+                # unbuffered, in input order, as the naive loop adds
+                np.add.at(raw, at.ys, g.ext[at.ids])
+        return self._finish(raw, dropped, pending)
 
     def next_subtoken_dist(self) -> SubTokenDistribution:
-        """Efficient variant: one scatter-add per cover group, oldest first,
-        each over the ids its trie node lists, then one of the extensions.
-        ``ext`` is exactly ``0.0`` at every invalid id, and top-K zeroes the
-        ids it drops, so each sub-token adds its carried entries in cover
-        order and then every id whose re-encoding starts with it, in
-        ascending id, as :meth:`next_subtoken_dist_naive` does, with exact
-        zeros between."""
-        retok, base, ext, valid, node = self._prologue()
-        raw = np.zeros(len(self.nested.vocab))
-        for at, g in self.cover:
-            if at.ids.size:
-                np.add.at(raw, at.ys, g.ext[at.ids])
-        size = len(ext)
-        if self.topk is not None and self.topk < size:
-            order = np.argsort(-ext, kind="stable")
-            top, drop = order[: self.topk], order[self.topk :]
-            dropped = float(ext[drop].sum())
-            ext[drop] = 0.0  # the step's own array, not the model's
-            kept = np.zeros(size, dtype=bool)
-            kept[top] = valid[top]
-            valid = kept
-        else:
-            dropped = 0.0
-        # unbuffered, in input order, as the naive loop adds (+0.0 is exact)
-        np.add.at(raw, self.nested.trie.ys, ext)
-        return self._finish(raw, dropped, retok, base, ext, valid, node)
+        """Efficient variant: one scatter-add per pending group, oldest
+        first and the step's own last, each over the ids its trie node
+        lists.  ``ext`` is exactly ``0.0`` at every invalid id, and top-K
+        zeroes the ids it drops, so each sub-token adds its carried entries
+        in cover order and then every id whose re-encoding starts with it,
+        in ascending id, as :meth:`next_subtoken_dist_naive` does, with
+        exact zeros between."""
+        return self._scatter_dist(self.topk)
 
     def next_subtoken_dist_naive(self) -> SubTokenDistribution:
         """Reference variant: for every sub-token, scan every cover entry
         and the whole vocabulary.  Always exact; bit-identical to the
         efficient variant run with K >= |V|."""
-        retok, base, ext, valid, node = self._prologue()
+        group, _ = self._step_group(None)
+        pending = self.cover if group is None else [*self.cover, (self.nested.trie, group)]
         k, mapping = len(self.prefix), self.nested.mapping
         cover = self.cover_cache[self.prefix].entries
         sums = [0.0] * len(self.nested.vocab)
@@ -258,11 +256,12 @@ class ReductionSession:
             for e in cover:
                 if len(e.nested) > k and e.nested[k] == y:
                     collected += e.marginal
-            for x in range(len(ext)):
-                if mapping[x][0] == y and valid[x]:
-                    collected += float(ext[x])
+            if group is not None:
+                for x in range(len(group.ext)):
+                    if mapping[x][0] == y and group.kept[x]:
+                        collected += float(group.ext[x])
             sums[y] = collected
-        return self._finish(np.array(sums), 0.0, retok, base, ext, valid, node)
+        return self._finish(np.array(sums), 0.0, pending)
 
     @property
     def _pending(self) -> dict[int, RelativeCover] | None:
@@ -271,19 +270,27 @@ class ReductionSession:
         computed."""
         if self._last is None:
             return None
-        ys = set().union(*(at.split for at, _ in self._groups()))
+        ys = set().union(*(at.split for at, _ in self._pending_groups))
         return {y: b for y in sorted(ys) if (b := self._bucket(y)).entries}
 
     # -- state transitions ---------------------------------------------------
 
+    def _checked(self, chosen: int, action: str) -> SubTokenDistribution:
+        """The last distribution, once ``chosen`` is a sub-token of it."""
+        if self._last is None:
+            raise ReductionError(f"compute a distribution before {action}")
+        if not 0 <= chosen < len(self._last.raw_marginals):
+            raise ReductionError(f"sub-token id {chosen} out of range")
+        return self._last
+
     def _adopt(self, chosen: int) -> None:
-        """Move every group, the step's last, one trie edge along ``chosen``,
-        dropping those that no re-encoding continues."""
+        """Move every pending group, the step's last, one trie edge along
+        ``chosen``, dropping those that no re-encoding continues."""
         child = self.nested.trie_child
-        moved = [(child(at, chosen), g) for at, g in self._groups()]
+        moved = [(child(at, chosen), g) for at, g in self._pending_groups]
         self.cover = [(at, g) for at, g in moved if at is not None]
         self.prefix = self.prefix + (chosen,)
-        self._group = self._last = None
+        self._last, self._pending_groups = None, []
 
     def step(self, chosen: int) -> None:
         """Commit to a sub-token: extend the prefix, keep its cover, evict
@@ -292,19 +299,12 @@ class ReductionSession:
         A sub-token with zero mass is refused, unless top-K dropped mass at
         this step: the step is then recomputed exactly once and checked
         again."""
-        if self._last is None:
-            raise ReductionError("compute a distribution before stepping")
-        if not 0 <= chosen < len(self._last.raw_marginals):
-            raise ReductionError(f"sub-token id {chosen} out of range")
-        if self._last.raw_marginals[chosen] <= 0.0 and self._last.dropped_mass > 0.0:
+        last = self._checked(chosen, "stepping")
+        if last.raw_marginals[chosen] <= 0.0 and last.dropped_mass > 0.0:
             # a caller such as a mixture can pick `chosen` on another
             # source's mass after top-K dropped every extension reaching it
-            topk, self.topk = self.topk, None
-            try:
-                self.next_subtoken_dist()
-            finally:
-                self.topk = topk
-        if self._last.raw_marginals[chosen] <= 0.0:
+            last = self._scatter_dist(None)
+        if last.raw_marginals[chosen] <= 0.0:
             raise ReductionError(
                 f"sub-token {chosen} has zero probability after the current prefix"
             )
@@ -313,8 +313,7 @@ class ReductionSession:
     def branch(self, chosen: int) -> "ReductionSession":
         """Child session advanced by one sub-token, leaving this session
         untouched; requires a computed distribution, like :meth:`step`."""
-        if self._last is None:
-            raise ReductionError("compute a distribution before branching")
+        self._checked(chosen, "branching")
         # shallow copy; _adopt rebinds the shared state, never mutates it
         clone = object.__new__(type(self))
         clone.__dict__.update(self.__dict__)

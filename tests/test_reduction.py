@@ -22,7 +22,6 @@ from test_model import _record_encodes
 from lvr import (
     Alphabet,
     BpeTokenizer,
-    CoverEntry,
     GreedyTokenizer,
     ModelError,
     NestedTokenizer,
@@ -37,6 +36,7 @@ from lvr import (
     train_ngram,
 )
 from lvr import reduction
+from lvr.reduction import CoverEntry
 from lvr.mcv import build_mcv
 from lvr.oracle import lossless_check, original_prefix_prob_table
 
@@ -143,6 +143,20 @@ class TestStep:
         with pytest.raises(ReductionError):
             session.step(0)
 
+    @pytest.mark.parametrize("y", [7, -1])
+    def test_out_of_range_refused_by_branch(self, binary, y):
+        # branch and relative_cover refuse an id outside the sub-vocabulary
+        # as step does, rather than reach a prefix with an empty cover
+        session = ReductionSession(binary.model, binary.nested, topk=None)
+        session.next_subtoken_dist()
+        message = f"sub-token id {y} out of range"
+        with pytest.raises(ReductionError, match=message):
+            session.branch(y)
+        for y_prefix in [(y,), (2, y)]:
+            with pytest.raises(ReductionError, match=message):
+                session.relative_cover(y_prefix)
+        assert session.prefix == ()
+
     def test_zero_mass_refused(self, binary):
         model = TableModel(
             binary.tokenizer,
@@ -236,7 +250,7 @@ def _reference_retokenization(nested, prefix):
 def _assert_cover_holds_retokenization(session, steps, seed):
     """At every step of a sampled generation, the step's retokenization is
     the reference round trip's and its base is ``model.marginal`` of it, bit
-    for bit; without one, the step has no node.  No step encodes text
+    for bit; without one, the step has no group.  No step encodes text
     outside a mask row fill or calls ``model.marginal``.  In exact mode the
     retokenization is also the one cover entry that ends at the prefix."""
     nested, model = session.nested, session.model
@@ -248,13 +262,14 @@ def _assert_cover_holds_retokenization(session, steps, seed):
         with pytest.MonkeyPatch.context() as mp:
             encodes, marginals = _record_encodes(mp, nested.outer), []
             mp.setattr(model, "marginal", lambda ids: marginals.append(ids) or marginal(ids))
-            got, base, _, _, node = session._prologue()
+            group, _ = session._step_group(session.topk)
             dist = session.next_subtoken_dist()
         assert [text for inside, text in encodes if not inside] == [], prefix
         assert marginals == [], prefix
-        assert (got, node is None) == (retok, retok is None), prefix
+        assert (group is None) == (retok is None), prefix
         if retok is not None:
-            assert base == marginal(retok), prefix
+            assert group.retok == retok, prefix
+            assert group.base == marginal(retok), prefix
         if session.topk is None:
             k = len(prefix)
             ends = [e.seq for e in session.cover_cache[prefix].entries if len(e.nested) == k]
@@ -442,7 +457,8 @@ class TestScatterKernel:
         assume(sum(expected) > 0.0)
         session = ReductionSession(self.model, self.nested, topk=None)
         session.cover = cover
-        session._prologue = lambda: ((), 1.0, ext.copy(), np.ones(39, dtype=bool), None)
+        group = reduction.CoverGroup((), 1.0, None, ext.copy(), np.ones(39, dtype=bool))
+        session._step_group = lambda topk: (group, 0.0)
         assert session.next_subtoken_dist().raw_marginals.tolist() == expected
 
 
@@ -485,7 +501,8 @@ class TestLazyBucketsMatchNaive:
         for _ in range(8):
             ref = session.next_subtoken_dist_naive()
             naive = {y: c.entries for y, c in session._pending.items()}
-            ext = session._prologue()[2]
+            group, _ = session._step_group(None)
+            ext = np.zeros(size) if group is None else group.ext
             kept = set(np.argsort(-ext, kind="stable")[:topk].tolist())
             carried = set(session.cover_cache[session.prefix].entries)
             dist = session.next_subtoken_dist()
@@ -556,6 +573,59 @@ class TestOneGroupPerStep:
         assert len(steps) == 120
         assert entries == []
         assert 0 < appended <= len(groups) <= 120
+
+
+    @pytest.mark.parametrize("empty_source, topk", [
+        (False, None), (False, 1), (True, None), (True, 3),
+    ])
+    def test_one_scatter_per_pending_group(self, monkeypatch, empty_source, topk):
+        # After each distribution the pending list is the cover, then at most
+        # the step's own group at the trie root, and the step makes one
+        # np.add.at call per pending group whose trie node lists ids, in
+        # that order; a step with no retokenization makes none for it.
+        if empty_source:
+            model, nested = TestEmptySource.model, TestEmptySource.nested
+        else:
+            inst = make_instance(np.random.default_rng(5), n_symbols=2)
+            model, nested = inst.model, inst.nested
+        scattered = []
+        add_at = np.add.at
+
+        class Add:
+            @staticmethod
+            def at(raw, ys, values):
+                scattered.append(ys)
+                add_at(raw, ys, values)
+
+        class Numpy:
+            add = Add
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+        monkeypatch.setattr(reduction, "np", Numpy())
+        no_group = 0
+        for seed in range(3):
+            session = ReductionSession(model, nested, topk=topk)
+
+            def dist():
+                nonlocal no_group
+                scattered.clear()
+                out = session.next_subtoken_dist()
+                cover, pending = session.cover, session._pending_groups
+                n = len(cover)
+                assert all(p is c for p, c in zip(pending, cover))
+                assert n <= len(pending) <= n + 1
+                assert all(at is nested.trie for at, _ in pending[n:])
+                no_group += len(pending) == n
+                listed = [at.ys for at, _ in pending if at.ids.size]
+                assert len(scattered) == len(listed)
+                assert all(a is b for a, b in zip(scattered, listed))
+                return out
+
+            for _ in decode(dist, session.step, nested.vocab.eos_id, 40, "sample", seed):
+                pass
+        assert (no_group > 0) == empty_source
 
 
 class TestGroupedCover:
@@ -810,9 +880,7 @@ class TestEmptySource:
         for y in (0, 1):
             session.next_subtoken_dist()
             session.step(y)
-        retok, base, ext, kept, node = session._prologue()
-        assert (retok, node) == (None, None)
-        assert not ext.any() and not kept.any()
+        assert session._step_group(session.topk) == (None, 0.0)
         assert session.next_subtoken_dist().raw_marginals.tolist() == [0.0, 0.0, 0.05, 0.0]
         assert session.cover_cache[(0, 1)].sequences() == {(0, 3)}
 
@@ -829,15 +897,15 @@ class TestEmptySource:
         got, empty = [], 0
         for seed in range(3):
             session = ReductionSession(self.model, self.nested, topk=topk)
-            prologue = session._prologue
+            step_group = session._step_group
 
-            def counted():
+            def counted(topk):
                 nonlocal empty
-                out = prologue()
-                empty += out[-1] is None
+                out = step_group(topk)
+                empty += out[0] is None
                 return out
 
-            session._prologue = counted
+            session._step_group = counted
             got.append(_generation_digest(session, 40, seed))
         assert got == EMPTY_SOURCE_DIGESTS[topk]
         assert (empty > 0) == (topk not in (1, 2))

@@ -6,6 +6,7 @@ import importlib
 import sys
 from pathlib import Path
 
+import pytest
 from conftest import binary_instance
 
 from lvr import ReductionSession
@@ -43,3 +44,25 @@ def test_tracer_installs_and_restores():
     # step goes through the wrapped method
     assert tracer.calls["tokenization.valid_continuations"] > 0
     assert tracer.calls["model.next_token_dist"] > 0
+
+
+@pytest.mark.parametrize("topk, entries, extensions, dropped, output", [
+    (None, 7, 17, 0.0, (0, 1, 2, 1, 0, 1)),
+    (2, 7, 10, 0.4375, (2, 0, 1, 1, 0, 1)),
+    (1, 6, 6, 0.98125, (2, 0, 1, 0, 1, 0)),
+])
+def test_view_counters(topk, entries, extensions, dropped, output):
+    # the tracer counts cover entries and extensions from the session's
+    # cover_cache and _pending views; a step that leaves a group out of
+    # them reads fewer
+    inst = binary_instance()
+    tracer = _import_spans().Tracer()
+    tracer.install()
+    try:
+        got = ReductionSession(inst.model, inst.nested, topk=topk).generate(6, "sample", 3)
+    finally:
+        tracer.uninstall()
+    assert got == output
+    counts = tracer.counts
+    assert (counts["cover_entries"], counts["extensions"]) == (entries, extensions)
+    assert abs(counts["dropped_mass"] - dropped) < 1e-12
