@@ -135,9 +135,10 @@ def _run_generation(next_dist, step_fn, vocab, args) -> None:
                         "step": s.index,
                         "chosen": s.chosen,
                         "chosen_surface": escape_bytes(vocab.surface(s.chosen)),
-                        "ptilde": [float(v) for v in s.dist.raw_marginals],
+                        "ptilde": [math.ldexp(v, s.dist.exponent)
+                                   for v in s.dist.raw_marginals.tolist()],
                         "normalizer": s.dist.normalizer,
-                        "dropped_mass": s.dist.dropped_mass,
+                        "dropped_mass": math.ldexp(s.dist.dropped_mass, s.dist.exponent),
                     }
                     trace.write(json.dumps(record) + "\n")
                 if s.chosen != eos:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from functools import cached_property
-from typing import Hashable, Sequence
+from typing import Hashable, Iterator, Sequence
 
 import numpy as np
 
@@ -23,30 +23,62 @@ from .tokenization import DeterministicTokenizer, TokenSeq
 
 
 class Node:
-    """One valid prefix in a model's cache: its validity mask and its masked
-    distribution (``None`` until computed), both shared read-only arrays, and
-    the nodes of its one-token extensions by id.  It does not store its prefix."""
+    """One valid prefix in a model's cache, and the sequence it stands for:
+    ``len(node)`` is the prefix's length and iterating it rebuilds the
+    prefix's tokens, walking ``parent`` links up to the root.  It holds its
+    validity mask and its masked distribution (``None`` until computed),
+    both shared read-only arrays, the nodes of its one-token extensions by
+    id, its parent's node (``None`` at the root), the token that extends the
+    parent (``-1`` at the root) and its length ``depth``.  No tuple of the
+    prefix is stored; :meth:`tail` builds its last tokens."""
 
-    __slots__ = ("dist", "mask", "children")
+    __slots__ = ("dist", "mask", "children", "parent", "token", "depth")
 
-    def __init__(self, mask: np.ndarray):
+    def __init__(self, mask: np.ndarray, parent: Node | None = None, token: int = -1):
         self.mask = mask
         self.dist: np.ndarray | None = None
         self.children: dict[int, Node] = {}
+        self.parent = parent
+        self.token = token
+        self.depth: int = 0 if parent is None else parent.depth + 1
+
+    def __len__(self) -> int:
+        return self.depth
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.tail(self.depth))
+
+    def tail(self, n: int | None) -> TokenSeq:
+        """The last ``n`` tokens of the prefix (all of them if ``n`` is
+        ``None`` or at least its length), as a tuple; ``O(n)``."""
+        if n is None or n > self.depth:
+            n = self.depth
+        out = []
+        node = self
+        while n:
+            out.append(node.token)
+            node = node.parent
+            n -= 1
+        out.reverse()
+        return tuple(out)
 
 
 class LanguageModel:
     """Base class: subclasses supply the raw (unmasked) conditional table.
 
     Valid prefixes are cached in a prefix tree rooted at :attr:`root`, one
-    :class:`Node` per valid prefix, reached only through :meth:`node`.  A
-    node is added once its prefix is validated, with its mask: ``p + (x,)``
-    is valid iff ``p`` is valid and ``p``'s mask admits ``x``, so no prefix
-    is re-encoded to validate it.  The mask is the tokenizer's memoized
-    row (:meth:`DeterministicTokenizer.valid_continuations`), shared with
-    every other model over that tokenizer.  The tree grows by one node per
-    valid prefix reached, ancestors included, and is never pruned, but its
-    nodes share one distribution per (:meth:`model_context`, mask) pair.
+    :class:`Node` per valid prefix, reached only through :meth:`node` (by
+    token sequence) or :meth:`child` (one token past a node).  A node is
+    added once its prefix is validated, with its mask: ``p + (x,)`` is
+    valid iff ``p`` is valid and ``p``'s mask admits ``x``, so no prefix is
+    re-encoded to validate it.  The mask is the tokenizer's memoized row
+    (:meth:`DeterministicTokenizer.valid_continuations`) for the node's last
+    ``tokenizer.mask_window`` tokens, shared with every other model over
+    that tokenizer.  The tree grows by one node per valid prefix reached,
+    ancestors included, and is never pruned (a node and its parent refer
+    to each other, so the tree is freed with the model by the cyclic
+    collector), but its nodes share one distribution per
+    (:meth:`model_context`, mask) pair.
 
     A valid prefix must have at least one valid continuation.  A vocabulary
     with no terminator in which every follower of some token would be
@@ -56,6 +88,11 @@ class LanguageModel:
     :class:`ModelError` there, and so do a reduction session and
     ``original_prefix_prob_table`` that reach it.
     """
+
+    # Longest suffix of a prefix that fixes its raw row, in tokens: the key
+    # :meth:`raw_next_token_dist` and :meth:`model_context` receive.  ``None``
+    # passes the whole prefix.
+    context_window: int | None = None
 
     def __init__(self, tokenizer: DeterministicTokenizer):
         self.tokenizer = tokenizer
@@ -104,21 +141,36 @@ class LanguageModel:
             else:
                 return parent
         key = tuple(prefix)
-        new = key[start:]
+        return self._extend(parent, key[start:], key)
+
+    def child(self, node: Node, x: int) -> Node:
+        """Node of ``node``'s prefix extended by ``x``: one child read once
+        added, otherwise :meth:`node`'s checks and refusals for the one new
+        step.  Builds no tuple of the prefix unless it refuses."""
+        out = node.children.get(x)
+        return out if out is not None else self._extend(node, (x,))
+
+    def _extend(self, parent: Node, new: TokenSeq, key: TokenSeq | None = None) -> Node:
+        """Add the nodes of ``parent``'s prefix followed by ``new``, all
+        missing, after the checks :meth:`node` lists; ``key`` is the whole
+        prefix named by a refusal (built from the nodes if ``None``).  A new
+        node's mask is read from its last ``tokenizer.mask_window`` tokens."""
         if self.vocab.eos_id in new:
             raise ModelError("cannot continue a terminated sequence")
         size = len(parent.mask)
         for x in new:
             if not 0 <= x < size:
                 raise TokenizationError(f"unknown token id {x}")
+        window = self.tokenizer.mask_window
         for x in new:
             if not parent.mask[x]:
+                if key is None:
+                    key = (*parent, x)
                 raise ModelError(f"prefix {key} is not a valid token sequence")
-            start += 1
-            mask = self.tokenizer.valid_continuations(key[:start])
-            parent.children[x] = node = Node(mask)
-            parent = node
-        return node
+            node = Node(None, parent, x)
+            node.mask = self.tokenizer.valid_continuations(node.tail(window))
+            parent.children[x] = parent = node
+        return parent
 
     def valid_mask(self, prefix: Sequence[int]) -> np.ndarray:
         """Boolean validity mask of a valid prefix's node: entry ``x`` is
@@ -129,20 +181,22 @@ class LanguageModel:
         return self.node(prefix).mask
 
     def next_token_dist(
-        self, prefix: Sequence[int], parent: Node | None = None
+        self, prefix: Sequence[int] | Node, parent: Node | None = None
     ) -> np.ndarray:
         """Masked distribution over the full vocabulary, renormalized over
         the valid continuations, in one call.
 
         The prefix must be valid and must not contain the terminator; it is
-        reached or added by :meth:`node`, with ``parent`` passed on.  Its
-        distribution is computed once per (model context, mask) pair, and the
+        either this model's :class:`Node` of it, used as it is, or a
+        sequence reached or added by :meth:`node`, with ``parent`` passed
+        on.  Its distribution is computed once per (model context, mask)
+        pair from the prefix's last ``context_window`` tokens, and the
         returned array is read-only and shared.  Refusals are not stored.
         """
-        node = self.node(prefix, parent)
+        node = prefix if isinstance(prefix, Node) else self.node(prefix, parent)
         if node.dist is not None:
             return node.dist
-        key = tuple(prefix)
+        key = node.tail(self.context_window)
         context = self.model_context(key)
         # The fill reads the raw row, fixed by the model context, and the mask.
         # A mask is a read-only row that its node keeps alive (nodes are never
@@ -155,7 +209,7 @@ class LanguageModel:
             total = out.sum()
             if total <= 0.0:
                 raise ModelError(
-                    f"all probability mass fell on invalid continuations of {key}"
+                    f"all probability mass fell on invalid continuations of {tuple(node)}"
                 )
             out = out / total
             out.setflags(write=False)
@@ -178,17 +232,18 @@ class LanguageModel:
         ids = tuple(ids)
         eos, size = self.vocab.eos_id, len(self.vocab)
         p = 1.0
-        parent = None  # node of ids[:s - 1]
+        node = self.root  # node of ids[:s]
         for s, tok in enumerate(ids):
             if eos is not None and s > 0 and ids[s - 1] == eos:
                 return 0.0
             if not 0 <= tok < size:
                 raise TokenizationError(f"unknown token id {tok}")
-            cond = self.next_token_dist(ids[:s], parent)[tok]
+            if s > 0:
+                node = self.child(node, ids[s - 1])
+            cond = self.next_token_dist(node)[tok]
             if cond == 0.0:
                 return 0.0
             p *= cond
-            parent = self.root if s == 0 else parent.children[ids[s - 1]]
         return p
 
 
@@ -208,7 +263,9 @@ class TableModel(LanguageModel):
 
     Prefixes absent from the table fall back to the declared default
     distribution, so small hand-written models stay closed under extension.
-    The table is fixed at construction.
+    The table is fixed at construction.  ``context_window`` is one more than
+    the longest key: a suffix that long is a key only if the prefix is, and
+    any longer prefix reads the default row.
     """
 
     _DEFAULT_ROW = object()  # model context of every prefix the default serves
@@ -232,6 +289,7 @@ class TableModel(LanguageModel):
         )
         # a prefix longer than every key is not hashed to miss the table
         self._longest = max(map(len, self.entries), default=-1)
+        self.context_window = self._longest + 1
 
     def model_context(self, prefix: TokenSeq) -> Hashable:
         """The prefix if it is a table key, else the default row's key."""
@@ -252,8 +310,9 @@ class NgramModel(LanguageModel):
     """Additively-smoothed n-gram over token ids.
 
     ``order`` is the number of conditioning tokens (order 1 is a bigram
-    model).  Conditionals are ``(count + alpha) / (total + alpha * |V|)``,
-    masked to valid continuations afterwards.
+    model), and so its ``context_window``.  Conditionals are
+    ``(count + alpha) / (total + alpha * |V|)``, masked to valid
+    continuations afterwards.
     """
 
     def __init__(
@@ -268,7 +327,7 @@ class NgramModel(LanguageModel):
         if not 0 < alpha < math.inf:
             raise ModelError("smoothing constant must be positive and finite")
         super().__init__(tokenizer)
-        self.order = order
+        self.order = self.context_window = order
         self.alpha = alpha
         self.counts = counts
 

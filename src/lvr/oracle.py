@@ -20,6 +20,7 @@ it; a table refuses more texts than the budget before building them.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from itertools import product
@@ -152,7 +153,7 @@ def _session_marginal(session: ReductionSession, ys: TokenSeq) -> float:
         if raw <= 0.0:
             return 0.0
         if i + 1 == len(ys):
-            return raw
+            return math.ldexp(raw, dist.exponent)
         session.step(y)
     raise AssertionError("unreachable")
 
@@ -236,12 +237,19 @@ def reduced_prefix_prob_table(
     session: ReductionSession, max_len: int, budget: int | _Budget | None = None
 ) -> dict[bytes, float]:
     """Sub-token-tree walk of the reduced model, using the engine's
-    unnormalized marginals; the session must be fresh and exact.  Each
-    descended sub-token is one :meth:`ReductionSession.branch`."""
+    unnormalized marginals, scaled back by their exponent; the session must
+    be fresh and exact.  Each descended sub-token is one
+    :meth:`ReductionSession.branch`."""
     bud = _as_budget(budget)
     texts = bud.texts(session.model.vocab, max_len)
-    tree = (session, lambda s: s.next_subtoken_dist().raw_marginals,
-            lambda s, y, w: s.branch(y))
+
+    def expand(s: ReductionSession) -> np.ndarray:
+        dist = s.next_subtoken_dist()
+        if dist.exponent:
+            return np.ldexp(dist.raw_marginals, dist.exponent)
+        return dist.raw_marginals
+
+    tree = (session, expand, lambda s, y, w: s.branch(y))
     return _walk(tree, session.nested.vocab, texts, bud)
 
 

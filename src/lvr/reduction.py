@@ -27,23 +27,28 @@ marginal are read from the cover.  The efficient variant restricts source
 (ii) to the top-K most probable extensions and reports the marginal mass it
 dropped.
 
-The cover is one *group* per step with extensions: the step's
-retokenization and its marginal, its model tree node (the next call reaches
-the retokenization by one child lookup, never hashing the prefix), its
+The cover is one *group* per step with extensions: the model tree node of
+the step's retokenization (the next step reaches its own by one child
+lookup, never hashing or copying a prefix) and its marginal, its
 extensions' marginals and kept mask, and a node of the nested tokenizer's
 re-encoding trie that lists which entries reach past the prefix, onto which
 sub-token, and which one ends at it.  Source (ii) is one more such group, at
 the trie root, which lists every outer id under its re-encoding's first
-sub-token.  A step adds each pending group's marginals (an extension's is an
-exact ``0.0`` if invalid or top-K-dropped) with one unbuffered
-``np.add.at``, the cover's oldest first and its own last; in input order,
+sub-token.  A step adds every pending group's marginals (an extension's is
+an exact ``0.0`` if invalid or top-K-dropped) with one unbuffered
+``np.bincount``, the cover's oldest first and its own last; in input order,
 as the naive reference adds, bit for bit.  Stepping moves each pending group
-one trie edge: no per-entry object, and one retokenization tuple and one
-prefix tuple copied per step.
+one trie edge and conses the sub-token onto a shared chain: no per-entry
+object, and no tuple that grows with the prefix.
+
+Marginals fall geometrically with the prefix, so a session keeps its cover's
+marginals, and reports ``p~``, as the true values times ``2**-exponent``
+(see :data:`_RESCALE_BELOW`); the exponent rides on each distribution.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, NamedTuple, Sequence
 
@@ -54,6 +59,17 @@ from .model import LanguageModel, Node
 from .tokenization import NestedTokenizer, ReencodingNode, TokenSeq
 
 DEFAULT_TOP_K = 300
+
+# When the chosen sub-token's marginal m = f * 2**e (0.5 <= f < 1) falls
+# below this, _adopt multiplies the cover it keeps by 2**-e.  A power of two
+# scales every normal number exactly, so each later sum and quotient is the
+# unscaled one times the same power, bit for bit, and ``probs`` do not move.
+# The kept cover sums to m, so each step starts from a cover total
+# M >= 2**-511, and a product base * conditional made in it stays normal
+# (>= 2**-1022) while (base / M) * conditional >= 2**-511: the square root
+# of the smallest normal leaves that ratio as many binades as it leaves M.
+# Nothing scaled exceeds 2 / m <= 2**1023 while m is normal.
+_RESCALE_BELOW = 2.0**-511
 
 
 class CoverEntry(NamedTuple):
@@ -66,15 +82,15 @@ class CoverEntry(NamedTuple):
 
 
 class CoverGroup(NamedTuple):
-    """The cover entries one step added: ``retok + (x,)`` for each outer id
-    ``x`` that ``kept`` admits, with marginal ``ext[x]`` and the model's tree
-    node ``parent`` of ``retok``.  ``retok`` has marginal ``base``, and
-    ``retok + (x,)`` has ``base * parent.dist[x]`` even if top-K dropped it.
-    Never written once made."""
+    """The cover entries one step added: ``tuple(node) + (x,)`` for each
+    outer id ``x`` that ``kept`` admits, with marginal ``ext[x]``, where
+    ``node`` is the model's tree node of the step's retokenization.  That
+    retokenization has marginal ``base``, and its extension by ``x`` has
+    ``base * node.dist[x]`` even if top-K dropped it; both in the session's
+    scale.  Never written once made."""
 
-    retok: TokenSeq
+    node: Node
     base: float
-    parent: Node
     ext: np.ndarray
     kept: np.ndarray
 
@@ -93,15 +109,17 @@ class RelativeCover:
 class SubTokenDistribution:
     """Normalized next-sub-token distribution plus diagnostics: the raw
     (unnormalized) marginals and the marginal mass dropped by top-K
-    truncation."""
+    truncation, both the true values times ``2**-exponent``."""
 
     probs: np.ndarray
     raw_marginals: np.ndarray
     dropped_mass: float
+    exponent: int = 0
 
     @property
     def normalizer(self) -> float:
-        return float(self.raw_marginals.sum())
+        """The true sum of the raw marginals (it may underflow to 0)."""
+        return math.ldexp(float(self.raw_marginals.sum()), self.exponent)
 
 
 class ReductionSession:
@@ -120,8 +138,12 @@ class ReductionSession:
     distribution sums one pending list, the cover plus the step's own group
     at the trie root, and stepping moves that list.  :attr:`cover_cache`,
     :meth:`relative_cover` and ``_pending`` enumerate :class:`CoverEntry`
-    records from the groups for readers; ``cover_cache`` and ``_pending``
-    stay because the benchmark tracer reads them.
+    records, with true marginals, from the groups for readers;
+    ``cover_cache`` and ``_pending`` stay because the benchmark tracer reads
+    them.  The groups' marginals are the true ones times ``2**-exponent``.
+
+    The prefix is kept as a chain of ``(rest, sub-token)`` pairs that
+    branches share; :attr:`prefix` builds its tuple on each read.
 
     A session is a single-owner mutable object.  Several sessions may share
     one model and tokenizer, but neither is immutable: every new prefix the
@@ -144,7 +166,9 @@ class ReductionSession:
         self.model = model
         self.nested = nested
         self.topk = topk
-        self.prefix: TokenSeq = ()
+        # the prefix, last sub-token outermost; None is the empty prefix
+        self._chain: tuple | None = None
+        self.exponent = 0
         # the relative cover; the empty prefix's, the empty sequence alone, is
         # implicit
         self.cover: list[tuple[ReencodingNode, CoverGroup]] = []
@@ -153,15 +177,30 @@ class ReductionSession:
         self._last: SubTokenDistribution | None = None
         self._pending_groups: list[tuple[ReencodingNode, CoverGroup]] = []
 
-    def _entries(self, members) -> RelativeCover:
+    @property
+    def prefix(self) -> TokenSeq:
+        """The sub-tokens stepped so far, a new tuple on each read."""
+        out = []
+        link = self._chain
+        while link is not None:
+            link, y = link
+            out.append(y)
+        return tuple(reversed(out))
+
+    def _entries(self, members, scaled: bool = False) -> RelativeCover:
         """:class:`CoverEntry` records of ``(trie node, group, ascending
-        outer ids)`` triples, for the ids each group keeps."""
+        outer ids)`` triples, for the ids each group keeps; marginals are
+        true unless ``scaled``."""
         mapping, prefix = self.nested.mapping, self.prefix
-        return RelativeCover([
-            CoverEntry(g.retok + (x,), prefix[: len(prefix) - at.depth] + mapping[x],
-                       g.ext.item(x))
-            for at, g, xs in members for x in xs if g.kept[x]
-        ])
+        exponent = 0 if scaled else self.exponent
+        entries = []
+        for at, g, xs in members:
+            if xs:  # the node's prefix and the covered sub-tokens, built once
+                seq, head = tuple(g.node), prefix[: len(prefix) - at.depth]
+                entries += [CoverEntry(seq + (x,), head + mapping[x],
+                                       math.ldexp(g.ext.item(x), exponent))
+                            for x in xs if g.kept[x]]
+        return RelativeCover(entries)
 
     def _bucket(self, y: int) -> RelativeCover:
         """Relative cover of ``prefix + (y,)`` from the last distribution:
@@ -169,14 +208,19 @@ class ReductionSession:
         extensions whose re-encoding starts with ``y``."""
         return self._entries((at, g, at.split.get(y, ())) for at, g in self._pending_groups)
 
+    def _cover(self, scaled: bool = False) -> RelativeCover:
+        """The relative cover of the prefix, built from the groups."""
+        if self._chain is None:
+            return RelativeCover([CoverEntry((), (), 1.0)])
+        return self._entries(
+            ((at, g, sorted({*at.ids.tolist(), at.exact} - {-1})) for at, g in self.cover),
+            scaled)
+
     @property
     def cover_cache(self) -> dict[TokenSeq, RelativeCover]:
         """A new ``{prefix: relative cover}`` dict over the one cover the
         session keeps, for readers; writing to it changes nothing."""
-        if not self.prefix:
-            return {(): RelativeCover([CoverEntry((), (), 1.0)])}
-        return {self.prefix: self._entries(
-            (at, g, sorted({*at.ids.tolist(), at.exact} - {-1})) for at, g in self.cover)}
+        return {self.prefix: self._cover()}
 
     # -- per-step computation ------------------------------------------------
 
@@ -185,8 +229,8 @@ class ReductionSession:
         canonical retokenization that enter the cover, and the marginal mass
         top-K dropped from it; no group when no valid outer sequence ends at
         the prefix."""
-        if not self.prefix:
-            retok, base, parent = (), 1.0, None
+        if self._chain is None:
+            node, base = self.model.root, 1.0
         else:
             # The prefix's canonical retokenization R, if it exists, is in a
             # live group: R[:-1] was an earlier step's, whose group has since
@@ -194,15 +238,13 @@ class ReductionSession:
             # admits R[-1], so an entry that top-K dropped is found too.
             for at, g in self.cover:
                 x = at.exact
-                if x >= 0 and g.parent.mask[x]:
-                    retok, parent = g.retok + (x,), g.parent
-                    base = g.base * parent.dist.item(x)
+                if x >= 0 and g.node.mask[x]:
+                    base = g.base * g.node.dist.item(x)
+                    node = self.model.child(g.node, x)
                     break
             else:  # no R: source (ii) is empty
                 return None, 0.0
-        ext = base * self.model.next_token_dist(retok, parent)
-        # the call added the node; only the empty sequence has no parent
-        node = parent.children[retok[-1]] if parent is not None else self.model.root
+        ext = base * self.model.next_token_dist(node)
         kept, dropped = node.mask, 0.0
         if topk is not None and topk < len(ext):
             drop = np.argsort(-ext, kind="stable")[topk:]
@@ -210,36 +252,49 @@ class ReductionSession:
             ext[drop] = 0.0  # the step's own array, not the model's
             kept = kept.copy()
             kept[drop] = False
-        return CoverGroup(retok, base, node, ext, kept), dropped
+        return CoverGroup(node, base, ext, kept), dropped
 
     def _finish(self, raw, dropped, pending) -> SubTokenDistribution:
-        total = raw.sum()
+        total = np.add.reduce(raw)  # raw.sum() without its Python wrapper
         if total <= 0.0:
             raise ReductionError("no sub-token continuation has positive probability")
-        self._last = SubTokenDistribution(raw / total, raw, dropped)
+        self._last = SubTokenDistribution(raw / total, raw, dropped, self.exponent)
         self._pending_groups = pending
         return self._last
 
     def _scatter_dist(self, topk: int | None) -> SubTokenDistribution:
         group, dropped = self._step_group(topk)
-        # the step's group sits at the trie root, which lists every outer id,
-        # ascending, under its re-encoding's first sub-token
-        pending = self.cover if group is None else [*self.cover, (self.nested.trie, group)]
-        raw = np.zeros(len(self.nested.vocab))
-        for at, g in pending:
+        ys, values = [], []
+        for at, g in self.cover:
             if at.ids.size:
-                # unbuffered, in input order, as the naive loop adds
-                np.add.at(raw, at.ys, g.ext[at.ids])
+                ys.append(at.ys)
+                values.append(g.ext[at.ids])
+        if group is None:
+            pending = self.cover
+        else:
+            # the step's group sits at the trie root, which lists every
+            # outer id, ascending, under its re-encoding's first sub-token
+            pending = [*self.cover, (self.nested.trie, group)]
+            ys.append(self.nested.trie.ys)
+            values.append(group.ext)
+        size = len(self.nested.vocab)
+        # one unbuffered pass in input order, as the naive loop adds
+        if len(ys) > 1:
+            raw = np.bincount(np.concatenate(ys), np.concatenate(values), minlength=size)
+        elif ys:
+            raw = np.bincount(ys[0], values[0], minlength=size)
+        else:
+            raw = np.zeros(size)
         return self._finish(raw, dropped, pending)
 
     def next_subtoken_dist(self) -> SubTokenDistribution:
-        """Efficient variant: one scatter-add per pending group, oldest
-        first and the step's own last, each over the ids its trie node
-        lists.  ``ext`` is exactly ``0.0`` at every invalid id, and top-K
-        zeroes the ids it drops, so each sub-token adds its carried entries
-        in cover order and then every id whose re-encoding starts with it,
-        in ascending id, as :meth:`next_subtoken_dist_naive` does, with
-        exact zeros between."""
+        """Efficient variant: one scatter-add over every pending group,
+        oldest first and the step's own last, each over the ids its trie
+        node lists.  ``ext`` is exactly ``0.0`` at every invalid id, and
+        top-K zeroes the ids it drops, so each sub-token adds its carried
+        entries in cover order and then every id whose re-encoding starts
+        with it, in ascending id, as :meth:`next_subtoken_dist_naive` does,
+        with exact zeros between."""
         return self._scatter_dist(self.topk)
 
     def next_subtoken_dist_naive(self) -> SubTokenDistribution:
@@ -249,7 +304,7 @@ class ReductionSession:
         group, _ = self._step_group(None)
         pending = self.cover if group is None else [*self.cover, (self.nested.trie, group)]
         k, mapping = len(self.prefix), self.nested.mapping
-        cover = self.cover_cache[self.prefix].entries
+        cover = self._cover(scaled=True).entries
         sums = [0.0] * len(self.nested.vocab)
         for y in range(len(sums)):
             collected = 0.0
@@ -285,11 +340,20 @@ class ReductionSession:
 
     def _adopt(self, chosen: int) -> None:
         """Move every pending group, the step's last, one trie edge along
-        ``chosen``, dropping those that no re-encoding continues."""
+        ``chosen``, dropping those that no re-encoding continues, and
+        rescale the groups kept if ``chosen``'s marginal is below
+        :data:`_RESCALE_BELOW`, into new arrays."""
         child = self.nested.trie_child
         moved = [(child(at, chosen), g) for at, g in self._pending_groups]
-        self.cover = [(at, g) for at, g in moved if at is not None]
-        self.prefix = self.prefix + (chosen,)
+        cover = [(at, g) for at, g in moved if at is not None]
+        m = self._last.raw_marginals.item(chosen)
+        if m < _RESCALE_BELOW:
+            e = math.frexp(m)[1]
+            cover = [(at, CoverGroup(g.node, math.ldexp(g.base, -e), np.ldexp(g.ext, -e), g.kept))
+                     for at, g in cover]
+            self.exponent += e
+        self.cover = cover
+        self._chain = (self._chain, chosen)
         self._last, self._pending_groups = None, []
 
     def step(self, chosen: int) -> None:
@@ -300,11 +364,11 @@ class ReductionSession:
         this step: the step is then recomputed exactly once and checked
         again."""
         last = self._checked(chosen, "stepping")
-        if last.raw_marginals[chosen] <= 0.0 and last.dropped_mass > 0.0:
+        if last.raw_marginals.item(chosen) <= 0.0 and last.dropped_mass > 0.0:
             # a caller such as a mixture can pick `chosen` on another
             # source's mass after top-K dropped every extension reaching it
             last = self._scatter_dist(None)
-        if last.raw_marginals[chosen] <= 0.0:
+        if last.raw_marginals.item(chosen) <= 0.0:
             raise ReductionError(
                 f"sub-token {chosen} has zero probability after the current prefix"
             )

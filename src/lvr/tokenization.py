@@ -141,6 +141,10 @@ class DeterministicTokenizer:
     """Encoder/decoder pair; ``decode(encode(t)) == t`` for every text."""
 
     vocab: Vocabulary
+    # Most tokens :meth:`mask_context` keeps: a valid prefix's last
+    # ``mask_window`` tokens have its mask.  ``None`` (the generic rule)
+    # keeps the whole prefix.
+    mask_window: int | None = None
 
     def encode(self, text: bytes) -> TokenSeq:
         raise NotImplementedError
@@ -199,13 +203,16 @@ class DeterministicTokenizer:
 class GreedyTokenizer(DeterministicTokenizer):
     """Greedy forward matching: repeatedly consume the longest vocabulary
     surface that prefixes the remaining text, looking its prefixes up in
-    the vocabulary index from ``max_surface_len`` bytes down to one."""
+    the vocabulary index from ``max_surface_len`` bytes down to one.  Its
+    ``mask_window`` is ``max_surface_len - 1`` tokens: :meth:`mask_context`
+    keeps tokens within that many bytes of the end, at least a byte each."""
 
     def __init__(self, vocab: Vocabulary):
         if not vocab.complete:
             raise TokenizationError("greedy tokenizer requires a complete vocabulary")
         self.vocab = vocab
         self._max_surface_len = max(len(s) for s in vocab.surfaces)
+        self.mask_window = self._max_surface_len - 1
 
     def mask_context(self, prefix: Sequence[int]) -> TokenSeq:
         """The trailing tokens that start within ``max_surface_len - 1``
@@ -261,8 +268,11 @@ class BpeTokenizer(DeterministicTokenizer):
     split is exact for every merge list, ordered or not: a merge's product
     is a surface (the constructor refuses any other), so no merge crosses
     such a pair, and each side's merges fire in the same (rank, leftmost)
-    order as they would on that side alone.
+    order as they would on that side alone.  Its ``mask_window`` is one
+    token (see :meth:`mask_context`).
     """
+
+    mask_window = 1
 
     def __init__(self, vocab: Vocabulary, merges: Sequence[tuple[int, int]]):
         if not vocab.complete:

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import binary_instance
 
-from lvr import TableModel
+from lvr import TableModel, reduction
 from lvr.cli import main
 from lvr.files import save_table_model, save_vocabulary
 
@@ -102,6 +102,30 @@ class TestReduceGenerate:
                 ]
             )
         assert traces[0] == traces[1]
+
+    def test_rescaled_trace_reports_true_marginals(self, binary_files, capsys, monkeypatch):
+        # a threshold that rescales the cover at nearly every step changes
+        # no trace value: ptilde, normalizer and dropped_mass are true values
+        traces = []
+        for threshold in (reduction._RESCALE_BELOW, 2.0):
+            monkeypatch.setattr(reduction, "_RESCALE_BELOW", threshold)
+            path = binary_files["dir"] / f"trace-{len(traces)}.jsonl"
+            code = main(
+                [
+                    "reduce-generate",
+                    "--model", str(binary_files["model"]),
+                    "--subvocab", str(binary_files["subvocab"]),
+                    "--k", "2",
+                    "--max-steps", "12",
+                    "--decoding", "sample",
+                    "--seed", "3",
+                    "--trace", str(path),
+                ]
+            )
+            assert code == 0
+            traces.append(path.read_text())
+        assert traces[0] == traces[1]
+        assert any(json.loads(line)["dropped_mass"] > 0 for line in traces[0].splitlines())
 
     def test_truncated_k_differs_in_dropped_mass(self, binary_files, capsys):
         path = binary_files["dir"] / "trace-k1.jsonl"

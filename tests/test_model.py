@@ -27,6 +27,7 @@ from lvr import (
     byte_vocabulary,
     train_ngram,
 )
+from lvr.model import Node
 
 
 class TestNextTokenDist:
@@ -195,15 +196,19 @@ class TestDistributionInvariants:
                         assert dist[tid] == 0.0
 
 
-def filled_nodes(model):
-    """``(prefix, dist)`` of each node of the model's prefix tree whose
-    distribution is computed."""
+def tree_nodes(model):
+    """``(prefix, node)`` of every node of the model's prefix tree."""
     stack = [((), model.root)]
     while stack:
         key, node = stack.pop()
-        if node.dist is not None:
-            yield key, node.dist
+        yield key, node
         stack.extend((key + (t,), child) for t, child in node.children.items())
+
+
+def filled_nodes(model):
+    """``(prefix, dist)`` of each node of the model's prefix tree whose
+    distribution is computed."""
+    return ((key, node.dist) for key, node in tree_nodes(model) if node.dist is not None)
 
 
 def computed_nodes(model) -> int:
@@ -640,6 +645,55 @@ class TestPrefixTree:
         assert len(session.generate(1000)) == 1000
         assert computed_nodes(inst.model) >= 1000
         assert sum(walked) == 0
+
+
+class TestNodeIsItsSequence:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([_bpe_table, _greedy_table]))
+    def test_node_rebuilds_the_prefix_that_reached_it(self, seed, build):
+        # through LanguageModel.node on random prefixes (refusals skipped),
+        # and then over every node of the tree
+        rng = np.random.default_rng(seed)
+        model = build(rng)
+        for key in _random_prefixes(rng, model.tokenizer, 20):
+            got = _outcome(lambda: model.node(key))
+            if got[0] == "ok":
+                node = got[1]
+                assert tuple(node) == key and len(node) == len(key), key
+                assert node.tail(None) == key
+                for n in range(len(key) + 2):
+                    assert node.tail(n) == key[max(0, len(key) - n):], (key, n)
+        for key, node in tree_nodes(model):
+            assert tuple(node) == key and node.depth == len(key)
+            if key:
+                assert node.token == key[-1] and node.parent.children[node.token] is node
+            else:
+                assert node is model.root and node.parent is None
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.sampled_from(["greedy", "bpe"]))
+    def test_session_nodes_rebuild_their_retokenization(self, seed, order, kind):
+        # the node each step passes to the model, reached by child reads
+        # from its cover, is the prefix's canonical retokenization
+        rng = np.random.default_rng(seed)
+        model, nested = _ngram_instance(rng, kind, order)
+        session = ReductionSession(model, nested, topk=None)
+        calls = []
+        next_token_dist = model.next_token_dist
+
+        def spy(prefix, parent=None):
+            calls.append((prefix, session.prefix))
+            return next_token_dist(prefix, parent)
+
+        model.next_token_dist = spy
+        session.generate(30, decoding="sample", seed=seed)
+        del model.next_token_dist
+        assert calls
+        for node, prefix in calls:
+            retok = nested.outer.encode(nested.decode(prefix))
+            assert isinstance(node, Node), prefix
+            assert tuple(node) == retok and len(node) == len(retok), prefix
+            assert model.node(retok) is node, prefix
 
 
 def _assert_shared_by_key(model, rng) -> None:

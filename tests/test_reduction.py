@@ -36,9 +36,15 @@ from lvr import (
     train_ngram,
 )
 from lvr import reduction
+from lvr.model import Node
 from lvr.reduction import CoverEntry
 from lvr.mcv import build_mcv
-from lvr.oracle import lossless_check, original_prefix_prob_table
+from lvr.oracle import (
+    lossless_check,
+    original_prefix_prob_table,
+    reduced_prefix_prob_table,
+    reduced_text_prefix_prob,
+)
 
 
 class TestSessionSetup:
@@ -268,7 +274,8 @@ def _assert_cover_holds_retokenization(session, steps, seed):
         assert marginals == [], prefix
         assert (group is None) == (retok is None), prefix
         if retok is not None:
-            assert group.retok == retok, prefix
+            assert tuple(group.node) == retok, prefix
+            assert group.node is model.node(retok), prefix
             assert group.base == marginal(retok), prefix
         if session.topk is None:
             k = len(prefix)
@@ -452,12 +459,12 @@ class TestScatterKernel:
                 at = self.nested.trie_child(at, y)
             groups.append((sigma, marginals))
             kept = np.ones(39, dtype=bool)
-            cover.append((at, reduction.CoverGroup((), 1.0, None, np.array(marginals), kept)))
+            cover.append((at, reduction.CoverGroup(None, 1.0, np.array(marginals), kept)))
         expected = _per_group_sums(self.nested, groups, ext)
         assume(sum(expected) > 0.0)
         session = ReductionSession(self.model, self.nested, topk=None)
         session.cover = cover
-        group = reduction.CoverGroup((), 1.0, None, ext.copy(), np.ones(39, dtype=bool))
+        group = reduction.CoverGroup(None, 1.0, ext.copy(), np.ones(39, dtype=bool))
         session._step_group = lambda topk: (group, 0.0)
         assert session.next_subtoken_dist().raw_marginals.tolist() == expected
 
@@ -581,24 +588,22 @@ class TestOneGroupPerStep:
     def test_one_scatter_per_pending_group(self, monkeypatch, empty_source, topk):
         # After each distribution the pending list is the cover, then at most
         # the step's own group at the trie root, and the step makes one
-        # np.add.at call per pending group whose trie node lists ids, in
-        # that order; a step with no retokenization makes none for it.
+        # np.bincount call over the ys and marginals of every pending group
+        # whose trie node lists ids, in that order; a step with no
+        # retokenization lists none for it.
         if empty_source:
             model, nested = TestEmptySource.model, TestEmptySource.nested
         else:
             inst = make_instance(np.random.default_rng(5), n_symbols=2)
             model, nested = inst.model, inst.nested
         scattered = []
-        add_at = np.add.at
-
-        class Add:
-            @staticmethod
-            def at(raw, ys, values):
-                scattered.append(ys)
-                add_at(raw, ys, values)
+        bincount = np.bincount
 
         class Numpy:
-            add = Add
+            @staticmethod
+            def bincount(ys, weights, minlength):
+                scattered.append((ys, weights))
+                return bincount(ys, weights, minlength=minlength)
 
             def __getattr__(self, name):
                 return getattr(np, name)
@@ -618,9 +623,11 @@ class TestOneGroupPerStep:
                 assert n <= len(pending) <= n + 1
                 assert all(at is nested.trie for at, _ in pending[n:])
                 no_group += len(pending) == n
-                listed = [at.ys for at, _ in pending if at.ids.size]
-                assert len(scattered) == len(listed)
-                assert all(a is b for a, b in zip(scattered, listed))
+                listed = [(at.ys, g.ext[at.ids]) for at, g in pending if at.ids.size]
+                assert len(scattered) == 1
+                ys, weights = scattered[0]
+                assert ys.tolist() == [y for a, _ in listed for y in a.tolist()]
+                assert weights.tolist() == [v for _, b in listed for v in b.tolist()]
                 return out
 
             for _ in decode(dist, session.step, nested.vocab.eos_id, 40, "sample", seed):
@@ -630,9 +637,10 @@ class TestOneGroupPerStep:
 
 class TestGroupedCover:
     def test_groups_copy_no_prefix(self, binary):
-        # Over 1,000 greedy steps, a group holds no tuple but the
-        # retokenization its step extended, the very tuple the step passed
-        # to the model, and no more groups live than the longest
+        # Over 1,000 greedy steps, the session passes the model nodes, never
+        # tuples; a group holds no tuple, only the node of the
+        # retokenization its step extended, the very node the step passed
+        # to the model; and no more groups live than the longest
         # re-encoding has sub-tokens, so no step copies a prefix per entry.
         session = ReductionSession(binary.model, binary.nested, topk=None)
         longest = max(len(m) for m in binary.nested.mapping)
@@ -649,14 +657,100 @@ class TestGroupedCover:
         def step(chosen):
             session.step(chosen)
             for at, g in session.cover:
-                assert [f for f in g if isinstance(f, tuple)] == [g.retok]
-                assert any(g.retok is c for c in calls[-longest:]), len(session.prefix)
+                assert not any(isinstance(f, tuple) for f in g)
+                assert any(g.node is c for c in calls[-longest:]), len(session.prefix)
                 assert not any(isinstance(f, tuple) for f in at)
             live.append(len(session.cover))
 
         steps = list(decode(session.next_subtoken_dist, step, None, 1000))
         assert len(steps) == 1000
+        assert all(isinstance(c, Node) for c in calls)
         assert 0 < max(live) <= longest
+
+
+class TestLongGeneration:
+    # The README binary model's marginals pass below the smallest double
+    # near step 880.  Digests of the first 800 steps' chosen ids and probs
+    # bytes, sampled with seeds 0, 1, 2, recorded on the engine before it
+    # rescaled its cover.
+    DIGESTS_800 = ["0b0eb2d2d404114e", "b437efc807689dce", "ed88f5ce8ea8b137"]
+
+    @staticmethod
+    def _run(binary, steps, seed):
+        session = ReductionSession(binary.model, binary.nested, topk=None)
+        return session, list(decode(session.next_subtoken_dist, session.step, None, steps,
+                                    "sample", seed))
+
+    def test_5000_steps(self, binary):
+        for seed, want in enumerate(self.DIGESTS_800):
+            session, steps = self._run(binary, 5000, seed)
+            assert len(steps) == 5000
+            digest = hashlib.sha256()
+            for s in steps[:800]:
+                digest.update(s.dist.probs.tobytes())
+                digest.update(s.chosen.to_bytes(4, "little"))
+            assert digest.hexdigest()[:16] == want, seed
+            # the true marginal of the prefix is below 2**-5600
+            assert session.exponent < -5600
+            assert all(s.dist.raw_marginals.sum() >= 2.0**-512 for s in steps)
+
+    def test_rescaling_is_exact(self, binary, monkeypatch):
+        # without rescaling the first 800 steps choose the same ids, and
+        # their raw marginals are the rescaled ones times 2**exponent, bit
+        # for bit; the exponent moves only after a marginal below the
+        # threshold
+        _, scaled = self._run(binary, 800, 4)
+        monkeypatch.setattr(reduction, "_RESCALE_BELOW", 0.0)
+        _, plain = self._run(binary, 800, 4)
+        assert [s.chosen for s in scaled] == [s.chosen for s in plain]
+        assert {s.dist.exponent for s in plain} == {0}
+        assert scaled[-1].dist.exponent < 0
+        for a, b in zip(scaled, plain):
+            assert np.ldexp(a.dist.raw_marginals, a.dist.exponent).tolist() == (
+                b.dist.raw_marginals.tolist())
+            assert a.dist.probs.tobytes() == b.dist.probs.tobytes()
+        for a, b in zip(scaled, scaled[1:]):
+            if b.dist.exponent != a.dist.exponent:
+                assert plain[a.index].dist.raw_marginals[a.chosen] < 2.0**-511
+
+    def test_model_and_mask_keys_stay_bounded(self, binary, monkeypatch):
+        # a step reads the model's raw row, its context and a new node's
+        # mask from a bounded window of the prefix, however long it grows
+        model, tokenizer = binary.model, binary.tokenizer
+        assert model.context_window == 2 and tokenizer.mask_window == 2
+        keys = {"raw": [], "context": [], "mask": []}
+        for owner, name, log in [(model, "raw_next_token_dist", "raw"),
+                                 (model, "model_context", "context"),
+                                 (tokenizer, "valid_continuations", "mask")]:
+            def spy(prefix, orig=getattr(owner, name), log=keys[log]):
+                log.append(prefix)
+                return orig(prefix)
+
+            monkeypatch.setattr(owner, name, spy)
+        session, steps = self._run(binary, 5000, 0)
+        assert len(steps) == 5000
+        assert len(keys["mask"]) >= 3000 and len(keys["context"]) >= 3000
+        assert 0 < len(keys["raw"]) <= 9
+        for log in keys.values():
+            assert all(type(k) is tuple and len(k) <= 2 for k in log)
+
+    def test_oracle_reads_true_marginals(self, binary, monkeypatch):
+        # a threshold that rescales at nearly every step changes no value
+        # that the reduced table or the per-text cover route reports
+        texts = [b"0010", b"1101", b"00000001"]
+
+        def reports():
+            def session():
+                return ReductionSession(binary.model, binary.nested, topk=None)
+
+            return (reduced_prefix_prob_table(session(), 8),
+                    [reduced_text_prefix_prob(session, t) for t in texts])
+
+        plain = reports()
+        monkeypatch.setattr(reduction, "_RESCALE_BELOW", 2.0)
+        _, steps = self._run(binary, 8, 0)
+        assert steps[-1].dist.exponent < 0
+        assert reports() == plain
 
 
 class TestByteLevelSpecialCase:
@@ -829,10 +923,10 @@ class TestPinnedDigests:
     # Digests of sampled generations, recorded on the per-entry cover
     # engine that the grouped cover replaced.  They pin the chosen ids and
     # every step's raw marginals bit for bit, independently of the
-    # session's naive variant.  The BPE runs change if extensions are
-    # summed per sub-token and then added (``np.bincount``, pairwise or
-    # ``reduceat``), if a group's entries are, or if extensions are added
-    # before carried entries.
+    # session's naive variant.  The BPE runs change if a group's extensions
+    # are summed per sub-token before they join the carried sums (a
+    # per-group ``np.bincount``, pairwise or ``reduceat``), if a group's
+    # entries are, or if extensions are added before carried entries.
     def test_greedy_exact(self):
         inst = make_instance(np.random.default_rng(11), n_symbols=3, n_multi=16, n_sub_multi=4)
         got = [_generation_digest(ReductionSession(inst.model, inst.nested, topk=None), 60, s)

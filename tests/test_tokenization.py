@@ -567,3 +567,34 @@ def test_reencoding_trie_matches_mapping(seed, kind, paths):
         count += 1
         stack.extend((child, sigma + (y,)) for y, child in node.children.items())
     assert count <= sum(map(len, mapping)) + 1
+
+
+@st.composite
+def _window_cases(draw):
+    """A greedy case, or a wide merge list with a text over its alphabet."""
+    if draw(st.booleans()):
+        return draw(_greedy_cases())
+    tokenizer = wide_merge_tokenizer(np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    symbols = sorted(tokenizer.vocab.alphabet.symbols)
+    return tokenizer, bytes(draw(st.lists(st.sampled_from(symbols), max_size=24)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_window_cases())
+def test_mask_context_fits_the_mask_window(case):
+    # every prefix of an encoding is valid, and its last mask_window tokens
+    # give the same mask context as the whole prefix
+    tokenizer, text = case
+    bound = tokenizer.mask_window
+    assert bound == (1 if isinstance(tokenizer, BpeTokenizer)
+                     else max(map(len, tokenizer.vocab.surfaces)) - 1)
+    ids = tokenizer.encode(text)
+    for n in range(len(ids) + 1):
+        prefix = ids[:n]
+        window = prefix[max(0, n - bound):]
+        assert tokenizer.mask_context(window) == tokenizer.mask_context(prefix), (prefix, bound)
+
+
+def test_generic_mask_window_is_the_whole_prefix():
+    nested = binary_instance().nested
+    assert DeterministicTokenizer.mask_window is None and nested.mask_window is None
