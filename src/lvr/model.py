@@ -117,29 +117,21 @@ class LanguageModel:
     def _dists(self) -> dict[tuple[Hashable, int], np.ndarray]:
         return {}  # (model context, id of the mask) -> masked distribution
 
-    def node(self, prefix: Sequence[int], parent: Node | None = None) -> Node:
-        """Tree node of the valid prefix ``prefix``, added with its missing
-        ancestors on first use.  ``parent``, when given, must be the node of
-        ``prefix[:-1]``: a known prefix is then one child read, whatever its
-        length; without it the tree is walked from the root.  Each missing
-        step is validated by its parent node's mask.  A refusal names the
-        first of: a terminator among the missing steps, an unknown id among
-        them (:class:`TokenizationError`), a step the mask refuses.
+    def node(self, prefix: Sequence[int]) -> Node:
+        """Tree node of the valid prefix ``prefix``, walked from the root and
+        added with its missing ancestors on first use.  Each missing step is
+        validated by its parent node's mask.  A refusal names the first of:
+        a terminator among the missing steps, an unknown id among them
+        (:class:`TokenizationError`), a step the mask refuses.
         """
-        if parent is not None:
-            node = parent.children.get(prefix[-1])
-            if node is not None:
-                return node
-            start = len(prefix) - 1
+        parent, start = self.root, 0
+        for t in prefix:
+            node = parent.children.get(t)
+            if node is None:
+                break
+            parent, start = node, start + 1
         else:
-            parent, start = self.root, 0
-            for t in prefix:
-                node = parent.children.get(t)
-                if node is None:
-                    break
-                parent, start = node, start + 1
-            else:
-                return parent
+            return parent
         key = tuple(prefix)
         return self._extend(parent, key[start:], key)
 
@@ -180,20 +172,18 @@ class LanguageModel:
         """
         return self.node(prefix).mask
 
-    def next_token_dist(
-        self, prefix: Sequence[int] | Node, parent: Node | None = None
-    ) -> np.ndarray:
+    def next_token_dist(self, prefix: Sequence[int] | Node) -> np.ndarray:
         """Masked distribution over the full vocabulary, renormalized over
         the valid continuations, in one call.
 
         The prefix must be valid and must not contain the terminator; it is
-        either this model's :class:`Node` of it, used as it is, or a
-        sequence reached or added by :meth:`node`, with ``parent`` passed
-        on.  Its distribution is computed once per (model context, mask)
-        pair from the prefix's last ``context_window`` tokens, and the
-        returned array is read-only and shared.  Refusals are not stored.
+        either this model's :class:`Node` of it (see :meth:`child`), used as
+        it is, or a sequence reached or added by :meth:`node`.  Its
+        distribution is computed once per (model context, mask) pair from
+        the prefix's last ``context_window`` tokens, and the returned array
+        is read-only and shared.  Refusals are not stored.
         """
-        node = prefix if isinstance(prefix, Node) else self.node(prefix, parent)
+        node = prefix if isinstance(prefix, Node) else self.node(prefix)
         if node.dist is not None:
             return node.dist
         key = node.tail(self.context_window)
@@ -263,9 +253,12 @@ class TableModel(LanguageModel):
 
     Prefixes absent from the table fall back to the declared default
     distribution, so small hand-written models stay closed under extension.
-    The table is fixed at construction.  ``context_window`` is one more than
-    the longest key: a suffix that long is a key only if the prefix is, and
-    any longer prefix reads the default row.
+    The table is fixed at construction.  With a default, ``context_window``
+    is one more than the longest key: a suffix that long is a key only if
+    the prefix is, and any longer prefix reads the default row.  Without
+    one it is ``None``: a prefix longer than every key is refused, and the
+    refusal names it whole, so only refusals read more than the longest
+    key.
     """
 
     _DEFAULT_ROW = object()  # model context of every prefix the default serves
@@ -289,7 +282,7 @@ class TableModel(LanguageModel):
         )
         # a prefix longer than every key is not hashed to miss the table
         self._longest = max(map(len, self.entries), default=-1)
-        self.context_window = self._longest + 1
+        self.context_window = self._longest + 1 if self.default is not None else None
 
     def model_context(self, prefix: TokenSeq) -> Hashable:
         """The prefix if it is a table key, else the default row's key."""

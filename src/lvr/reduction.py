@@ -59,6 +59,7 @@ from .model import LanguageModel, Node
 from .tokenization import NestedTokenizer, ReencodingNode, TokenSeq
 
 DEFAULT_TOP_K = 300
+_NO_IDS, _NO_VALUES = np.zeros(0, dtype=np.intp), np.zeros(0)
 
 # When the chosen sub-token's marginal m = f * 2**e (0.5 <= f < 1) falls
 # below this, _adopt multiplies the cover it keeps by 2**-e.  A power of two
@@ -277,14 +278,14 @@ class ReductionSession:
             pending = [*self.cover, (self.nested.trie, group)]
             ys.append(self.nested.trie.ys)
             values.append(group.ext)
-        size = len(self.nested.vocab)
-        # one unbuffered pass in input order, as the naive loop adds
-        if len(ys) > 1:
-            raw = np.bincount(np.concatenate(ys), np.concatenate(values), minlength=size)
-        elif ys:
-            raw = np.bincount(ys[0], values[0], minlength=size)
+        # One unbuffered pass in input order, as the naive loop adds.  Most
+        # sampled binary steps scatter one group (573 of 880), and passing it
+        # unconcatenated saves about 1.2 of 13 us per step (2-vCPU Xeon).
+        if len(ys) == 1:
+            ys, values = ys[0], values[0]
         else:
-            raw = np.zeros(size)
+            ys, values = np.concatenate(ys or [_NO_IDS]), np.concatenate(values or [_NO_VALUES])
+        raw = np.bincount(ys, values, minlength=len(self.nested.vocab))
         return self._finish(raw, dropped, pending)
 
     def next_subtoken_dist(self) -> SubTokenDistribution:
@@ -341,13 +342,14 @@ class ReductionSession:
     def _adopt(self, chosen: int) -> None:
         """Move every pending group, the step's last, one trie edge along
         ``chosen``, dropping those that no re-encoding continues, and
-        rescale the groups kept if ``chosen``'s marginal is below
-        :data:`_RESCALE_BELOW`, into new arrays."""
+        rescale the groups kept if ``chosen``'s marginal is positive and
+        below :data:`_RESCALE_BELOW`, into new arrays (a branch onto a
+        zero-mass sub-token keeps its scale)."""
         child = self.nested.trie_child
         moved = [(child(at, chosen), g) for at, g in self._pending_groups]
         cover = [(at, g) for at, g in moved if at is not None]
         m = self._last.raw_marginals.item(chosen)
-        if m < _RESCALE_BELOW:
+        if 0.0 < m < _RESCALE_BELOW:
             e = math.frexp(m)[1]
             cover = [(at, CoverGroup(g.node, math.ldexp(g.base, -e), np.ldexp(g.ext, -e), g.kept))
                      for at, g in cover]

@@ -61,6 +61,16 @@ class TestNextTokenDist:
             with pytest.raises(ModelError, match="no table entry"):
                 model.next_token_dist((0,))
 
+    def test_missing_entry_names_a_long_prefix_whole(self, binary):
+        # without a default the raw row is keyed on the whole prefix, so the
+        # refusal names all of it, not the last longest-key-plus-one tokens
+        model = TableModel(binary.tokenizer, {(2,): np.full(4, 0.25)}, default=None)
+        assert model.context_window is None
+        for prefix in [(1, 1, 1), (2, 0, 1, 1), (1,)]:
+            with pytest.raises(ModelError, match=re.escape(f"prefix {prefix} and") + " no default$"):
+                model.next_token_dist(prefix)
+        assert model.next_token_dist((2,)).sum() == pytest.approx(1.0)
+
     def test_refusal_is_not_shared(self, binary):
         # (0,) and (2, 0) share the default row and the mask context (0,);
         # after "0" the default's mass falls on "0" and "00", both invalid
@@ -130,14 +140,15 @@ def _telescoping(model, ids, dist=None):
 
 def _count_walks(monkeypatch) -> list[int]:
     """Record the length of every non-empty prefix looked up from a model's
-    root, that is passed to ``node`` without its parent node."""
+    root, that is passed to ``node`` (:meth:`LanguageModel.child` steps one
+    token past a node without it)."""
     walked = []
     node = LanguageModel.node
 
-    def counted(model, prefix, parent=None):
-        if parent is None and len(prefix):
+    def counted(model, prefix):
+        if len(prefix):
             walked.append(len(prefix))
-        return node(model, prefix, parent)
+        return node(model, prefix)
 
     monkeypatch.setattr(LanguageModel, "node", counted)
     return walked
@@ -548,9 +559,9 @@ def _same(got, want) -> bool:
 def _assert_tree_matches_reference(model, nested, rng) -> None:
     """Interleave tuple calls on random prefixes (mostly with an uncached
     parent), on extensions of computed prefixes (by one token, with a
-    cached parent, or two, with an uncached one; with and without the
-    parent node), session steps, ``marginal`` and ``valid_mask``; then check
-    every node of the tree."""
+    cached parent, or two, with an uncached one; by tuple and, for one
+    token, by ``child`` of the computed prefix's node), session steps,
+    ``marginal`` and ``valid_mask``; then check every node of the tree."""
     tokenizer = model.tokenizer
     size = len(tokenizer.vocab)
     computed: list[tuple] = []
@@ -572,7 +583,7 @@ def _assert_tree_matches_reference(model, nested, rng) -> None:
             tail = [int(t) for t in rng.integers(-1, size + 1, int(rng.integers(1, 3)))]
             key = base + tuple(tail)
             if op == 2 and len(tail) == 1:
-                check(key, lambda: model.next_token_dist(key, model.node(base)))
+                check(key, lambda: model.next_token_dist(model.child(model.node(base), tail[0])))
             else:
                 check(key, lambda: model.next_token_dist(key))
         elif op == 3 and session is not None:
@@ -637,8 +648,9 @@ class TestPrefixTree:
         _assert_tree_matches_reference(*_ngram_instance(rng, kind, order), rng)
 
     def test_cold_binary_generation_walks_no_prefix(self, monkeypatch):
-        # every step reaches its retokenization through the parent node in
-        # its cover entry; a lookup from the root walks the whole prefix
+        # every step reaches its retokenization by one child read from the
+        # node in its cover group; a lookup from the root walks the whole
+        # prefix
         inst = binary_instance()
         walked = _count_walks(monkeypatch)
         session = ReductionSession(inst.model, inst.nested, topk=None)
@@ -681,9 +693,9 @@ class TestNodeIsItsSequence:
         calls = []
         next_token_dist = model.next_token_dist
 
-        def spy(prefix, parent=None):
+        def spy(prefix):
             calls.append((prefix, session.prefix))
-            return next_token_dist(prefix, parent)
+            return next_token_dist(prefix)
 
         model.next_token_dist = spy
         session.generate(30, decoding="sample", seed=seed)

@@ -3,6 +3,7 @@ stepping, generation, and the naive-restriction baseline."""
 
 import hashlib
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -647,9 +648,9 @@ class TestGroupedCover:
         calls = []
         next_token_dist = binary.model.next_token_dist
 
-        def spy(prefix, parent=None):
+        def spy(prefix):
             calls.append(prefix)
-            return next_token_dist(prefix, parent)
+            return next_token_dist(prefix)
 
         binary.model.next_token_dist = spy
         live = []
@@ -751,6 +752,27 @@ class TestLongGeneration:
         _, steps = self._run(binary, 8, 0)
         assert steps[-1].dist.exponent < 0
         assert reports() == plain
+
+    def test_zero_mass_branch_keeps_its_scale(self, binary, monkeypatch):
+        # a branch onto a sub-token with no mass rescales nothing, even
+        # under a threshold that every positive marginal is below
+        monkeypatch.setattr(reduction, "_RESCALE_BELOW", 2.0)
+        session = ReductionSession(binary.model, binary.nested, topk=None)
+        for y in (2, 0):
+            session.next_subtoken_dist()
+            session.step(y)
+        dist = session.next_subtoken_dist()
+        exponent = session.exponent
+        zero = [y for y, m in enumerate(dist.raw_marginals) if m == 0.0]
+        assert zero
+        for y in zero:
+            child = session.branch(y)
+            assert child.exponent == exponent
+            kept = {id(g) for _, g in session._pending_groups}
+            assert all(id(g) in kept for _, g in child.cover)
+        for y in np.flatnonzero(dist.raw_marginals).tolist():
+            e = math.frexp(dist.raw_marginals[y])[1]
+            assert session.branch(y).exponent == exponent + e
 
 
 class TestByteLevelSpecialCase:
