@@ -24,13 +24,12 @@ from .tokenization import DeterministicTokenizer, TokenSeq
 
 class Node:
     """One valid prefix in a model's cache, and the sequence it stands for:
-    ``len(node)`` is the prefix's length and iterating it rebuilds the
-    prefix's tokens, walking ``parent`` links up to the root.  It holds its
-    validity mask and its masked distribution (``None`` until computed),
-    both shared read-only arrays, the nodes of its one-token extensions by
-    id, its parent's node (``None`` at the root), the token that extends the
-    parent (``-1`` at the root) and its length ``depth``.  No tuple of the
-    prefix is stored; :meth:`tail` builds its last tokens."""
+    ``len(node)`` is its length, and ``node[i:]`` (``i`` may be negative) and
+    iteration build its tokens by walking ``parent`` links, in O(tokens
+    built).  It holds its validity mask and its masked distribution (``None``
+    until computed), both shared read-only arrays, the nodes of its one-token
+    extensions by id, its parent's node (``None`` at the root), the token
+    that extends the parent (``-1`` at the root) and its length ``depth``."""
 
     __slots__ = ("dist", "mask", "children", "parent", "token", "depth")
 
@@ -46,13 +45,12 @@ class Node:
         return self.depth
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self.tail(self.depth))
+        return iter(self[:])
 
-    def tail(self, n: int | None) -> TokenSeq:
-        """The last ``n`` tokens of the prefix (all of them if ``n`` is
-        ``None`` or at least its length), as a tuple; ``O(n)``."""
-        if n is None or n > self.depth:
-            n = self.depth
+    def __getitem__(self, index: slice) -> TokenSeq:
+        if type(index) is not slice or index.stop is not None or index.step is not None:
+            raise TypeError(f"a node takes only node[i:], not {index!r}")
+        n = self.depth - index.indices(self.depth)[0]
         out = []
         node = self
         while n:
@@ -72,13 +70,17 @@ class LanguageModel:
     added once its prefix is validated, with its mask: ``p + (x,)`` is
     valid iff ``p`` is valid and ``p``'s mask admits ``x``, so no prefix is
     re-encoded to validate it.  The mask is the tokenizer's memoized row
-    (:meth:`DeterministicTokenizer.valid_continuations`) for the node's last
-    ``tokenizer.mask_window`` tokens, shared with every other model over
-    that tokenizer.  The tree grows by one node per valid prefix reached,
-    ancestors included, and is never pruned (a node and its parent refer
-    to each other, so the tree is freed with the model by the cyclic
-    collector), but its nodes share one distribution per
-    (:meth:`model_context`, mask) pair.
+    (:meth:`DeterministicTokenizer.valid_continuations`) for the node,
+    shared with every other model over that tokenizer.  The tree grows by
+    one node per valid prefix reached, ancestors included, and is never
+    pruned (a node and its parent refer to each other, so the tree is freed
+    with the model by the cyclic collector), but its nodes share one
+    distribution per (:meth:`model_context`, mask) pair.
+
+    The hooks :meth:`model_context`, :meth:`raw_next_token_dist` and the
+    tokenizer's ``mask_context`` get a prefix as a tuple or a :class:`Node`,
+    read it only by ``len``, iteration and ``p[i:]``, and return a hashable
+    key or a row, never the node.
 
     A valid prefix must have at least one valid continuation.  A vocabulary
     with no terminator in which every follower of some token would be
@@ -89,11 +91,6 @@ class LanguageModel:
     ``original_prefix_prob_table`` that reach it.
     """
 
-    # Longest suffix of a prefix that fixes its raw row, in tokens: the key
-    # :meth:`raw_next_token_dist` and :meth:`model_context` receive.  ``None``
-    # passes the whole prefix.
-    context_window: int | None = None
-
     def __init__(self, tokenizer: DeterministicTokenizer):
         self.tokenizer = tokenizer
 
@@ -101,10 +98,10 @@ class LanguageModel:
     def vocab(self):
         return self.tokenizer.vocab
 
-    def raw_next_token_dist(self, prefix: TokenSeq) -> np.ndarray:
+    def raw_next_token_dist(self, prefix: TokenSeq | Node) -> np.ndarray:
         raise NotImplementedError
 
-    def model_context(self, prefix: TokenSeq) -> Hashable | None:
+    def model_context(self, prefix: TokenSeq | Node) -> Hashable | None:
         """Key that fixes ``raw_next_token_dist(prefix)``; ``None`` shares nothing."""
         return None
 
@@ -145,22 +142,20 @@ class LanguageModel:
     def _extend(self, parent: Node, new: TokenSeq, key: TokenSeq | None = None) -> Node:
         """Add the nodes of ``parent``'s prefix followed by ``new``, all
         missing, after the checks :meth:`node` lists; ``key`` is the whole
-        prefix named by a refusal (built from the nodes if ``None``).  A new
-        node's mask is read from its last ``tokenizer.mask_window`` tokens."""
+        prefix named by a refusal (built from the nodes if ``None``)."""
         if self.vocab.eos_id in new:
             raise ModelError("cannot continue a terminated sequence")
         size = len(parent.mask)
         for x in new:
             if not 0 <= x < size:
                 raise TokenizationError(f"unknown token id {x}")
-        window = self.tokenizer.mask_window
         for x in new:
             if not parent.mask[x]:
                 if key is None:
                     key = (*parent, x)
                 raise ModelError(f"prefix {key} is not a valid token sequence")
             node = Node(None, parent, x)
-            node.mask = self.tokenizer.valid_continuations(node.tail(window))
+            node.mask = self.tokenizer.valid_continuations(node)
             parent.children[x] = parent = node
         return parent
 
@@ -179,22 +174,20 @@ class LanguageModel:
         The prefix must be valid and must not contain the terminator; it is
         either this model's :class:`Node` of it (see :meth:`child`), used as
         it is, or a sequence reached or added by :meth:`node`.  Its
-        distribution is computed once per (model context, mask) pair from
-        the prefix's last ``context_window`` tokens, and the returned array
-        is read-only and shared.  Refusals are not stored.
+        distribution is computed once per (model context, mask) pair, and
+        the returned array is read-only and shared.  Refusals are not stored.
         """
         node = prefix if isinstance(prefix, Node) else self.node(prefix)
         if node.dist is not None:
             return node.dist
-        key = node.tail(self.context_window)
-        context = self.model_context(key)
+        context = self.model_context(node)
         # The fill reads the raw row, fixed by the model context, and the mask.
         # A mask is a read-only row that its node keeps alive (nodes are never
         # freed), so its id names one row; rows are interned per mask context.
         memo = None if context is None else (context, id(node.mask))
         out = self._dists.get(memo)
         if out is None:
-            raw = np.asarray(self.raw_next_token_dist(key), dtype=float)
+            raw = np.asarray(self.raw_next_token_dist(node), dtype=float)
             out = np.where(node.mask, raw, 0.0)
             total = out.sum()
             if total <= 0.0:
@@ -253,12 +246,10 @@ class TableModel(LanguageModel):
 
     Prefixes absent from the table fall back to the declared default
     distribution, so small hand-written models stay closed under extension.
-    The table is fixed at construction.  With a default, ``context_window``
-    is one more than the longest key: a suffix that long is a key only if
-    the prefix is, and any longer prefix reads the default row.  Without
-    one it is ``None``: a prefix longer than every key is refused, and the
-    refusal names it whole, so only refusals read more than the longest
-    key.
+    The table is fixed at construction.  A prefix longer than every key
+    reads the default row, or is refused without one, so only a prefix no
+    longer than the longest key is read whole to look it up; a refusal
+    names the whole prefix.
     """
 
     _DEFAULT_ROW = object()  # model context of every prefix the default serves
@@ -282,20 +273,21 @@ class TableModel(LanguageModel):
         )
         # a prefix longer than every key is not hashed to miss the table
         self._longest = max(map(len, self.entries), default=-1)
-        self.context_window = self._longest + 1 if self.default is not None else None
 
-    def model_context(self, prefix: TokenSeq) -> Hashable:
-        """The prefix if it is a table key, else the default row's key."""
-        if len(prefix) <= self._longest and prefix in self.entries:
-            return prefix
+    def model_context(self, prefix: TokenSeq | Node) -> Hashable:
+        """The prefix's tuple if it is a table key, else the default row's key."""
+        if len(prefix) <= self._longest:
+            key = tuple(prefix)
+            if key in self.entries:
+                return key
         return self._DEFAULT_ROW
 
-    def raw_next_token_dist(self, prefix: TokenSeq) -> np.ndarray:
+    def raw_next_token_dist(self, prefix: TokenSeq | Node) -> np.ndarray:
         context = self.model_context(prefix)
         if context is not self._DEFAULT_ROW:
             return self.entries[context]
         if self.default is None:
-            raise ModelError(f"no table entry for prefix {prefix} and no default")
+            raise ModelError(f"no table entry for prefix {tuple(prefix)} and no default")
         return self.default
 
 
@@ -303,7 +295,7 @@ class NgramModel(LanguageModel):
     """Additively-smoothed n-gram over token ids.
 
     ``order`` is the number of conditioning tokens (order 1 is a bigram
-    model), and so its ``context_window``.  Conditionals are
+    model), the most :meth:`model_context` reads.  Conditionals are
     ``(count + alpha) / (total + alpha * |V|)``, masked to valid
     continuations afterwards.
     """
@@ -320,15 +312,15 @@ class NgramModel(LanguageModel):
         if not 0 < alpha < math.inf:
             raise ModelError("smoothing constant must be positive and finite")
         super().__init__(tokenizer)
-        self.order = self.context_window = order
+        self.order = order
         self.alpha = alpha
         self.counts = counts
 
-    def model_context(self, prefix: TokenSeq) -> TokenSeq:
+    def model_context(self, prefix: TokenSeq | Node) -> TokenSeq:
         """The last ``order`` tokens, all that the conditional reads."""
-        return prefix[-self.order :]
+        return tuple(prefix[-self.order :])
 
-    def raw_next_token_dist(self, prefix: TokenSeq) -> np.ndarray:
+    def raw_next_token_dist(self, prefix: TokenSeq | Node) -> np.ndarray:
         counts = self.counts.get(self.model_context(prefix))
         size = len(self.vocab)
         if counts is None:

@@ -162,8 +162,6 @@ class ReductionSession:
             raise ReductionError(
                 "nested tokenizer's outer vocabulary does not match the model's"
             )
-        if topk is not None and topk < 1:
-            raise ReductionError("top-K must be at least 1 (or None for exact mode)")
         self.model = model
         self.nested = nested
         self.topk = topk
@@ -177,6 +175,18 @@ class ReductionSession:
         # step moves
         self._last: SubTokenDistribution | None = None
         self._pending_groups: list[tuple[ReencodingNode, CoverGroup]] = []
+
+    @property
+    def topk(self) -> int | None:
+        """K, or ``None`` for exact mode; anything else but an ``int`` of at
+        least 1 raises :class:`ReductionError`, here or in the constructor."""
+        return self._topk
+
+    @topk.setter
+    def topk(self, value: int | None) -> None:
+        if value is not None and (type(value) is not int or value < 1):
+            raise ReductionError(f"top-K must be an int of at least 1 or None, not {value!r}")
+        self._topk = value
 
     @property
     def prefix(self) -> TokenSeq:
@@ -296,7 +306,7 @@ class ReductionSession:
         entries in cover order and then every id whose re-encoding starts
         with it, in ascending id, as :meth:`next_subtoken_dist_naive` does,
         with exact zeros between."""
-        return self._scatter_dist(self.topk)
+        return self._scatter_dist(self._topk)
 
     def next_subtoken_dist_naive(self) -> SubTokenDistribution:
         """Reference variant: for every sub-token, scan every cover entry

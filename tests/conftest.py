@@ -5,6 +5,7 @@ sub-vocabulary)."""
 from __future__ import annotations
 
 from typing import NamedTuple
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from lvr import (
     Vocabulary,
 )
 from lvr.mcv import build_mcv
+from lvr.model import Node
 
 LETTERS = b"abcdefgh"
 
@@ -158,3 +160,16 @@ def mcv_instance(rng) -> tuple[TableModel, NestedTokenizer]:
     vec = rng.integers(1, 4, len(tokenizer.vocab)).astype(float)
     model = TableModel(tokenizer, {}, default=vec / vec.sum())
     return model, NestedTokenizer(tokenizer, common)
+
+
+def spy_node_reads(reads: list[int]):
+    """Patch :class:`Node` so each ``node[i:]`` (iteration included) logs
+    how many tokens it built into ``reads``."""
+    getitem = Node.__getitem__
+
+    def spy(node, index):
+        out = getitem(node, index)
+        reads.append(len(out))
+        return out
+
+    return mock.patch.object(Node, "__getitem__", spy)

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import binary_instance, make_instance, wide_merge_tokenizer
+from conftest import binary_instance, make_instance, spy_node_reads, wide_merge_tokenizer
+from test_tokenization import _window_cases
 
 from lvr import (
     Alphabet,
@@ -65,7 +66,6 @@ class TestNextTokenDist:
         # without a default the raw row is keyed on the whole prefix, so the
         # refusal names all of it, not the last longest-key-plus-one tokens
         model = TableModel(binary.tokenizer, {(2,): np.full(4, 0.25)}, default=None)
-        assert model.context_window is None
         for prefix in [(1, 1, 1), (2, 0, 1, 1), (1,)]:
             with pytest.raises(ModelError, match=re.escape(f"prefix {prefix} and") + " no default$"):
                 model.next_token_dist(prefix)
@@ -672,15 +672,22 @@ class TestNodeIsItsSequence:
             if got[0] == "ok":
                 node = got[1]
                 assert tuple(node) == key and len(node) == len(key), key
-                assert node.tail(None) == key
-                for n in range(len(key) + 2):
-                    assert node.tail(n) == key[max(0, len(key) - n):], (key, n)
+                assert node[:] == key
+                for i in range(-len(key) - 2, len(key) + 2):
+                    assert node[i:] == key[i:], (key, i)
         for key, node in tree_nodes(model):
             assert tuple(node) == key and node.depth == len(key)
             if key:
                 assert node.token == key[-1] and node.parent.children[node.token] is node
             else:
                 assert node is model.root and node.parent is None
+
+    @pytest.mark.parametrize("index", [0, -1, slice(0, 1), slice(None, -1), slice(0, None, 1),
+                                       slice(None, None, -1), slice("a", None)])
+    def test_node_takes_only_a_tail_slice(self, binary, index):
+        node = binary.model.node((2, 0, 1))
+        with pytest.raises(TypeError):
+            node[index]
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.sampled_from(["greedy", "bpe"]))
@@ -706,6 +713,59 @@ class TestNodeIsItsSequence:
             assert isinstance(node, Node), prefix
             assert tuple(node) == retok and len(node) == len(retok), prefix
             assert model.node(retok) is node, prefix
+
+
+@st.composite
+def _context_cases(draw):
+    """A tokenizer and text from ``_window_cases`` (the text cut at a
+    terminator), with an n-gram of order 1-3 or a table with or without a
+    default row over the tokenizer, its rows keyed on contexts of the
+    text's encoding, and the most tokens its model context may read."""
+    tokenizer, text = draw(_window_cases())
+    ids = tokenizer.encode(text.split(b"$")[0])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = len(tokenizer.vocab)
+
+    def row():
+        vec = rng.uniform(0.05, 1.0, size)
+        return vec / vec.sum()
+
+    kind = draw(st.sampled_from(["ngram", "table", "table with default"]))
+    if kind == "ngram":
+        order = draw(st.integers(1, 3))
+        counts = {ids[max(0, n - order):n]: rng.integers(0, 4, size).astype(float)
+                  for n in range(len(ids) + 1) if rng.random() < 0.7}
+        return NgramModel(tokenizer, order, 0.5, counts), ids, order
+    entries = {ids[:n]: row() for n in range(len(ids) + 1) if rng.random() < 0.5}
+    default = row() if kind == "table with default" else None
+    return TableModel(tokenizer, entries, default), ids, max(map(len, entries), default=0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_context_cases())
+def test_a_node_has_the_model_context_of_its_prefix(case):
+    # the node of every prefix of an encoding gives the same model context
+    # and raw row (or refusal) as its tuple, reading no more than the
+    # n-gram's order or the table's longest key unless it refuses, and its
+    # distribution is the re-encoding reference's
+    model, ids, bound = case
+    for n in range(len(ids) + 1):
+        prefix = ids[:n]
+        node = model.node(prefix)
+        reads = []
+        with spy_node_reads(reads):
+            context = model.model_context(node)
+        assert max(reads, default=0) <= bound, (prefix, reads)
+        assert context == model.model_context(prefix), prefix
+        assert type(context) is tuple or context is TableModel._DEFAULT_ROW
+        reads.clear()
+        with spy_node_reads(reads):
+            raw = _outcome(lambda: model.raw_next_token_dist(node))
+        assert raw[0] == "raised" or max(reads, default=0) <= bound, (prefix, reads)
+        assert _same(raw, _outcome(lambda: model.raw_next_token_dist(prefix))), prefix
+        got = _outcome(lambda: model.next_token_dist(node))
+        want = _outcome(lambda: _reference_dist(model, prefix))  # a table may refuse
+        assert _same(got, want[1] if want[0] == "ok" else want), prefix
 
 
 def _assert_shared_by_key(model, rng) -> None:

@@ -16,6 +16,7 @@ from conftest import (
     make_instance,
     mcv_instance,
     random_merge_tokenizer,
+    spy_node_reads,
     wide_merge_tokenizer,
 )
 from test_model import _record_encodes
@@ -57,6 +58,19 @@ class TestSessionSetup:
     def test_zero_topk_rejected(self, binary):
         with pytest.raises(ReductionError):
             ReductionSession(binary.model, binary.nested, topk=0)
+
+    @pytest.mark.parametrize("topk", [0, -1, 2.5, 3.0, True, "3", np.int64(3)])
+    def test_bad_topk_refused_at_construction_and_assignment(self, binary, topk):
+        with pytest.raises(ReductionError, match="top-K must be an int"):
+            ReductionSession(binary.model, binary.nested, topk=topk)
+        session = ReductionSession(binary.model, binary.nested, topk=2)
+        with pytest.raises(ReductionError, match="top-K must be an int"):
+            session.topk = topk
+        assert session.topk == 2
+        session.topk = None
+        assert session.topk is None
+        session.topk = 1
+        assert np.count_nonzero(session.next_subtoken_dist().raw_marginals) == 1
 
     def test_vocabulary_mismatch_rejected(self, binary):
         other = GreedyTokenizer(
@@ -716,24 +730,31 @@ class TestLongGeneration:
 
     def test_model_and_mask_keys_stay_bounded(self, binary, monkeypatch):
         # a step reads the model's raw row, its context and a new node's
-        # mask from a bounded window of the prefix, however long it grows
+        # mask from at most the last two tokens of the prefix, however long
+        # it grows: every read of a node builds at most two tokens
         model, tokenizer = binary.model, binary.tokenizer
-        assert model.context_window == 2 and tokenizer.mask_window == 2
-        keys = {"raw": [], "context": [], "mask": []}
+        calls = {"raw": [], "context": [], "mask": []}
         for owner, name, log in [(model, "raw_next_token_dist", "raw"),
                                  (model, "model_context", "context"),
-                                 (tokenizer, "valid_continuations", "mask")]:
-            def spy(prefix, orig=getattr(owner, name), log=keys[log]):
-                log.append(prefix)
-                return orig(prefix)
+                                 (tokenizer, "mask_context", "mask")]:
+            def spy(prefix, orig=getattr(owner, name), log=calls[log]):
+                out = orig(prefix)
+                log.append(out)
+                return out
 
             monkeypatch.setattr(owner, name, spy)
-        session, steps = self._run(binary, 5000, 0)
+        reads = []
+        iterate = Node.__iter__
+        monkeypatch.setattr(Node, "__iter__", lambda node: reads.append(len(node)) or iterate(node))
+        with spy_node_reads(reads):
+            session, steps = self._run(binary, 5000, 0)
         assert len(steps) == 5000
-        assert len(keys["mask"]) >= 3000 and len(keys["context"]) >= 3000
-        assert 0 < len(keys["raw"]) <= 9
-        for log in keys.values():
-            assert all(type(k) is tuple and len(k) <= 2 for k in log)
+        assert len(calls["mask"]) >= 3000 and len(calls["context"]) >= 3000
+        assert 0 < len(calls["raw"]) <= 9
+        assert len(reads) >= len(calls["mask"]) and max(reads) <= 2
+        for log in (calls["mask"], calls["context"]):
+            assert all(type(k) is tuple and len(k) <= 2 or k is TableModel._DEFAULT_ROW
+                       for k in log)
 
     def test_oracle_reads_true_marginals(self, binary, monkeypatch):
         # a threshold that rescales at nearly every step changes no value

@@ -11,6 +11,7 @@ from conftest import (
     make_instance,
     mcv_instance,
     random_merge_tokenizer,
+    spy_node_reads,
     wide_merge_tokenizer,
 )
 
@@ -19,6 +20,7 @@ from lvr import (
     BpeTokenizer,
     DeterministicTokenizer,
     GreedyTokenizer,
+    LanguageModel,
     NestedTokenizer,
     TokenizationError,
     Vocabulary,
@@ -581,20 +583,40 @@ def _window_cases(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(_window_cases())
-def test_mask_context_fits_the_mask_window(case):
-    # every prefix of an encoding is valid, and its last mask_window tokens
-    # give the same mask context as the whole prefix
+def test_a_node_has_the_mask_context_of_its_prefix(case):
+    # every prefix of an encoding up to a terminator is valid and has a
+    # model node; the node gives the same mask context and the same row as
+    # its tuple, reading no more than the last token (BPE) or the last
+    # longest-surface-minus-one tokens (greedy), and the generic rule keeps
+    # the whole prefix from either
     tokenizer, text = case
-    bound = tokenizer.mask_window
-    assert bound == (1 if isinstance(tokenizer, BpeTokenizer)
-                     else max(map(len, tokenizer.vocab.surfaces)) - 1)
-    ids = tokenizer.encode(text)
+    bound = (1 if isinstance(tokenizer, BpeTokenizer)
+             else max(map(len, tokenizer.vocab.surfaces)) - 1)
+    model = LanguageModel(tokenizer)
+    ids = tokenizer.encode(text.split(b"$")[0])
     for n in range(len(ids) + 1):
         prefix = ids[:n]
-        window = prefix[max(0, n - bound):]
-        assert tokenizer.mask_context(window) == tokenizer.mask_context(prefix), (prefix, bound)
+        node = model.node(prefix)
+        reads = []
+        with spy_node_reads(reads):
+            context = tokenizer.mask_context(node)
+        assert context == tokenizer.mask_context(prefix), prefix
+        assert type(context) is tuple and context == prefix[n - len(context):]
+        assert reads and max(reads) <= bound, (prefix, reads)
+        row = tokenizer.valid_continuations(node)
+        assert row is tokenizer.valid_continuations(prefix) is node.mask, prefix
+        assert DeterministicTokenizer.mask_context(tokenizer, node) == prefix
 
 
-def test_generic_mask_window_is_the_whole_prefix():
-    nested = binary_instance().nested
-    assert DeterministicTokenizer.mask_window is None and nested.mask_window is None
+def test_greedy_single_byte_surfaces_have_an_empty_mask_context():
+    # the context is zero tokens wide: node[-0:] would be the whole prefix
+    tokenizer = GreedyTokenizer(byte_vocabulary(Alphabet.of("ab")))
+    prefix = tokenizer.encode(b"abbaab")
+    node = LanguageModel(tokenizer).node(prefix)
+    assert len(node) == 6
+    reads = []
+    with spy_node_reads(reads):
+        assert tokenizer.mask_context(node) == ()
+    assert max(reads, default=0) == 0
+    assert tokenizer.mask_context(prefix) == ()
+    assert node.mask is tokenizer.valid_continuations(())
