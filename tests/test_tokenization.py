@@ -581,6 +581,39 @@ def _window_cases(draw):
     return tokenizer, bytes(draw(st.lists(st.sampled_from(symbols), max_size=24)))
 
 
+def _mask_window(tokenizer):
+    """How many trailing tokens decide a prefix's mask: the last token for
+    BPE, the last longest-surface-minus-one tokens for greedy."""
+    return (1 if isinstance(tokenizer, BpeTokenizer)
+            else max(map(len, tokenizer.vocab.surfaces)) - 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_window_cases())
+def test_mask_context_fits_the_mask_window(case):
+    # every prefix of an encoding is valid, and its last mask-window tokens
+    # give the same mask context as the whole prefix
+    tokenizer, text = case
+    bound = _mask_window(tokenizer)
+    ids = tokenizer.encode(text)
+    for n in range(len(ids) + 1):
+        prefix = ids[:n]
+        window = prefix[max(0, n - bound):]
+        assert tokenizer.mask_context(window) == tokenizer.mask_context(prefix), (prefix, bound)
+
+
+def test_generic_mask_window_is_the_whole_prefix():
+    # the generic rule, which the nested tokenizer keeps, has no window: the
+    # mask context of a prefix is all of it, from a tuple or a model node
+    nested = binary_instance().nested
+    assert not hasattr(DeterministicTokenizer, "mask_window")
+    assert not hasattr(nested, "mask_window")
+    prefix = nested.encode(b"0010010")
+    assert len(prefix) > 1
+    assert nested.mask_context(prefix) == prefix
+    assert nested.mask_context(LanguageModel(nested).node(prefix)) == prefix
+
+
 @settings(max_examples=150, deadline=None)
 @given(_window_cases())
 def test_a_node_has_the_mask_context_of_its_prefix(case):
@@ -590,8 +623,7 @@ def test_a_node_has_the_mask_context_of_its_prefix(case):
     # longest-surface-minus-one tokens (greedy), and the generic rule keeps
     # the whole prefix from either
     tokenizer, text = case
-    bound = (1 if isinstance(tokenizer, BpeTokenizer)
-             else max(map(len, tokenizer.vocab.surfaces)) - 1)
+    bound = _mask_window(tokenizer)
     model = LanguageModel(tokenizer)
     ids = tokenizer.encode(text.split(b"$")[0])
     for n in range(len(ids) + 1):
