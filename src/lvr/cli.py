@@ -135,10 +135,9 @@ def _run_generation(next_dist, step_fn, vocab, args) -> None:
                         "step": s.index,
                         "chosen": s.chosen,
                         "chosen_surface": escape_bytes(vocab.surface(s.chosen)),
-                        "ptilde": [math.ldexp(v, s.dist.exponent)
-                                   for v in s.dist.raw_marginals.tolist()],
+                        "ptilde": s.dist.ptilde.tolist(),
                         "normalizer": s.dist.normalizer,
-                        "dropped_mass": math.ldexp(s.dist.dropped_mass, s.dist.exponent),
+                        "dropped_mass": s.dist.dropped,
                     }
                     trace.write(json.dumps(record) + "\n")
                 if s.chosen != eos:
@@ -338,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_verify_lossless)
 
-    p = sub.add_parser("bench", help="byte-level vs MCV generation throughput")
+    p = sub.add_parser("bench", help="byte-level vs MCV generation, steps per byte")
     p.add_argument("--member", action="append", required=True, type=_parse_member)
     p.add_argument("--corpus", required=True)
     p.add_argument("--order", type=_at_least(int, 1), default=2)

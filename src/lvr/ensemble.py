@@ -13,7 +13,6 @@ failure is raised, never smoothed over.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -77,7 +76,7 @@ class EnsembleSpec:
         return SubTokenDistribution(
             probs=probs,
             raw_marginals=probs,
-            dropped_mass=max(math.ldexp(d.dropped_mass, d.exponent) for d in dists),
+            dropped_mass=max(d.dropped for d in dists),
         )
 
     def step(self, chosen: int) -> None:

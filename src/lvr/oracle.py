@@ -20,7 +20,6 @@ it; a table refuses more texts than the budget before building them.
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass
 from itertools import product
@@ -122,40 +121,37 @@ def text_prefix_prob_exhaustive(
     return _walk(_chain(model.next_token_dist), model.vocab, prefixes, budget)[text]
 
 
+def _require_fresh_exact(session: ReductionSession) -> None:
+    """Refuse a session that has stepped or that top-K truncates: its
+    marginals are not the reduced model's from the empty text."""
+    if session.prefix:
+        raise ValueError("reduced-model oracle requires a fresh session (empty prefix)")
+    if session.topk is not None and session.topk < len(session.model.vocab):
+        raise ValueError("reduced-model oracle requires an exact (untruncated) session")
+
+
 def reduced_text_prefix_prob(
-    session_factory: Callable[[], ReductionSession],
+    session: ReductionSession,
     text: bytes,
     budget: int | _Budget | None = None,
 ) -> float:
     """Text-prefix probability under the reduced model: enumerate the
     minimal cover of ``text`` with the nested tokenizer, then sum the
-    engine's unnormalized marginals over it.
-
-    Sessions must be exact (no top-K truncation) for the result to be a
-    true probability.
+    engine's true marginals ``p~`` over it.  Each cover sequence is walked
+    from ``session`` by :meth:`ReductionSession.branch`, which leaves the
+    session where it was; the session must be fresh and exact.
     """
-    probe = session_factory()
-    if probe.topk is not None and probe.topk < len(probe.model.vocab):
-        raise ValueError("reduced-model oracle requires exact (untruncated) sessions")
-    cover = minimal_cover(probe.nested, text, budget)
+    _require_fresh_exact(session)
     total = 0.0
-    for ys in cover:
-        total += _session_marginal(session_factory(), ys)
+    for ys in minimal_cover(session.nested, text, budget):
+        walker, p = session, 1.0
+        for y in ys:
+            p = walker.next_subtoken_dist().ptilde.item(y)
+            if p <= 0.0:
+                break
+            walker = walker.branch(y)
+        total += p
     return total
-
-
-def _session_marginal(session: ReductionSession, ys: TokenSeq) -> float:
-    if not ys:
-        return 1.0
-    for i, y in enumerate(ys):
-        dist = session.next_subtoken_dist()
-        raw = float(dist.raw_marginals[y])
-        if raw <= 0.0:
-            return 0.0
-        if i + 1 == len(ys):
-            return math.ldexp(raw, dist.exponent)
-        session.step(y)
-    raise AssertionError("unreachable")
 
 
 # -- the tree route -------------------------------------------------------
@@ -236,20 +232,13 @@ def original_prefix_prob_table(
 def reduced_prefix_prob_table(
     session: ReductionSession, max_len: int, budget: int | _Budget | None = None
 ) -> dict[bytes, float]:
-    """Sub-token-tree walk of the reduced model, using the engine's
-    unnormalized marginals, scaled back by their exponent; the session must
-    be fresh and exact.  Each descended sub-token is one
-    :meth:`ReductionSession.branch`."""
+    """Sub-token-tree walk of the reduced model, using the engine's true
+    unnormalized marginals ``p~``; the session must be fresh and exact.
+    Each descended sub-token is one :meth:`ReductionSession.branch`."""
+    _require_fresh_exact(session)
     bud = _as_budget(budget)
     texts = bud.texts(session.model.vocab, max_len)
-
-    def expand(s: ReductionSession) -> np.ndarray:
-        dist = s.next_subtoken_dist()
-        if dist.exponent:
-            return np.ldexp(dist.raw_marginals, dist.exponent)
-        return dist.raw_marginals
-
-    tree = (session, expand, lambda s, y, w: s.branch(y))
+    tree = (session, lambda s: s.next_subtoken_dist().ptilde, lambda s, y, w: s.branch(y))
     return _walk(tree, session.nested.vocab, texts, bud)
 
 

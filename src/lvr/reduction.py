@@ -43,7 +43,7 @@ object, and no tuple that grows with the prefix.
 
 Marginals fall geometrically with the prefix, so a session keeps its cover's
 marginals, and reports ``p~``, as the true values times ``2**-exponent``
-(see :data:`_RESCALE_BELOW`); the exponent rides on each distribution.
+(see :data:`_RESCALE_BELOW`); each distribution carries the exponent.
 """
 
 from __future__ import annotations
@@ -110,7 +110,8 @@ class RelativeCover:
 class SubTokenDistribution:
     """Normalized next-sub-token distribution plus diagnostics: the raw
     (unnormalized) marginals and the marginal mass dropped by top-K
-    truncation, both the true values times ``2**-exponent``."""
+    truncation, both the true values times ``2**-exponent``; the true ones,
+    which may underflow to 0, are ``ptilde``, ``dropped`` and ``normalizer``."""
 
     probs: np.ndarray
     raw_marginals: np.ndarray
@@ -118,8 +119,20 @@ class SubTokenDistribution:
     exponent: int = 0
 
     @property
+    def ptilde(self) -> np.ndarray:
+        """The true raw marginals: ``raw_marginals`` itself at exponent 0."""
+        if self.exponent:
+            return np.ldexp(self.raw_marginals, self.exponent)
+        return self.raw_marginals
+
+    @property
+    def dropped(self) -> float:
+        """The true marginal mass that top-K dropped."""
+        return math.ldexp(self.dropped_mass, self.exponent)
+
+    @property
     def normalizer(self) -> float:
-        """The true sum of the raw marginals (it may underflow to 0)."""
+        """The true sum of the raw marginals."""
         return math.ldexp(float(self.raw_marginals.sum()), self.exponent)
 
 

@@ -62,10 +62,10 @@ def test_criterion_1_worked_example():
     assert session._pending[2].sequences() == {(2, 2), (2, 3)}
 
     p_original = text_prefix_prob(inst.model, inst.tokenizer, b"000")
-    factory = lambda: ReductionSession(inst.model, inst.nested, topk=None)
     from lvr import reduced_text_prefix_prob
 
-    p_reduced = reduced_text_prefix_prob(factory, b"000")
+    p_reduced = reduced_text_prefix_prob(
+        ReductionSession(inst.model, inst.nested, topk=None), b"000")
     assert abs(p_original - 0.5) < 1e-12
     assert abs(p_reduced - 0.5) < 1e-12
 
@@ -289,6 +289,14 @@ def test_criterion_7_mcv_throughput():
         f"{report['corpus_mean_token_len']:.2f}B), steps "
         f"{mcv_stats['steps']} vs {byte_stats['steps']}"
     )
+
+
+def test_bench_report_is_deterministic():
+    """One seed gives one report, though the second run starts from the
+    models the first warmed: the report keeps no clock."""
+    members, corpus = _bench_members()
+    first = run_bench(members, corpus, target_bytes=120, seed=5, topk=None)
+    assert first == run_bench(members, corpus, target_bytes=120, seed=5, topk=None)
 
 
 def test_criterion_8_ensemble_properties():

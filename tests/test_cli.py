@@ -543,7 +543,7 @@ class TestBench:
         for key in ("byte_level", "mcv", "bytes_per_step_ratio", "corpus_mean_token_len"):
             assert key in report
         for stats in (report["byte_level"], report["mcv"]):
-            assert {"steps", "bytes", "bytes_per_step", "steps_per_sec"} <= set(stats)
+            assert {"steps", "bytes", "bytes_per_step"} <= set(stats)
 
 
 class TestEnsembleGenerate:

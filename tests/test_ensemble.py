@@ -24,6 +24,7 @@ from lvr import (
     union_baseline_dist,
     union_vocab,
 )
+from lvr import decode, reduction
 
 
 class TestPoECombine:
@@ -154,6 +155,31 @@ class TestEnsembleGenerate:
         assert len(text) > 0
         assert text_prefix_prob(m1, t1, text) > 0
         assert text_prefix_prob(m2, t2, text) > 0
+
+    def test_dropped_mass_is_the_largest_member_dropped(self, monkeypatch):
+        # two models at top-K 3 and 2, each rescaled at nearly every step by
+        # its own exponent: the ensemble reports the larger true mass, and
+        # each member's is the larger on some step
+        monkeypatch.setattr(reduction, "_RESCALE_BELOW", 2.0)
+        inst = binary_instance()
+        skewed = TableModel(inst.tokenizer, {}, default=np.array([0.05, 0.05, 0.1, 0.8]))
+        members = [_session(inst, topk=3), ReductionSession(skewed, inst.nested, topk=2)]
+        seen = []
+        for m in members:
+            def record(own=m.next_subtoken_dist):
+                seen.append(own())
+                return seen[-1]
+
+            m.next_subtoken_dist = record
+        spec = EnsembleSpec(members, mode="poe")
+        steps = list(decode(spec.next_dist, spec.step, None, 200, "sample", 2))
+        assert len(seen) == 2 * len(steps) == 400
+        larger = set()
+        for s, a, b in zip(steps, seen[::2], seen[1::2]):
+            assert s.dist.dropped_mass == s.dist.dropped == max(a.dropped, b.dropped)
+            if a.exponent != b.exponent and a.dropped != b.dropped:
+                larger.add(a.dropped > b.dropped)
+        assert larger == {True, False}
 
     def test_member_refusal_becomes_ensemble_error(self):
         inst = binary_instance()

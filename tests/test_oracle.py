@@ -1,7 +1,9 @@
 """Oracle behavior: cover enumeration, the two independent prefix-probability
 routes, terminator bookkeeping, and the lossless check itself."""
 
+import ast
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -83,17 +85,73 @@ class TestTextPrefixProb:
 
 
 class TestReducedTextPrefixProb:
-    def _factory(self, binary):
-        return lambda: ReductionSession(binary.model, binary.nested, topk=None)
+    def _session(self, binary):
+        return ReductionSession(binary.model, binary.nested, topk=None)
 
     def test_worked_value(self, binary):
-        assert abs(reduced_text_prefix_prob(self._factory(binary), b"000") - 0.5) < 1e-12
+        assert abs(reduced_text_prefix_prob(self._session(binary), b"000") - 0.5) < 1e-12
 
     def test_empty_text(self, binary):
-        assert reduced_text_prefix_prob(self._factory(binary), b"") == 1.0
+        assert reduced_text_prefix_prob(self._session(binary), b"") == 1.0
 
     def test_single_token_text(self, binary):
-        assert abs(reduced_text_prefix_prob(self._factory(binary), b"1") - 0.1) < 1e-12
+        assert abs(reduced_text_prefix_prob(self._session(binary), b"1") - 0.1) < 1e-12
+
+    def test_leaves_the_session_as_it_was(self, binary):
+        session = self._session(binary)
+        for text, want in [(b"000", 0.5), (b"", 1.0), (b"1", 0.1)]:
+            assert abs(reduced_text_prefix_prob(session, text) - want) < 1e-12
+            assert (session.prefix, session.cover, session.exponent) == ((), [], 0)
+
+
+_ROUTES = {
+    "table": lambda session: reduced_prefix_prob_table(session, max_len=2),
+    "cover": lambda session: reduced_text_prefix_prob(session, b"0"),
+}
+
+
+class TestSessionRefusals:
+    # both session oracles read the reduced model from the start, exactly
+    @pytest.mark.parametrize("route", sorted(_ROUTES))
+    def test_stepped_session_is_refused(self, binary, route):
+        # stepped onto sub-token 0, the table would give P("0") = 0.0
+        session = ReductionSession(binary.model, binary.nested, topk=None)
+        session.next_subtoken_dist()
+        session.step(0)
+        with pytest.raises(ValueError, match="fresh"):
+            _ROUTES[route](session)
+
+    @pytest.mark.parametrize("route", sorted(_ROUTES))
+    def test_truncated_session_is_refused(self, binary, route):
+        vocab_size = len(binary.model.vocab)
+        with pytest.raises(ValueError, match="exact"):
+            _ROUTES[route](ReductionSession(binary.model, binary.nested, topk=vocab_size - 1))
+        exact = _ROUTES[route](ReductionSession(binary.model, binary.nested, topk=None))
+        full = _ROUTES[route](ReductionSession(binary.model, binary.nested, topk=vocab_size))
+        assert full == exact
+
+
+class TestIndependentWitness:
+    # the oracle certifies the engine, so it shares none of its cover logic
+    @staticmethod
+    def _imports(path):
+        tree = ast.parse(Path(path).read_text())
+        return [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+
+    def test_oracle_takes_only_the_session_and_the_baseline(self):
+        names = set()
+        for node in self._imports(oracle.__file__):
+            if isinstance(node, ast.ImportFrom) and node.module in ("reduction", "lvr.reduction"):
+                names |= {alias.name for alias in node.names}
+            else:
+                assert not any(a.name.endswith("reduction") for a in node.names)
+        assert names == {"ReductionSession", "naive_restriction_dist"}
+
+    def test_bruteforce_imports_nothing_from_the_engine(self):
+        for node in self._imports(Path(__file__).with_name("bruteforce.py")):
+            modules = [node.module or ""] if isinstance(node, ast.ImportFrom) else []
+            modules += [alias.name for alias in node.names]
+            assert not any(m.split(".")[-1] == "reduction" for m in modules), ast.dump(node)
 
 
 class TestTables:
@@ -120,12 +178,10 @@ class TestTables:
             table = original_prefix_prob_table(model, max_len=3)
             for text, value in table.items():
                 assert abs(value - text_prefix_prob(model, tokenizer, text)) < 1e-12
-            reduced = reduced_prefix_prob_table(
-                ReductionSession(model, nested, topk=None), max_len=3
-            )
-            factory = lambda: ReductionSession(model, nested, topk=None)
+            session = ReductionSession(model, nested, topk=None)
+            reduced = reduced_prefix_prob_table(session, max_len=3)
             for text, value in reduced.items():
-                assert abs(value - reduced_text_prefix_prob(factory, text)) < 1e-12
+                assert abs(value - reduced_text_prefix_prob(session, text)) < 1e-12
             checked += 1
         assert checked >= 20
 

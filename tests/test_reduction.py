@@ -4,6 +4,7 @@ stepping, generation, and the naive-restriction baseline."""
 import hashlib
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -756,16 +757,37 @@ class TestLongGeneration:
             assert all(type(k) is tuple and len(k) <= 2 or k is TableModel._DEFAULT_ROW
                        for k in log)
 
+    @pytest.mark.parametrize("topk, threshold", [(None, None), (2, 2.0)])
+    def test_true_values_unscale_each_scaled_one(self, binary, monkeypatch, topk, threshold):
+        # ptilde and dropped are math.ldexp of each scaled value, bit for
+        # bit, subnormal ones too: over a sampled output whose true
+        # marginals pass below the smallest normal double, and under a
+        # threshold that rescales at nearly every step with top-K dropping
+        # mass
+        if threshold is not None:
+            monkeypatch.setattr(reduction, "_RESCALE_BELOW", threshold)
+        session = ReductionSession(binary.model, binary.nested, topk=topk)
+        steps = list(decode(session.next_subtoken_dist, session.step, None, 2000, "sample", 1))
+        assert steps[-1].dist.exponent < 0
+        subnormal = dropped = 0
+        for s in steps:
+            d = s.dist
+            true = [math.ldexp(v, d.exponent) for v in d.raw_marginals.tolist()]
+            assert d.ptilde.tolist() == true
+            assert d.dropped == math.ldexp(d.dropped_mass, d.exponent)
+            assert d.exponent or d.ptilde is d.raw_marginals
+            subnormal += any(0.0 < v < sys.float_info.min for v in true)
+            dropped += d.dropped > 0.0
+        assert subnormal if topk is None else dropped
+
     def test_oracle_reads_true_marginals(self, binary, monkeypatch):
         # a threshold that rescales at nearly every step changes no value
         # that the reduced table or the per-text cover route reports
         texts = [b"0010", b"1101", b"00000001"]
 
         def reports():
-            def session():
-                return ReductionSession(binary.model, binary.nested, topk=None)
-
-            return (reduced_prefix_prob_table(session(), 8),
+            session = ReductionSession(binary.model, binary.nested, topk=None)
+            return (reduced_prefix_prob_table(session, 8),
                     [reduced_text_prefix_prob(session, t) for t in texts])
 
         plain = reports()
