@@ -25,7 +25,7 @@ from .tokenization import (
     Vocabulary,
     byte_vocabulary,
 )
-from .model import LanguageModel, NgramModel, TableModel, train_ngram
+from .model import LanguageModel, NgramCounts, NgramModel, TableModel, train_ngram
 from .reduction import (
     DEFAULT_TOP_K,
     ReductionSession,

@@ -6,15 +6,17 @@ masked: continuations that the encoder could never produce get probability
 exactly 0.  Distributions are plain float64 numpy arrays.
 
 Two concrete models are provided: a hand-written conditional table and an
-additively-smoothed n-gram trained on a corpus.
+additively-smoothed n-gram trained on a corpus, whose counts are sparse rows
+(:class:`NgramCounts`).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from functools import cached_property
-from typing import Hashable, Iterator, Sequence
+from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -291,13 +293,149 @@ class TableModel(LanguageModel):
         return self.default
 
 
+def _array(values, dtype=None) -> np.ndarray:
+    """A new array of ``values``, or :class:`ModelError` if they are not numbers."""
+    try:
+        return np.array(values, dtype=dtype)
+    except (TypeError, ValueError) as exc:
+        raise ModelError(f"n-gram counts must be numbers: {exc}") from None
+
+
+class NgramCounts:
+    """An n-gram's counts, built and checked once: one sparse row per context.
+
+    Row ``r`` belongs to the ``r``-th context and holds the token ids seen
+    after it in ascending order, ``indices[indptr[r]:indptr[r + 1]]``, with
+    their counts at the same positions of ``data``: one CSR over contexts in
+    shared read-only arrays, so the counts keep 16 B per distinct n-gram and,
+    per context, a dict entry and its row's total, whatever ``size`` (|V|) is.
+    ``counts[context]`` is the ``(indices, data)`` views of its row, and
+    iteration lists the contexts in row order.
+
+    Construction refuses malformed arrays, token ids outside ``[0, size)``
+    or not strictly ascending within a row, and counts that are not finite
+    and non-negative, with :class:`ModelError`; a bad row names the first
+    bad context.  A model takes the counts as they are.
+    """
+
+    def __init__(
+        self,
+        size: int,
+        contexts: Iterable[TokenSeq],
+        indptr: Sequence[int] | np.ndarray,
+        indices: Sequence[int] | np.ndarray,
+        data: Sequence[float] | np.ndarray,
+    ):
+        self._rows = dict(zip(contexts, itertools.count()))  # context -> row
+        indptr, indices, data = _array(indptr), _array(indices), _array(data, float)
+        if not (
+            isinstance(size, (int, np.integer))
+            and size >= 0
+            and indptr.shape == (len(self._rows) + 1,)
+            and indptr.dtype.kind in "iu"
+            and indptr[0] == 0
+            and indptr[-1] == len(indices)
+            and np.all(indptr[1:] >= indptr[:-1])
+            and indices.ndim == 1
+            and data.shape == indices.shape
+            and (indices.dtype.kind in "iu" or not len(indices))
+        ):
+            raise ModelError(
+                "n-gram counts need a vocabulary size, integer offsets from 0 to the number"
+                " of ids, one per distinct context and one more, and integer ids with one"
+                " count each"
+            )
+        # the entries that do not follow the previous one's id in their row
+        unordered = np.zeros(len(indices), dtype=bool)
+        unordered[1:] = indices[1:] <= indices[:-1]
+        unordered[indptr[:-1][indptr[:-1] < len(indices)]] = False
+        problems = [
+            (f"token id outside [0, {size})", (indices < 0) | (indices >= size)),
+            ("token ids not strictly ascending", unordered),
+            ("count not finite and non-negative", ~(np.isfinite(data) & (data >= 0))),
+        ]
+        bad = np.flatnonzero(np.logical_or.reduce([found for _, found in problems]))
+        if len(bad):
+            i = bad[0]
+            row = int(np.searchsorted(indptr, i, side="right")) - 1
+            context = next(itertools.islice(self._rows, row, None))
+            what = "; ".join(name for name, found in problems if found[i])
+            raise ModelError(f"n-gram counts of context {context}: {what}")
+        self.size = int(size)
+        self.indptr = indptr.astype(np.intp)
+        self.indices = indices.astype(np.intp)
+        self.data = data
+        rows = len(self._rows)
+        # each row's total, summed in row order
+        self.totals = np.bincount(
+            np.repeat(np.arange(rows), np.diff(self.indptr)), weights=data, minlength=rows
+        )
+        for array in (self.indptr, self.indices, self.data, self.totals):
+            array.setflags(write=False)
+
+    @classmethod
+    def from_grams(cls, size: int, grams: Mapping[TokenSeq, float]) -> NgramCounts:
+        """Counts of ``grams``, keyed by a context followed by one token id;
+        rows in order of their context's first occurrence among the keys."""
+        if () in grams:
+            raise ModelError("an n-gram needs at least one token")
+        rows: dict[TokenSeq, int] = {}
+        row = [rows.setdefault(g[:-1], len(rows)) for g in grams]
+        ids, data = _array([g[-1] for g in grams]), _array(list(grams.values()), float)
+        order = np.lexsort((ids, row))
+        indptr = np.zeros(len(rows) + 1, dtype=np.intp)
+        np.cumsum(np.bincount(row, minlength=len(rows)), out=indptr[1:])
+        return cls(size, rows, indptr, ids[order], data[order])
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __iter__(self) -> Iterator[TokenSeq]:
+        return iter(self._rows)
+
+    def __contains__(self, context: object) -> bool:
+        return context in self._rows
+
+    def __getitem__(self, context: TokenSeq) -> tuple[np.ndarray, np.ndarray]:
+        row = self._rows[context]
+        start, stop = self.indptr[row], self.indptr[row + 1]
+        return self.indices[start:stop], self.data[start:stop]
+
+    def smoothed(self, context: TokenSeq, alpha: float) -> np.ndarray:
+        """The context's dense row ``(count + alpha) / (total + alpha * size)``,
+        a new array; an unseen context counts nothing.  Integer counts whose
+        totals stay below 2**53 sum exactly in any order, so the row then
+        equals that formula over a dense row of counts bit for bit."""
+        out = np.empty(self.size)
+        out.fill(alpha)
+        row = self._rows.get(context)
+        total = 0.0
+        if row is not None:
+            start, stop = self.indptr[row], self.indptr[row + 1]
+            out[self.indices[start:stop]] += self.data[start:stop]
+            total = self.totals[row]
+        out /= total + alpha * self.size
+        return out
+
+
+def _check_ngram_params(order: int, alpha: float) -> None:
+    if order < 1:
+        raise ModelError("n-gram order must be at least 1")
+    if not 0 < alpha < math.inf:
+        raise ModelError("smoothing constant must be positive and finite")
+
+
 class NgramModel(LanguageModel):
     """Additively-smoothed n-gram over token ids.
 
     ``order`` is the number of conditioning tokens (order 1 is a bigram
     model), the most :meth:`model_context` reads.  Conditionals are
     ``(count + alpha) / (total + alpha * |V|)``, masked to valid
-    continuations afterwards.
+    continuations afterwards.  ``counts`` is an :class:`NgramCounts` over
+    this vocabulary, taken as it is: its fixed state grows with the
+    distinct n-grams, not with contexts times |V|.  A context's dense row
+    is built only when :meth:`next_token_dist` misses its memo, which still
+    keeps one dense distribution per (context, mask) pair.
     """
 
     def __init__(
@@ -305,12 +443,19 @@ class NgramModel(LanguageModel):
         tokenizer: DeterministicTokenizer,
         order: int,
         alpha: float,
-        counts: dict[TokenSeq, np.ndarray],
+        counts: NgramCounts,
     ):
-        if order < 1:
-            raise ModelError("n-gram order must be at least 1")
-        if not 0 < alpha < math.inf:
-            raise ModelError("smoothing constant must be positive and finite")
+        _check_ngram_params(order, alpha)
+        if not isinstance(counts, NgramCounts):
+            raise ModelError(f"n-gram counts must be NgramCounts, not {type(counts).__name__}")
+        if counts.size != len(tokenizer.vocab):
+            raise ModelError(
+                f"n-gram counts cover {counts.size} token ids, "
+                f"the vocabulary has {len(tokenizer.vocab)}"
+            )
+        # the denominator of every row; x / inf would be an all-zero row
+        if not math.isfinite(counts.totals.max(initial=0.0) + alpha * counts.size):
+            raise ModelError("n-gram count total plus smoothing constant times |V| overflows")
         super().__init__(tokenizer)
         self.order = order
         self.alpha = alpha
@@ -321,11 +466,7 @@ class NgramModel(LanguageModel):
         return tuple(prefix[-self.order :])
 
     def raw_next_token_dist(self, prefix: TokenSeq | Node) -> np.ndarray:
-        counts = self.counts.get(self.model_context(prefix))
-        size = len(self.vocab)
-        if counts is None:
-            counts = np.zeros(size)
-        return (counts + self.alpha) / (counts.sum() + self.alpha * size)
+        return self.counts.smoothed(self.model_context(prefix), self.alpha)
 
 
 def train_ngram(
@@ -335,9 +476,9 @@ def train_ngram(
     alpha: float,
 ) -> NgramModel:
     """Count n-grams over the encoded corpus, one terminator appended per
-    document.  ``counts`` lists contexts in order of first occurrence."""
-    counts: dict[TokenSeq, np.ndarray] = {}
-    model = NgramModel(tokenizer, order, alpha, counts)  # refuses before encoding
+    document.  ``counts`` is an :class:`NgramCounts` whose contexts are in
+    order of first occurrence; it holds no |V|-long array."""
+    _check_ngram_params(order, alpha)  # refuses before encoding
     if not corpus:
         raise ModelError("training corpus is empty")
     eos = tokenizer.vocab.eos_id
@@ -352,8 +493,5 @@ def train_ngram(
         # the first ``order`` tokens have shorter contexts
         grams.update([ids[: i + 1] for i in range(min(order, len(ids)))])
         grams.update(zip(*[ids[j:] for j in range(order + 1)]))
-    for context in dict.fromkeys(g[:-1] for g in grams):
-        counts[context] = np.zeros(len(tokenizer.vocab))
-    for gram, n in grams.items():
-        counts[gram[:-1]][gram[-1]] = n
-    return model
+    counts = NgramCounts.from_grams(len(tokenizer.vocab), grams)
+    return NgramModel(tokenizer, order, alpha, counts)

@@ -1,7 +1,9 @@
 """Model contracts: masked next-token distributions, chain-rule marginals,
 and n-gram training."""
 
+import gc
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from lvr import (
     LanguageModel,
     ModelError,
     NestedTokenizer,
+    NgramCounts,
     NgramModel,
     ReductionError,
     ReductionSession,
@@ -733,9 +736,10 @@ def _context_cases(draw):
     kind = draw(st.sampled_from(["ngram", "table", "table with default"]))
     if kind == "ngram":
         order = draw(st.integers(1, 3))
-        counts = {ids[max(0, n - order):n]: rng.integers(0, 4, size).astype(float)
-                  for n in range(len(ids) + 1) if rng.random() < 0.7}
-        return NgramModel(tokenizer, order, 0.5, counts), ids, order
+        grams = {ids[max(0, n - order):n] + (t,): float(c)
+                 for n in range(len(ids) + 1) if rng.random() < 0.7
+                 for t, c in enumerate(rng.integers(0, 4, size)) if c}
+        return NgramModel(tokenizer, order, 0.5, NgramCounts.from_grams(size, grams)), ids, order
     entries = {ids[:n]: row() for n in range(len(ids) + 1) if rng.random() < 0.5}
     default = row() if kind == "table with default" else None
     return TableModel(tokenizer, entries, default), ids, max(map(len, entries), default=0)
@@ -747,7 +751,8 @@ def test_a_node_has_the_model_context_of_its_prefix(case):
     # the node of every prefix of an encoding gives the same model context
     # and raw row (or refusal) as its tuple, reading no more than the
     # n-gram's order or the table's longest key unless it refuses, and its
-    # distribution is the re-encoding reference's
+    # distribution is the re-encoding reference's; an n-gram refuses no row,
+    # and no distribution of a prefix with a valid continuation
     model, ids, bound = case
     for n in range(len(ids) + 1):
         prefix = ids[:n]
@@ -766,6 +771,8 @@ def test_a_node_has_the_model_context_of_its_prefix(case):
         got = _outcome(lambda: model.next_token_dist(node))
         want = _outcome(lambda: _reference_dist(model, prefix))  # a table may refuse
         assert _same(got, want[1] if want[0] == "ok" else want), prefix
+        if isinstance(model, NgramModel):
+            assert raw[0] == "ok" and (got[0] == "ok" or not node.mask.any()), (prefix, got)
 
 
 def _assert_shared_by_key(model, rng) -> None:
@@ -968,5 +975,141 @@ def test_ngram_counts_match_per_token_loop(kind, order):
     expected = _reference_counts(corpus, tokenizer, order)
     assert list(counts) == list(expected)
     for context, row in expected.items():
-        assert counts[context].dtype == row.dtype
-        assert counts[context].tobytes() == row.tobytes(), context
+        ids, n = counts[context]
+        dense = np.zeros(len(tokenizer.vocab))
+        dense[ids] = n
+        assert dense.tobytes() == row.tobytes(), context
+
+
+_abc_texts = st.lists(st.sampled_from(b"abc"), max_size=16).map(bytes)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(["bpe", "greedy"]),
+    st.integers(1, 3),
+    st.sampled_from([0.1, 0.5, 1e9]),
+    st.lists(_abc_texts, min_size=1, max_size=8),
+    st.lists(_abc_texts, max_size=4),
+)
+def test_ngram_rows_are_the_dense_formula_bit_for_bit(kind, order, alpha, corpus, probes):
+    # the slow reference: a dense row of |V| per context (zeros if unseen),
+    # smoothed as (row + alpha) / (row.sum() + alpha * |V|), then masked
+    # and normalized; prefixes of the corpus see their contexts, probe
+    # texts and the terminator alone mostly do not
+    tokenizer = _counting_tokenizers()[kind]
+    size, eos = len(tokenizer.vocab), tokenizer.vocab.eos_id
+    model = train_ngram(corpus, tokenizer, order=order, alpha=alpha)
+    expected = _reference_counts(corpus, tokenizer, order)
+    unseen = np.zeros(size)
+
+    def dense(prefix):
+        row = expected.get(tuple(prefix[-order:]), unseen)
+        return (row + alpha) / (row.sum() + alpha * size)
+
+    assert model.raw_next_token_dist((eos,)).tobytes() == dense((eos,)).tobytes()
+    for text in corpus + probes:
+        ids = tokenizer.encode(text)
+        for n in range(len(ids) + 1):
+            prefix = ids[:n]
+            raw = dense(prefix)
+            assert model.raw_next_token_dist(prefix).tobytes() == raw.tobytes(), prefix
+            out = np.where(model.valid_mask(prefix), raw, 0.0)
+            assert model.next_token_dist(prefix).tobytes() == (out / out.sum()).tobytes(), prefix
+
+
+def test_ngram_counts_keep_memory_by_distinct_grams():
+    # |V| = 421 (a terminator, 20 letters and their 400 pairs) and ~1,900
+    # order-2 contexts, nearly each seen once: the counts keep 16 B per
+    # distinct n-gram and a dict entry and a total per context, not a row of
+    # |V| per context
+    letters = b"abcdefghijklmnopqrst"
+    surfaces = [b"$", *(bytes([a]) for a in letters), *(bytes([a, b]) for a in letters for b in letters)]
+    tokenizer = GreedyTokenizer(Vocabulary(surfaces, Alphabet.of(letters, eos="$")))
+    rng = np.random.default_rng(0)
+    corpus = [bytes(rng.choice(list(letters), 60).tolist()) for _ in range(60)]
+    expected = _reference_counts(corpus, tokenizer, 2)  # also warms any tokenizer memo
+    grams = sum(np.count_nonzero(row) for row in expected.values())
+    assert len(tokenizer.vocab) >= 300 and len(expected) >= 1000
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        counts = train_ngram(corpus, tokenizer, order=2, alpha=0.1).counts
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(counts) == len(expected)
+    assert kept <= 16 * grams + 256 * len(expected) + 64 * 1024, (kept, grams, len(expected))
+
+
+def _bpe5():
+    """A 5-token BPE with a terminator: $, a, b, ab, ba."""
+    vocab = Vocabulary([b"$", b"a", b"b", b"ab", b"ba"], Alphabet.of("ab", eos="$"))
+    return BpeTokenizer(vocab, [(1, 2), (2, 1)])
+
+
+class TestNgramCountsValidation:
+    # each refusal names the first bad context in row order, (1,) here
+    @pytest.mark.parametrize(
+        "grams, message",
+        [({(3, 1): 1.0, (1, 2): -5.0, (2, 0): 1.0}, "count not finite and non-negative"),
+         ({(3, 1): 1.0, (1, 2): np.nan, (2, 0): -1.0}, "count not finite and non-negative"),
+         ({(3, 1): 1.0, (1, 2): np.inf}, "count not finite and non-negative"),
+         ({(3, 1): 1.0, (1, 5): 1.0, (2, -1): 1.0}, r"token id outside \[0, 5\)"),
+         ({(3, 1): 1.0, (1, -1): 1.0}, r"token id outside \[0, 5\)")],
+    )
+    def test_bad_gram_names_its_context(self, grams, message):
+        with pytest.raises(ModelError, match=rf"context \(1,\): {message}"):
+            NgramCounts.from_grams(5, grams)
+
+    @pytest.mark.parametrize("ids", [[2, 4, 3], [2, 3, 3]])
+    def test_unordered_ids_name_their_context(self, ids):
+        with pytest.raises(ModelError, match=r"context \(1,\): token ids not strictly ascending"):
+            NgramCounts(5, [(), (1,), (2,)], [0, 0, 3, 3], ids, [1.0, 1.0, 1.0])
+
+    @pytest.mark.parametrize(
+        "contexts, indptr, ids, data",
+        [([()], [0, 2], [1], [1.0]),          # offsets past the ids
+         ([(), (1,)], [0, 1], [1], [1.0]),    # one offset short
+         ([()], [1, 1], [1], [1.0]),          # not starting at 0
+         ([(), ()], [0, 1, 2], [1, 2], [1.0, 1.0]),  # a repeated context
+         ([()], [0, 1], [1.5], [1.0]),        # a fractional id
+         ([()], [0, 1], [1], [1.0, 2.0]),     # a count without an id
+         ([()], [0, 1], [1], ["x"]),          # a count that is no number
+         ([()], [0, 1], [1], [[1.0]])],       # counts in two dimensions
+    )
+    def test_malformed_arrays_refused(self, contexts, indptr, ids, data):
+        with pytest.raises(ModelError):
+            NgramCounts(5, contexts, indptr, ids, data)
+
+    @pytest.mark.parametrize("size", [-1, 5.0, None])
+    def test_size_not_a_count_refused(self, size):
+        with pytest.raises(ModelError, match="need a vocabulary size"):
+            NgramCounts(size, [()], [0, 1], [1], [1.0])
+
+    def test_counts_of_another_vocabulary_refused(self):
+        counts = NgramCounts.from_grams(3, {(1, 2): 1.0})
+        with pytest.raises(ModelError, match="cover 3 token ids, the vocabulary has 5"):
+            NgramModel(_bpe5(), 1, 0.5, counts)
+
+    def test_overflowing_denominator_refused(self):
+        # every row would divide by inf and hold only zeros
+        with pytest.raises(ModelError, match="overflows"):
+            train_ngram([b"ab"], _bpe5(), order=1, alpha=1e308)
+        counts = NgramCounts.from_grams(5, {(1, 2): 1e308, (1, 3): 1e308})
+        with pytest.raises(ModelError, match="overflows"):
+            NgramModel(_bpe5(), 1, 0.5, counts)
+
+    def test_dense_rows_refused(self):
+        with pytest.raises(ModelError, match="must be NgramCounts"):
+            NgramModel(_bpe5(), 1, 0.5, {(): np.array([0.0, 1.0, 0.0, 2.0, 0.0])})
+
+    def test_model_reads_no_context_at_construction(self, monkeypatch):
+        tokenizer = _bpe5()
+        counts = train_ngram([b"abba", b"ba"], tokenizer, order=2, alpha=0.5).counts
+        for name in ("__iter__", "__len__", "__contains__", "__getitem__", "smoothed"):
+            monkeypatch.setattr(NgramCounts, name, None)
+        model = NgramModel(tokenizer, 2, 0.5, counts)
+        assert model.counts is counts
