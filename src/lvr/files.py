@@ -1,4 +1,6 @@
-"""On-disk formats: vocabulary JSON, merges text, and table-model JSON.
+"""On-disk formats: vocabulary JSON, merges text, and table-model JSON,
+all read and written as UTF-8; a file that does not decode is refused with
+:class:`FileFormatError` naming it.
 
 Vocabulary file: a JSON array of token surfaces; the array index is the
 token id.  Surfaces are strings in which backslashes, control characters,
@@ -8,7 +10,8 @@ Merges file: one merge per line, ``LEFT_SURFACE<TAB>RIGHT_SURFACE``, with
 the line number as the merge rank.
 
 Table-model file: ``{"vocab": <path>, "entries": [{"prefix": [ids],
-"probs": [floats]}], "default": [floats] | null}``.  Each row is
+"probs": [floats]}], "default": [floats] | null}``, where each prefix id is
+an integer id of the vocabulary.  Each row is
 renormalized over the continuations valid after its prefix; a file that
 sets ``"renormalize": false`` is refused.
 
@@ -70,7 +73,7 @@ def _infer_alphabet(surfaces: list[bytes]) -> Alphabet:
 
 def _write_text(dest: str | Path | TextIO, text: str) -> None:
     if isinstance(dest, (str, Path)):
-        Path(dest).write_text(text)
+        Path(dest).write_text(text, encoding="utf-8")
     else:
         dest.write(text)
 
@@ -83,8 +86,8 @@ def save_vocabulary(vocab: Vocabulary, dest: str | Path | TextIO) -> None:
 
 def load_vocabulary(path: str | Path) -> Vocabulary:
     try:
-        rows = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        rows = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FileFormatError(f"cannot parse vocabulary file {path}: {exc}") from exc
     if not isinstance(rows, list) or not all(isinstance(r, str) for r in rows):
         raise FileFormatError(f"{path}: expected a JSON array of strings")
@@ -107,8 +110,8 @@ def save_merges(vocab: Vocabulary, merges: list[tuple[int, int]], dest: str | Pa
 def load_merges(vocab: Vocabulary, path: str | Path) -> list[tuple[int, int]]:
     merges: list[tuple[int, int]] = []
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise FileFormatError(f"cannot read merges file {path}: {exc}") from exc
     for lineno, line in enumerate(text.splitlines()):
         if not line:
@@ -143,7 +146,7 @@ def save_table_model(model, path: str | Path, vocab_path: str | Path) -> None:
         ],
         "default": [float(p) for p in model.default] if model.default is not None else None,
     }
-    Path(path).write_text(json.dumps(doc, indent=1) + "\n")
+    Path(path).write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
 
 
 def load_table_model(path: str | Path, merges_path: str | Path | None = None):
@@ -152,8 +155,8 @@ def load_table_model(path: str | Path, merges_path: str | Path | None = None):
     from .model import TableModel
 
     try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FileFormatError(f"cannot parse model file {path}: {exc}") from exc
     try:
         if doc.get("renormalize", True) is not True:
@@ -164,7 +167,7 @@ def load_table_model(path: str | Path, merges_path: str | Path | None = None):
         vocab_path = Path(path).parent / doc["vocab"]
         tokenizer = load_tokenizer(vocab_path, merges_path)
         entries = {
-            tuple(int(t) for t in row["prefix"]): np.asarray(row["probs"], dtype=float)
+            tuple(row["prefix"]): np.asarray(row["probs"], dtype=float)
             for row in doc["entries"]
         }
         default = (

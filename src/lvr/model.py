@@ -16,7 +16,7 @@ import itertools
 import math
 from collections import Counter
 from functools import cached_property
-from typing import Hashable, Iterable, Iterator, Mapping, Sequence
+from typing import Hashable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -248,10 +248,11 @@ class TableModel(LanguageModel):
 
     Prefixes absent from the table fall back to the declared default
     distribution, so small hand-written models stay closed under extension.
-    The table is fixed at construction.  A prefix longer than every key
-    reads the default row, or is refused without one, so only a prefix no
-    longer than the longest key is read whole to look it up; a refusal
-    names the whole prefix.
+    The table is fixed at construction, which refuses a key whose ids are
+    not integers in ``[0, |V|)`` with :class:`ModelError`.  A prefix longer
+    than every key reads the default row, or is refused without one, so
+    only a prefix no longer than the longest key is read whole to look it
+    up; a refusal names the whole prefix.
     """
 
     _DEFAULT_ROW = object()  # model context of every prefix the default serves
@@ -264,10 +265,12 @@ class TableModel(LanguageModel):
     ):
         super().__init__(tokenizer)
         size = len(tokenizer.vocab)
-        self.entries = {
-            tuple(k): _check_probs(v, size, f"table entry {tuple(k)}")
-            for k, v in entries.items()
-        }
+        self.entries = {}
+        for key, probs in entries.items():
+            key = tuple(key)
+            if not all(isinstance(t, (int, np.integer)) and 0 <= t < size for t in key):
+                raise ModelError(f"table entry {key}: token ids must be integers in [0, {size})")
+            self.entries[key] = _check_probs(probs, size, f"table entry {key}")
         self.default = (
             _check_probs(default, size, "default distribution")
             if default is not None
@@ -293,108 +296,85 @@ class TableModel(LanguageModel):
         return self.default
 
 
-def _array(values, dtype=None) -> np.ndarray:
-    """A new array of ``values``, or :class:`ModelError` if they are not numbers."""
+def _token_ids(ids: list, size: int) -> np.ndarray:
+    """``ids`` as an intp array, where ``-1`` stands for an id that is not
+    an integer (an int or a numpy integer) in ``[0, size)``.  Ids that numpy
+    reads as one integer vector are converted together, others one by one."""
     try:
-        return np.array(values, dtype=dtype)
-    except (TypeError, ValueError) as exc:
-        raise ModelError(f"n-gram counts must be numbers: {exc}") from None
+        array = np.array(ids)
+    except ValueError:  # ids of several shapes
+        array = np.array(None)
+    if array.dtype.kind in "iu" and array.shape == (len(ids),):
+        return array.astype(np.intp)
+    return np.array(
+        [i if isinstance(i, (int, np.integer)) and 0 <= i < size else -1 for i in ids],
+        dtype=np.intp,
+    )
 
 
 class NgramCounts:
     """An n-gram's counts, built and checked once: one sparse row per context.
 
-    Row ``r`` belongs to the ``r``-th context and holds the token ids seen
-    after it in ascending order, ``indices[indptr[r]:indptr[r + 1]]``, with
-    their counts at the same positions of ``data``: one CSR over contexts in
-    shared read-only arrays, so the counts keep 16 B per distinct n-gram and,
-    per context, a dict entry and its row's total, whatever ``size`` (|V|) is.
-    ``counts[context]`` is the ``(indices, data)`` views of its row, and
-    iteration lists the contexts in row order.
+    ``NgramCounts(size, grams)`` counts ``grams``, a map from a context
+    followed by one token id to a count, over ``size`` (|V|) ids.  Row ``r``
+    belongs to the ``r``-th context in order of first occurrence among the
+    keys and holds the ids seen after it in ascending order,
+    ``indices[indptr[r]:indptr[r + 1]]``, with their counts at the same
+    positions of ``data``: one CSR over contexts in shared read-only arrays,
+    so the counts keep 16 B per distinct n-gram and, per context, a dict
+    entry and its row's total, whatever |V| is.  ``counts[context]`` is the
+    ``(indices, data)`` views of its row, and iteration lists the contexts
+    in row order.
 
-    Construction refuses malformed arrays, token ids outside ``[0, size)``
-    or not strictly ascending within a row, and counts that are not finite
-    and non-negative, with :class:`ModelError`; a bad row names the first
-    bad context.  A model takes the counts as they are.
+    The map's keys are unique, so the CSR's structure holds by construction
+    and only the values are checked: a size that is not a non-negative int,
+    an empty gram, an id that is not an integer in ``[0, size)`` and a count
+    that is not a finite, non-negative, scalar number raise
+    :class:`ModelError`, a bad id or count naming the first bad context in
+    row order.  A model takes the counts as they are.
     """
 
-    def __init__(
-        self,
-        size: int,
-        contexts: Iterable[TokenSeq],
-        indptr: Sequence[int] | np.ndarray,
-        indices: Sequence[int] | np.ndarray,
-        data: Sequence[float] | np.ndarray,
-    ):
-        self._rows = dict(zip(contexts, itertools.count()))  # context -> row
-        indptr, indices, data = _array(indptr), _array(indices), _array(data, float)
-        if not (
-            isinstance(size, (int, np.integer))
-            and size >= 0
-            and indptr.shape == (len(self._rows) + 1,)
-            and indptr.dtype.kind in "iu"
-            and indptr[0] == 0
-            and indptr[-1] == len(indices)
-            and np.all(indptr[1:] >= indptr[:-1])
-            and indices.ndim == 1
-            and data.shape == indices.shape
-            and (indices.dtype.kind in "iu" or not len(indices))
-        ):
-            raise ModelError(
-                "n-gram counts need a vocabulary size, integer offsets from 0 to the number"
-                " of ids, one per distinct context and one more, and integer ids with one"
-                " count each"
-            )
-        # the entries that do not follow the previous one's id in their row
-        unordered = np.zeros(len(indices), dtype=bool)
-        unordered[1:] = indices[1:] <= indices[:-1]
-        unordered[indptr[:-1][indptr[:-1] < len(indices)]] = False
+    def __init__(self, size: int, grams: Mapping[TokenSeq, float]):
+        if not isinstance(size, (int, np.integer)) or size < 0:
+            raise ModelError(f"n-gram counts need a vocabulary size, a non-negative int: {size!r}")
+        if () in grams:
+            raise ModelError("an n-gram needs at least one token")
+        self._rows: dict[TokenSeq, int] = {}  # context -> row
+        rows = self._rows
+        row = np.array([rows.setdefault(g[:-1], len(rows)) for g in grams], dtype=np.intp)
+        try:
+            data = np.array(list(grams.values()), dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ModelError(f"n-gram counts must be numbers: {exc}") from None
+        if data.shape != row.shape:
+            raise ModelError("n-gram counts must be scalar numbers")
+        ids = _token_ids([g[-1] for g in grams], size)
         problems = [
-            (f"token id outside [0, {size})", (indices < 0) | (indices >= size)),
-            ("token ids not strictly ascending", unordered),
+            (f"token id outside [0, {size}) or not an integer", (ids < 0) | (ids >= size)),
             ("count not finite and non-negative", ~(np.isfinite(data) & (data >= 0))),
         ]
         bad = np.flatnonzero(np.logical_or.reduce([found for _, found in problems]))
         if len(bad):
-            i = bad[0]
-            row = int(np.searchsorted(indptr, i, side="right")) - 1
-            context = next(itertools.islice(self._rows, row, None))
+            i = bad[np.argmin(row[bad])]  # a bad gram of the first bad row
+            context = next(itertools.islice(rows, row[i], None))
             what = "; ".join(name for name, found in problems if found[i])
             raise ModelError(f"n-gram counts of context {context}: {what}")
+        order = np.lexsort((ids, row))
         self.size = int(size)
-        self.indptr = indptr.astype(np.intp)
-        self.indices = indices.astype(np.intp)
-        self.data = data
-        rows = len(self._rows)
+        self.indptr = np.zeros(len(rows) + 1, dtype=np.intp)
+        np.cumsum(np.bincount(row, minlength=len(rows)), out=self.indptr[1:])
+        self.indices = ids[order]
+        self.data = data[order]
         # each row's total, summed in row order
-        self.totals = np.bincount(
-            np.repeat(np.arange(rows), np.diff(self.indptr)), weights=data, minlength=rows
-        )
+        self.totals = np.bincount(row[order], weights=self.data, minlength=len(rows))
         for array in (self.indptr, self.indices, self.data, self.totals):
             array.setflags(write=False)
-
-    @classmethod
-    def from_grams(cls, size: int, grams: Mapping[TokenSeq, float]) -> NgramCounts:
-        """Counts of ``grams``, keyed by a context followed by one token id;
-        rows in order of their context's first occurrence among the keys."""
-        if () in grams:
-            raise ModelError("an n-gram needs at least one token")
-        rows: dict[TokenSeq, int] = {}
-        row = [rows.setdefault(g[:-1], len(rows)) for g in grams]
-        ids, data = _array([g[-1] for g in grams]), _array(list(grams.values()), float)
-        order = np.lexsort((ids, row))
-        indptr = np.zeros(len(rows) + 1, dtype=np.intp)
-        np.cumsum(np.bincount(row, minlength=len(rows)), out=indptr[1:])
-        return cls(size, rows, indptr, ids[order], data[order])
 
     def __len__(self) -> int:
         return len(self._rows)
 
     def __iter__(self) -> Iterator[TokenSeq]:
         return iter(self._rows)
-
-    def __contains__(self, context: object) -> bool:
-        return context in self._rows
 
     def __getitem__(self, context: TokenSeq) -> tuple[np.ndarray, np.ndarray]:
         row = self._rows[context]
@@ -476,8 +456,8 @@ def train_ngram(
     alpha: float,
 ) -> NgramModel:
     """Count n-grams over the encoded corpus, one terminator appended per
-    document.  ``counts`` is an :class:`NgramCounts` whose contexts are in
-    order of first occurrence; it holds no |V|-long array."""
+    document, into ``NgramCounts(|V|, grams)``: its contexts are in order of
+    first occurrence, and it holds no |V|-long array."""
     _check_ngram_params(order, alpha)  # refuses before encoding
     if not corpus:
         raise ModelError("training corpus is empty")
@@ -493,5 +473,5 @@ def train_ngram(
         # the first ``order`` tokens have shorter contexts
         grams.update([ids[: i + 1] for i in range(min(order, len(ids)))])
         grams.update(zip(*[ids[j:] for j in range(order + 1)]))
-    counts = NgramCounts.from_grams(len(tokenizer.vocab), grams)
+    counts = NgramCounts(len(tokenizer.vocab), grams)
     return NgramModel(tokenizer, order, alpha, counts)

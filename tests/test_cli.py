@@ -9,7 +9,7 @@ from conftest import binary_instance
 
 from lvr import TableModel, reduction
 from lvr.cli import main
-from lvr.files import save_table_model, save_vocabulary
+from lvr.files import escape_bytes, save_table_model, save_vocabulary
 
 
 @pytest.fixture
@@ -46,7 +46,112 @@ class TestTokenize:
         assert code == 2
 
 
+_UNIFORM = [0.25] * 4
+
+
+def _table_doc(entries, default=_UNIFORM):
+    return json.dumps({"vocab": "vocab.json", "entries": entries, "default": default})
+
+
+class TestFileFormatErrors:
+    # case -> (the file's bytes, the command reading it as BAD, a fragment
+    # of the error line besides the file's path)
+    CASES = {
+        "vocabulary not UTF-8": (
+            b'["0", "1", "00", "0\xff1"]', ["tokenize", "--vocab", "BAD", "--text", "0"],
+            "can't decode byte 0xff",
+        ),
+        "sub-vocabulary not UTF-8": (
+            b'["0", "1", "\xff"]', ["reduce-generate", "--model", "MODEL", "--subvocab", "BAD"],
+            "can't decode byte 0xff",
+        ),
+        "merges not UTF-8": (
+            b"0\t\xff\n", ["tokenize", "--vocab", "VOCAB", "--merges", "BAD", "--text", "0"],
+            "can't decode byte 0xff",
+        ),
+        "model not UTF-8": (
+            _table_doc([]).encode().replace(b"vocab.json", b"vocab\xff.json"),
+            ["reduce-generate", "--model", "BAD", "--subvocab", "SUB"],
+            "can't decode byte 0xff",
+        ),
+        "vocabulary not an array of strings": (
+            b'["0", "1", 2]', ["tokenize", "--vocab", "BAD", "--text", "0"],
+            "expected a JSON array of strings",
+        ),
+        "merges line without a tab": (
+            b"0 0\n", ["tokenize", "--vocab", "VOCAB", "--merges", "BAD", "--text", "0"],
+            "1: expected LEFT<TAB>RIGHT",
+        ),
+        "merges surface not in the vocabulary": (
+            b"0\t0\n0\t2\n", ["tokenize", "--vocab", "VOCAB", "--merges", "BAD", "--text", "0"],
+            "2: unknown token surface b'2'",
+        ),
+        "model without entries": (
+            b'{"vocab": "vocab.json"}', ["verify-lossless", "--model", "BAD", "--subvocab", "SUB"],
+            "'entries'",
+        ),
+        "default row of the wrong length": (
+            _table_doc([], [0.5, 0.5]).encode(),
+            ["verify-lossless", "--model", "BAD", "--subvocab", "SUB"],
+            "default distribution: expected 4 probabilities",
+        ),
+        "table key with an unknown id": (
+            _table_doc([{"prefix": [99], "probs": _UNIFORM}]).encode(),
+            ["verify-lossless", "--model", "BAD", "--subvocab", "SUB"],
+            "table entry (99,): token ids must be integers in [0, 4)",
+        ),
+        "table key with a negative id": (
+            _table_doc([{"prefix": [2], "probs": _UNIFORM},
+                        {"prefix": [-1, 2], "probs": _UNIFORM}]).encode(),
+            ["verify-lossless", "--model", "BAD", "--subvocab", "SUB"],
+            "table entry (-1, 2)",
+        ),
+        "table key with a fractional id": (
+            _table_doc([{"prefix": [2.7], "probs": _UNIFORM}]).encode(),
+            ["verify-lossless", "--model", "BAD", "--subvocab", "SUB"],
+            "table entry (2.7,)",
+        ),
+        "table key with a string id": (
+            _table_doc([{"prefix": ["3"], "probs": _UNIFORM}]).encode(),
+            ["verify-lossless", "--model", "BAD", "--subvocab", "SUB"],
+            "table entry ('3',)",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_exit_2_naming_the_file(self, binary_files, capsys, case):
+        content, argv, fragment = self.CASES[case]
+        bad = binary_files["dir"] / "bad.file"
+        bad.write_bytes(content)
+        names = {"BAD": bad, "VOCAB": binary_files["vocab"], "MODEL": binary_files["model"],
+                 "SUB": binary_files["subvocab"]}
+        code = main([str(names.get(a, a)) for a in argv])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert str(bad) in captured.err and fragment in captured.err, captured.err
+
+
 class TestReduceGenerate:
+    def test_out_writes_the_printed_text(self, binary_files, capsys):
+        out = binary_files["dir"] / "out.bin"
+        code = main(
+            [
+                "reduce-generate",
+                "--model", str(binary_files["model"]),
+                "--subvocab", str(binary_files["subvocab"]),
+                "--max-steps", "6",
+                "--decoding", "sample",
+                "--seed", "7",
+                "--out", str(out),
+            ]
+        )
+        assert code == 0
+        printed = capsys.readouterr().out
+        assert len(out.read_bytes()) >= 6
+        assert printed == escape_bytes(out.read_bytes()) + "\n"
+
     def test_trace_records_first_step_marginals(self, binary_files, capsys):
         trace = binary_files["dir"] / "trace.jsonl"
         code = main(
@@ -238,6 +343,7 @@ class TestBuildMcv:
             paths[name] = (vp, mp)
         out_vocab = tmp_path / "common.json"
         out_merges = tmp_path / "common.txt"
+        out_report = tmp_path / "report.json"
         code = main(
             [
                 "build-mcv",
@@ -245,10 +351,12 @@ class TestBuildMcv:
                 "--vocab", str(paths["two"][0]), "--merges", str(paths["two"][1]),
                 "--out-vocab", str(out_vocab),
                 "--out-merges", str(out_merges),
+                "--report", str(out_report),
             ]
         )
         assert code == 0
         report = json.loads(capsys.readouterr().out)
+        assert json.loads(out_report.read_text()) == report
         assert report["member_sizes"] == [6, 6]
         assert report["intersection_size"] == 5
         assert report["merges_kept"] == 1

@@ -74,6 +74,21 @@ class TestNextTokenDist:
                 model.next_token_dist(prefix)
         assert model.next_token_dist((2,)).sum() == pytest.approx(1.0)
 
+    @pytest.mark.parametrize(
+        "key", [(99,), (-1,), (4,), (2, -1), ("x",), (2.7,), (np.float64(2),), (np.bool_(1),)]
+    )
+    def test_key_outside_the_vocabulary_refused(self, binary, key):
+        # no prefix could read such a row
+        rows = {(): np.full(4, 0.25), key: np.full(4, 0.25)}
+        with pytest.raises(ModelError, match=re.escape(f"table entry {key}: token ids must be")):
+            TableModel(binary.tokenizer, rows)
+
+    def test_numpy_integer_key_kept(self, binary):
+        row = np.array([0.6, 0.0, 0.3, 0.1])
+        model = TableModel(binary.tokenizer, {(np.int64(2),): row}, default=np.full(4, 0.25))
+        assert list(model.entries) == [(2,)]
+        assert model.raw_next_token_dist((2,)) is model.entries[(2,)]
+
     def test_refusal_is_not_shared(self, binary):
         # (0,) and (2, 0) share the default row and the mask context (0,);
         # after "0" the default's mass falls on "0" and "00", both invalid
@@ -739,7 +754,7 @@ def _context_cases(draw):
         grams = {ids[max(0, n - order):n] + (t,): float(c)
                  for n in range(len(ids) + 1) if rng.random() < 0.7
                  for t, c in enumerate(rng.integers(0, 4, size)) if c}
-        return NgramModel(tokenizer, order, 0.5, NgramCounts.from_grams(size, grams)), ids, order
+        return NgramModel(tokenizer, order, 0.5, NgramCounts(size, grams)), ids, order
     entries = {ids[:n]: row() for n in range(len(ids) + 1) if rng.random() < 0.5}
     default = row() if kind == "table with default" else None
     return TableModel(tokenizer, entries, default), ids, max(map(len, entries), default=0)
@@ -1050,47 +1065,66 @@ def _bpe5():
     return BpeTokenizer(vocab, [(1, 2), (2, 1)])
 
 
+_NOT_AN_ID = r"token id outside \[0, 5\) or not an integer$"
+
+
 class TestNgramCountsValidation:
-    # each refusal names the first bad context in row order, (1,) here
+    # each refusal names the first bad context in row order, (1,) here,
+    # and what is wrong with its first bad gram
     @pytest.mark.parametrize(
         "grams, message",
         [({(3, 1): 1.0, (1, 2): -5.0, (2, 0): 1.0}, "count not finite and non-negative"),
          ({(3, 1): 1.0, (1, 2): np.nan, (2, 0): -1.0}, "count not finite and non-negative"),
          ({(3, 1): 1.0, (1, 2): np.inf}, "count not finite and non-negative"),
          ({(3, 1): 1.0, (1, 5): 1.0, (2, -1): 1.0}, r"token id outside \[0, 5\)"),
-         ({(3, 1): 1.0, (1, -1): 1.0}, r"token id outside \[0, 5\)")],
+         ({(3, 1): 1.0, (1, -1): 1.0}, r"token id outside \[0, 5\)"),
+         # a later key of an earlier row: (1, 9) is named, not (2, 0)
+         ({(1, 2): 1.0, (2, 0): -1.0, (1, 9): 1.0}, _NOT_AN_ID),
+         # ids that are not integers, whatever numpy makes of the others
+         ({(3, 1): 1.0, (1, 1.5): 1.0, (2, "x"): 1.0}, _NOT_AN_ID),
+         ({(3, 1): 1.0, (1, np.float64(2.0)): 1.0}, _NOT_AN_ID),
+         ({(3, 1): 1.0, (1, "x"): 1.0, (2, 0): -1.0}, _NOT_AN_ID),
+         ({(3, 1): 1.0, (1, None): 1.0}, _NOT_AN_ID),
+         ({(3, 1): 1.0, (1, (2, 3)): 1.0}, _NOT_AN_ID)],
     )
     def test_bad_gram_names_its_context(self, grams, message):
         with pytest.raises(ModelError, match=rf"context \(1,\): {message}"):
-            NgramCounts.from_grams(5, grams)
-
-    @pytest.mark.parametrize("ids", [[2, 4, 3], [2, 3, 3]])
-    def test_unordered_ids_name_their_context(self, ids):
-        with pytest.raises(ModelError, match=r"context \(1,\): token ids not strictly ascending"):
-            NgramCounts(5, [(), (1,), (2,)], [0, 0, 3, 3], ids, [1.0, 1.0, 1.0])
+            NgramCounts(5, grams)
 
     @pytest.mark.parametrize(
-        "contexts, indptr, ids, data",
-        [([()], [0, 2], [1], [1.0]),          # offsets past the ids
-         ([(), (1,)], [0, 1], [1], [1.0]),    # one offset short
-         ([()], [1, 1], [1], [1.0]),          # not starting at 0
-         ([(), ()], [0, 1, 2], [1, 2], [1.0, 1.0]),  # a repeated context
-         ([()], [0, 1], [1.5], [1.0]),        # a fractional id
-         ([()], [0, 1], [1], [1.0, 2.0]),     # a count without an id
-         ([()], [0, 1], [1], ["x"]),          # a count that is no number
-         ([()], [0, 1], [1], [[1.0]])],       # counts in two dimensions
+        "grams",
+        [pytest.param({(1, 1.5): 1.0}, id="fractional id"),
+         pytest.param({(1, 2): "x"}, id="count that is no number"),
+         pytest.param({(1, 2): [1.0]}, id="counts in two dimensions"),
+         pytest.param({(1, 2): 1.0, (1, 3): [1.0, 2.0]}, id="counts of several shapes")],
     )
-    def test_malformed_arrays_refused(self, contexts, indptr, ids, data):
+    def test_malformed_grams_refused(self, grams):
         with pytest.raises(ModelError):
-            NgramCounts(5, contexts, indptr, ids, data)
+            NgramCounts(5, grams)
 
     @pytest.mark.parametrize("size", [-1, 5.0, None])
     def test_size_not_a_count_refused(self, size):
         with pytest.raises(ModelError, match="need a vocabulary size"):
-            NgramCounts(size, [()], [0, 1], [1], [1.0])
+            NgramCounts(size, {(1,): 1.0})
+
+    def test_empty_gram_refused(self):
+        with pytest.raises(ModelError, match="at least one token"):
+            NgramCounts(5, {(1,): 1.0, (): 1.0})
+
+    def test_rows_are_built_in_first_occurrence_order(self):
+        # contexts in order of first occurrence, ids ascending within a row,
+        # numpy integer ids taken as integers, and an empty map is valid
+        counts = NgramCounts(5, {(2, 4): 1.0, (1,): 2.0, (2, np.int64(0)): 3.0, (4,): 4.0})
+        assert list(counts) == [(2,), ()]
+        assert counts.indptr.tolist() == [0, 2, 4]
+        assert counts.indices.tolist() == [0, 4, 1, 4]
+        assert counts.data.tolist() == [3.0, 1.0, 2.0, 4.0]
+        assert counts.totals.tolist() == [4.0, 6.0]
+        empty = NgramCounts(np.int64(5), {})
+        assert len(empty) == 0 and empty.indptr.tolist() == [0] and empty.size == 5
 
     def test_counts_of_another_vocabulary_refused(self):
-        counts = NgramCounts.from_grams(3, {(1, 2): 1.0})
+        counts = NgramCounts(3, {(1, 2): 1.0})
         with pytest.raises(ModelError, match="cover 3 token ids, the vocabulary has 5"):
             NgramModel(_bpe5(), 1, 0.5, counts)
 
@@ -1098,7 +1132,7 @@ class TestNgramCountsValidation:
         # every row would divide by inf and hold only zeros
         with pytest.raises(ModelError, match="overflows"):
             train_ngram([b"ab"], _bpe5(), order=1, alpha=1e308)
-        counts = NgramCounts.from_grams(5, {(1, 2): 1e308, (1, 3): 1e308})
+        counts = NgramCounts(5, {(1, 2): 1e308, (1, 3): 1e308})
         with pytest.raises(ModelError, match="overflows"):
             NgramModel(_bpe5(), 1, 0.5, counts)
 
@@ -1109,7 +1143,7 @@ class TestNgramCountsValidation:
     def test_model_reads_no_context_at_construction(self, monkeypatch):
         tokenizer = _bpe5()
         counts = train_ngram([b"abba", b"ba"], tokenizer, order=2, alpha=0.5).counts
-        for name in ("__iter__", "__len__", "__contains__", "__getitem__", "smoothed"):
+        for name in ("__iter__", "__len__", "__getitem__", "smoothed"):
             monkeypatch.setattr(NgramCounts, name, None)
         model = NgramModel(tokenizer, 2, 0.5, counts)
         assert model.counts is counts

@@ -190,6 +190,21 @@ class TestStep:
         with pytest.raises(ReductionError):
             session.step(1)
 
+    def test_unreachable_prefix_has_no_distribution(self, binary):
+        # the text 00 spelled as two 0 sub-tokens: the inner encoding of 00
+        # is the one sub-token 00, so no outer sequence re-encodes to (0, 0)
+        # and every continuation has zero mass; branch takes a zero-mass
+        # sub-token, but neither variant gives a distribution after it
+        session = ReductionSession(binary.model, binary.nested, topk=None)
+        session.next_subtoken_dist()
+        child = session.branch(0)
+        assert child.next_subtoken_dist().probs[0] == 0.0
+        grandchild = child.branch(0)
+        message = "no sub-token continuation has positive probability"
+        for variant in (grandchild.next_subtoken_dist, grandchild.next_subtoken_dist_naive):
+            with pytest.raises(ReductionError, match=message):
+                variant()
+
     def test_sibling_covers_evicted(self, binary):
         session = ReductionSession(binary.model, binary.nested, topk=None)
         session.next_subtoken_dist()
