@@ -35,7 +35,7 @@ from .files import (
 )
 from .mcv import build_mcv
 from .model import train_ngram
-from .oracle import lossless_check
+from .oracle import enumeration_budget, lossless_check
 from .reduction import DEFAULT_TOP_K, ReductionSession, decode
 from .tokenization import (
     BpeTokenizer,
@@ -230,6 +230,10 @@ def cmd_ensemble_generate(args) -> int:
 
 
 def cmd_verify_lossless(args) -> int:
+    try:
+        budget = enumeration_budget()
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     model = load_table_model(args.model, args.merges)
     inner = _resolve_inner(args.subvocab, [model.tokenizer])
     nested = NestedTokenizer(model.tokenizer, inner)
@@ -239,6 +243,7 @@ def cmd_verify_lossless(args) -> int:
             nested,
             max_len=args.max_len,
             tol=args.tol,
+            budget=budget,
             method=args.method,
             instance=str(args.model),
         )

@@ -37,8 +37,11 @@ DEFAULT_ENUM_BUDGET = 2_000_000
 
 
 def enumeration_budget() -> int:
-    raw = os.environ.get("LVR_ENUM_BUDGET")
-    return int(raw) if raw else DEFAULT_ENUM_BUDGET
+    """``LVR_ENUM_BUDGET``, a non-negative integer; unset or empty is the default."""
+    raw = os.environ.get("LVR_ENUM_BUDGET") or str(DEFAULT_ENUM_BUDGET)
+    if not (raw.isascii() and raw.isdigit()):
+        raise ValueError(f"LVR_ENUM_BUDGET must be a non-negative integer, not {raw!r}")
+    return int(raw)
 
 
 class _Budget:

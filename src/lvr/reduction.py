@@ -75,7 +75,7 @@ _RESCALE_BELOW = 2.0**-511
 
 class CoverEntry(NamedTuple):
     """One relative-cover element: a valid outer-token sequence, its nested
-    (sub-token) encoding and its cached marginal probability."""
+    (sub-token) encoding and its marginal; goes with ROADMAP item 1."""
 
     seq: TokenSeq
     nested: TokenSeq
@@ -98,7 +98,7 @@ class CoverGroup(NamedTuple):
 
 @dataclass
 class RelativeCover:
-    """Relative cover of one sub-token prefix."""
+    """Relative cover of one sub-token prefix; goes with ROADMAP item 1."""
 
     entries: list[CoverEntry] = field(default_factory=list)
 
@@ -150,9 +150,10 @@ class ReductionSession:
     re-encodings run on.  The node (see :meth:`NestedTokenizer.trie_child`)
     is that of the sub-tokens the group's re-encodings covered since.  A
     distribution sums one pending list, the cover plus the step's own group
-    at the trie root, and stepping moves that list.  :attr:`cover_cache`,
-    :meth:`relative_cover` and ``_pending`` enumerate :class:`CoverEntry`
-    records, with true marginals, from the groups for readers;
+    at the trie root, and stepping moves that list.  The readers
+    (:attr:`cover_cache`, :meth:`relative_cover` and ``_pending``) and the
+    slow reference :meth:`next_subtoken_dist_naive` share one enumerator,
+    ``_entries``, of :class:`CoverEntry` records from the groups;
     ``cover_cache`` and ``_pending`` stay because the benchmark tracer reads
     them.  The groups' marginals are the true ones times ``2**-exponent``.
 
@@ -211,39 +212,33 @@ class ReductionSession:
             out.append(y)
         return tuple(reversed(out))
 
-    def _entries(self, members, scaled: bool = False) -> RelativeCover:
-        """:class:`CoverEntry` records of ``(trie node, group, ascending
-        outer ids)`` triples, for the ids each group keeps; marginals are
-        true unless ``scaled``."""
+    def _entries(self, groups, scaled: bool = False) -> Iterator[CoverEntry]:
+        """The :class:`CoverEntry` records of ``(trie node, group)`` pairs,
+        in list order and ascending id within a group: every id the node
+        lists (one reaching past the prefix, or ``at.exact``) that the group
+        keeps.  Marginals are true unless ``scaled``."""
         mapping, prefix = self.nested.mapping, self.prefix
         exponent = 0 if scaled else self.exponent
-        entries = []
-        for at, g, xs in members:
-            if xs:  # the node's prefix and the covered sub-tokens, built once
-                seq, head = tuple(g.node), prefix[: len(prefix) - at.depth]
-                entries += [CoverEntry(seq + (x,), head + mapping[x],
-                                       math.ldexp(g.ext.item(x), exponent))
-                            for x in xs if g.kept[x]]
-        return RelativeCover(entries)
+        for at, g in groups:
+            xs = sorted([*at.ids.tolist(), at.exact]) if at.exact >= 0 else at.ids.tolist()
+            # the node's prefix and the covered sub-tokens, built once
+            seq, head = tuple(g.node), prefix[: len(prefix) - at.depth]
+            for x in xs:
+                if g.kept[x]:
+                    yield CoverEntry(seq + (x,), head + mapping[x],
+                                     math.ldexp(g.ext.item(x), exponent))
 
-    def _bucket(self, y: int) -> RelativeCover:
-        """Relative cover of ``prefix + (y,)`` from the last distribution:
-        the carried entries whose next sub-token is ``y``, then the step's
-        extensions whose re-encoding starts with ``y``."""
-        return self._entries((at, g, at.split.get(y, ())) for at, g in self._pending_groups)
-
-    def _cover(self, scaled: bool = False) -> RelativeCover:
+    def _cover(self) -> RelativeCover:
         """The relative cover of the prefix, built from the groups."""
         if self._chain is None:
             return RelativeCover([CoverEntry((), (), 1.0)])
-        return self._entries(
-            ((at, g, sorted({*at.ids.tolist(), at.exact} - {-1})) for at, g in self.cover),
-            scaled)
+        return RelativeCover(list(self._entries(self.cover)))
 
     @property
     def cover_cache(self) -> dict[TokenSeq, RelativeCover]:
         """A new ``{prefix: relative cover}`` dict over the one cover the
-        session keeps, for readers; writing to it changes nothing."""
+        session keeps, for readers; writing to it changes nothing.  Goes
+        with ROADMAP item 1."""
         return {self.prefix: self._cover()}
 
     # -- per-step computation ------------------------------------------------
@@ -322,35 +317,30 @@ class ReductionSession:
         return self._scatter_dist(self._topk)
 
     def next_subtoken_dist_naive(self) -> SubTokenDistribution:
-        """Reference variant: for every sub-token, scan every cover entry
-        and the whole vocabulary.  Always exact; bit-identical to the
-        efficient variant run with K >= |V|."""
+        """Reference variant: enumerate every pending entry, the cover's
+        and then the step's exact extensions in ascending id, and add each
+        one's marginal to its next sub-token's sum.  Always exact;
+        bit-identical to the efficient variant run with K >= |V|."""
         group, _ = self._step_group(None)
         pending = self.cover if group is None else [*self.cover, (self.nested.trie, group)]
-        k, mapping = len(self.prefix), self.nested.mapping
-        cover = self._cover(scaled=True).entries
-        sums = [0.0] * len(self.nested.vocab)
-        for y in range(len(sums)):
-            collected = 0.0
-            for e in cover:
-                if len(e.nested) > k and e.nested[k] == y:
-                    collected += e.marginal
-            if group is not None:
-                for x in range(len(group.ext)):
-                    if mapping[x][0] == y and group.kept[x]:
-                        collected += float(group.ext[x])
-            sums[y] = collected
+        k, sums = len(self.prefix), [0.0] * len(self.nested.vocab)
+        for e in self._entries(pending, scaled=True):
+            if len(e.nested) > k:
+                sums[e.nested[k]] += e.marginal
         return self._finish(np.array(sums), 0.0, pending)
 
     @property
     def _pending(self) -> dict[int, RelativeCover] | None:
-        """Every non-empty bucket of the last distribution, built, for
-        readers such as tests and tracers; ``None`` before a distribution is
-        computed."""
+        """Every non-empty bucket of the last distribution, by sub-token,
+        for readers such as tests and tracers; ``None`` before a
+        distribution is computed.  Goes with ROADMAP item 1."""
         if self._last is None:
             return None
-        ys = set().union(*(at.split for at, _ in self._pending_groups))
-        return {y: b for y in sorted(ys) if (b := self._bucket(y)).entries}
+        k, buckets = len(self.prefix), {}
+        for e in self._entries(self._pending_groups):
+            if len(e.nested) > k:
+                buckets.setdefault(e.nested[k], []).append(e)
+        return {y: RelativeCover(buckets[y]) for y in sorted(buckets)}
 
     # -- state transitions ---------------------------------------------------
 
@@ -421,7 +411,7 @@ class ReductionSession:
         for y in y_prefix[len(self.prefix) :]:
             walker.next_subtoken_dist()
             walker = walker.branch(y)
-        return walker.cover_cache[y_prefix]
+        return walker._cover()
 
     def generate(
         self,

@@ -14,7 +14,7 @@ import functools
 import heapq
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -252,6 +252,26 @@ class _MergeTrees(NamedTuple):
     node_rank: np.ndarray  # and the rank of the merge that consumed the node
 
 
+def _merge_ids(rank: int, merge: tuple[int, int]) -> tuple[int, int]:
+    """A merge's ids as ints, refused unless each is an int or a numpy integer."""
+    a, b = merge
+    if not (isinstance(a, (int, np.integer)) and isinstance(b, (int, np.integer))):
+        raise TokenizationError(f"merge {rank}: ids must be integers, not {merge!r}")
+    return int(a), int(b)
+
+
+def _spine(producer, top: int, consumed: int, side: int) -> Iterator[tuple[int, int]]:
+    """The left (``side`` 0) or right (1) spine of ``top``'s merge tree, top
+    first, each node with the rank of the merge that consumed it: ``top``
+    with ``consumed``, each child with its parent's merge rank."""
+    while True:
+        yield top, consumed
+        made = producer.get(top)
+        if made is None:
+            return
+        top, consumed = made[side], made[2]
+
+
 class BpeTokenizer(DeterministicTokenizer):
     """Byte-pair encoding: start from single-symbol tokens and repeatedly
     apply the lowest-ranked applicable merge, leftmost occurrence first among
@@ -271,8 +291,7 @@ class BpeTokenizer(DeterministicTokenizer):
             raise TokenizationError("BPE tokenizer requires a complete vocabulary")
         self.vocab = vocab
         self.merges: tuple[tuple[int, int], ...] = tuple(
-            (int(a), int(b)) for a, b in merges
-        )
+            _merge_ids(rank, merge) for rank, merge in enumerate(merges))
         self._single = {s[0]: i for i, s in enumerate(vocab.surfaces) if len(s) == 1}
         # (left, right) -> (rank, product id); first occurrence wins on dupes.
         self._pair_rank: dict[tuple[int, int], tuple[int, int]] = {}
@@ -328,15 +347,11 @@ class BpeTokenizer(DeterministicTokenizer):
         # spine and r < rank_a(u); it blocks x if rank_x(v) >= r.  The rank
         # len(self.merges) stands for infinity.
         limit = np.full(len(self.vocab), len(self.merges) + 1)
-        consumed = len(self.merges)
-        while True:
+        for u, consumed in _spine(trees.producer, u, len(self.merges), 1):
             if u in trees.by_left:
                 vs, ranks = trees.by_left[u]
                 k = int(np.searchsorted(ranks, consumed))
                 limit[vs[:k]] = np.minimum(limit[vs[:k]], ranks[:k])
-            if u not in trees.producer:
-                break
-            _, u, consumed = trees.producer[u]
         mask = trees.canonical.copy()
         mask[trees.holder[trees.node_rank >= limit[trees.node]]] = False
         return mask
@@ -368,16 +383,9 @@ class BpeTokenizer(DeterministicTokenizer):
         canonical = np.array(canonical)
         # one (token, node, rank consumed) triple per left-spine node of
         # every token that encodes to itself
-        holder, node, node_rank = [], [], []
-        for x in np.flatnonzero(canonical).tolist():
-            v, consumed = x, len(self.merges)
-            while True:
-                holder.append(x)
-                node.append(v)
-                node_rank.append(consumed)
-                if v not in producer:
-                    break
-                v, _, consumed = producer[v]
+        holder, node, node_rank = zip(*(
+            (x, v, consumed) for x in np.flatnonzero(canonical).tolist()
+            for v, consumed in _spine(producer, x, len(self.merges), 0)))
         return _MergeTrees(
             canonical=canonical,
             producer=producer,
@@ -396,21 +404,13 @@ class BpeTokenizer(DeterministicTokenizer):
         encoding of their concatenation before the merge of ``rank`` joins
         them: ``r < rank_a(u)`` and ``r <= rank_b(v)`` (see :meth:`mask_row`),
         with both tops consumed at ``rank``."""
-        right, u, consumed = [], a, rank
-        while True:
-            right.append((u, consumed))
-            if u not in producer:
-                break
-            _, u, consumed = producer[u]
-        v, v_consumed = b, rank
-        while True:
+        right = list(_spine(producer, a, rank, 1))
+        for v, v_consumed in _spine(producer, b, rank, 0):
             for u, u_consumed in right:
                 hit = self._pair_rank.get((u, v))
                 if hit is not None and hit[0] < u_consumed and hit[0] <= v_consumed:
                     return True
-            if v not in producer:
-                return False
-            v, _, v_consumed = producer[v]
+        return False
 
     def encode(self, text: bytes) -> TokenSeq:
         chunks, joins = self._chunks, self._joins

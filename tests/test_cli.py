@@ -320,6 +320,31 @@ class TestVerifyLossless:
         assert code == 1
         assert capsys.readouterr().out.startswith("FAIL")
 
+    @pytest.mark.parametrize("budget", ["abc", "1e6", "-5"])
+    def test_bad_enumeration_budget_is_a_usage_error(self, binary_files, capsys,
+                                                     monkeypatch, budget):
+        # a budget that is not a non-negative integer exits 2 naming the
+        # variable, and is read before the model: it was a ValueError
+        # traceback (exit 1), or for -5 a refusal of every check
+        monkeypatch.setenv("LVR_ENUM_BUDGET", budget)
+        for model in (binary_files["model"], binary_files["dir"] / "missing.json"):
+            argv = ["verify-lossless", "--model", str(model),
+                    "--subvocab", str(binary_files["subvocab"]), "--max-len", "3"]
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: LVR_ENUM_BUDGET"), captured.err
+            assert repr(budget) in captured.err
+
+    @pytest.mark.parametrize("budget, code", [("", 0), ("0", 1), ("2000", 0)])
+    def test_enumeration_budget_values(self, binary_files, capsys, monkeypatch, budget, code):
+        # empty is the default; 0 refuses the check (15 texts, exit 1)
+        monkeypatch.setenv("LVR_ENUM_BUDGET", budget)
+        argv = ["verify-lossless", "--model", str(binary_files["model"]),
+                "--subvocab", str(binary_files["subvocab"]), "--max-len", "3"]
+        assert main(argv) == code
+        assert (capsys.readouterr().err == "") == (code == 0)
+
 
 class TestBuildMcv:
     def test_outputs_and_report(self, tmp_path, capsys):

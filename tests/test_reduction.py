@@ -441,6 +441,28 @@ class TestNaiveEquivalence:
         assume(has_followers(model.tokenizer))
         _assert_naive_equal_along_generation(rng, model, nested, 12)
 
+    def test_bitwise_equal_under_rescaling(self, binary, monkeypatch):
+        # a threshold that rescales at nearly every step: over 2,000 sampled
+        # binary steps, far into the rescaled range, K = |V| and the naive
+        # reference give the same scaled marginals and exponents, bit for bit
+        monkeypatch.setattr(reduction, "_RESCALE_BELOW", 2.0)
+        eff = ReductionSession(binary.model, binary.nested, topk=len(binary.model.vocab))
+        ref = ReductionSession(binary.model, binary.nested, topk=None)
+
+        def dist():
+            d_eff, d_ref = eff.next_subtoken_dist(), ref.next_subtoken_dist_naive()
+            assert d_eff.raw_marginals.tolist() == d_ref.raw_marginals.tolist()
+            assert d_eff.exponent == d_ref.exponent
+            return d_eff
+
+        def step(chosen):
+            eff.step(chosen)
+            ref.step(chosen)
+
+        steps = list(decode(dist, step, None, 2000, "sample", 1))
+        assert len(steps) == 2000
+        assert eff.exponent == ref.exponent < -2000
+
 
 def _per_group_sums(nested, groups, ext) -> list[float]:
     """The sums of a step at the empty prefix as a Python loop over
@@ -558,6 +580,27 @@ class TestLazyBucketsMatchNaive:
             session.step(choice)
             if choice == nested.vocab.eos_id:
                 break
+
+
+class TestOneEnumerator:
+    def test_pending_builds_the_prefix_at_most_twice(self, monkeypatch):
+        # _pending buckets one pass over the pending groups' entries, so a
+        # read builds the prefix tuple for its length and for the entries,
+        # not once per bucket
+        model = _pinned_bpe_members()[0]
+        inner = GreedyTokenizer(byte_vocabulary(model.vocab.alphabet))
+        session = ReductionSession(model, NestedTokenizer(model.tokenizer, inner), topk=None)
+        for y in b"th":
+            session.next_subtoken_dist()
+            session.step(inner.vocab.id_of(bytes([y])))
+        session.next_subtoken_dist()
+        reads = []
+        prefix = ReductionSession.prefix.fget
+        monkeypatch.setattr(ReductionSession, "prefix",
+                            property(lambda s: reads.append(1) or prefix(s)))
+        buckets = session._pending
+        assert len(buckets) >= 3
+        assert 0 < len(reads) <= 2
 
 
 class TestOneGroupPerStep:
@@ -810,6 +853,26 @@ class TestLongGeneration:
         _, steps = self._run(binary, 8, 0)
         assert steps[-1].dist.exponent < 0
         assert reports() == plain
+
+    def test_pending_reads_true_marginals(self, binary, monkeypatch):
+        # the buckets a reader sees hold true marginals: equal, entry for
+        # entry, under a threshold that rescales at every step
+        def buckets():
+            session = ReductionSession(binary.model, binary.nested, topk=None)
+            seen = []
+
+            def step(chosen):
+                seen.append(session._pending)
+                session.step(chosen)
+
+            list(decode(session.next_subtoken_dist, step, None, 8, "sample", 0))
+            return seen, session.exponent
+
+        plain, exponent = buckets()
+        monkeypatch.setattr(reduction, "_RESCALE_BELOW", 2.0)
+        scaled, scaled_exponent = buckets()
+        assert exponent == 0 and scaled_exponent < 0
+        assert len(scaled) == 8 and scaled == plain
 
     def test_zero_mass_branch_keeps_its_scale(self, binary, monkeypatch):
         # a branch onto a sub-token with no mass rescales nothing, even

@@ -111,6 +111,21 @@ class TestBpeEncode:
         with pytest.raises(TokenizationError):
             BpeTokenizer(vocab, [(0, 1)])
 
+    @pytest.mark.parametrize("merge", [(0.9, 1.2), ("1", "0"), (0, 1.0), (np.float64(1), 0),
+                                       (None, 1)])
+    def test_merge_ids_must_be_integers(self, merge):
+        # an id that is not an integer is refused naming its rank; the
+        # float (0.9, 1.2) was read as (0, 1) and the string ("1", "0") as
+        # (1, 0)
+        vocab = Vocabulary([b"a", b"b", b"ab", b"ba"], Alphabet.of("ab"))
+        with pytest.raises(TokenizationError, match="merge 1: ids must be integers"):
+            BpeTokenizer(vocab, [(0, 1), merge])
+
+    def test_numpy_integer_merge_ids(self):
+        vocab = Vocabulary([b"a", b"b", b"ab"], Alphabet.of("ab"))
+        merges = BpeTokenizer(vocab, [(np.int64(0), np.uint8(1))]).merges
+        assert merges == ((0, 1),) and all(type(t) is int for t in merges[0])
+
 
 class TestValidity:
     def test_shadowed_split_is_invalid(self, binary):
