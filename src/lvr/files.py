@@ -11,7 +11,8 @@ the line number as the merge rank.
 
 Table-model file: ``{"vocab": <path>, "entries": [{"prefix": [ids],
 "probs": [floats]}], "default": [floats] | null}``, where each prefix id is
-an integer id of the vocabulary.  Each row is
+an integer id of the vocabulary; any other (``99`` over four tokens, ``-1``,
+``2.7``, ``"3"``, ``true``, ``false``) is refused.  Each row is
 renormalized over the continuations valid after its prefix; a file that
 sets ``"renormalize": false`` is refused.
 

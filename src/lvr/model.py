@@ -21,7 +21,7 @@ from typing import Hashable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .errors import ModelError, TokenizationError
-from .tokenization import DeterministicTokenizer, TokenSeq
+from .tokenization import DeterministicTokenizer, TokenSeq, is_token_id
 
 
 class Node:
@@ -78,6 +78,11 @@ class LanguageModel:
     pruned (a node and its parent refer to each other, so the tree is freed
     with the model by the cyclic collector), but its nodes share one
     distribution per (:meth:`model_context`, mask) pair.
+
+    Each step that adds a node, and :meth:`marginal`, checks its id with
+    :func:`is_token_id`.  A step onto a node already added is a dict read,
+    unchecked so as not to cost every oracle step: it finds the child by
+    ``==``, so once ``(1,)`` has a node, ``node((True,))`` returns it.
 
     The hooks :meth:`model_context`, :meth:`raw_next_token_dist` and the
     tokenizer's ``mask_context`` get a prefix as a tuple or a :class:`Node`,
@@ -149,7 +154,7 @@ class LanguageModel:
             raise ModelError("cannot continue a terminated sequence")
         size = len(parent.mask)
         for x in new:
-            if not 0 <= x < size:
+            if not is_token_id(x, size):
                 raise TokenizationError(f"unknown token id {x}")
         for x in new:
             if not parent.mask[x]:
@@ -221,7 +226,7 @@ class LanguageModel:
         for s, tok in enumerate(ids):
             if eos is not None and s > 0 and ids[s - 1] == eos:
                 return 0.0
-            if not 0 <= tok < size:
+            if not is_token_id(tok, size):
                 raise TokenizationError(f"unknown token id {tok}")
             if s > 0:
                 node = self.child(node, ids[s - 1])
@@ -268,7 +273,7 @@ class TableModel(LanguageModel):
         self.entries = {}
         for key, probs in entries.items():
             key = tuple(key)
-            if not all(isinstance(t, (int, np.integer)) and 0 <= t < size for t in key):
+            if not all(is_token_id(t, size) for t in key):
                 raise ModelError(f"table entry {key}: token ids must be integers in [0, {size})")
             self.entries[key] = _check_probs(probs, size, f"table entry {key}")
         self.default = (
@@ -297,19 +302,13 @@ class TableModel(LanguageModel):
 
 
 def _token_ids(ids: list, size: int) -> np.ndarray:
-    """``ids`` as an intp array, where ``-1`` stands for an id that is not
-    an integer (an int or a numpy integer) in ``[0, size)``.  Ids that numpy
-    reads as one integer vector are converted together, others one by one."""
-    try:
-        array = np.array(ids)
-    except ValueError:  # ids of several shapes
-        array = np.array(None)
-    if array.dtype.kind in "iu" and array.shape == (len(ids),):
-        return array.astype(np.intp)
-    return np.array(
-        [i if isinstance(i, (int, np.integer)) and 0 <= i < size else -1 for i in ids],
-        dtype=np.intp,
-    )
+    """``ids`` as an intp array, where ``-1`` stands for each one that is
+    not a token id (:func:`is_token_id`).  A list of ints that numpy reads
+    as an intp vector is checked in one pass, any other one id at a time."""
+    array = np.array(ids) if set(map(type, ids)) <= {int} else None
+    if array is None or array.dtype != np.intp:
+        return np.array([i if is_token_id(i, size) else -1 for i in ids], dtype=np.intp)
+    return np.where((array >= 0) & (array < size), array, -1)
 
 
 class NgramCounts:
@@ -328,10 +327,11 @@ class NgramCounts:
 
     The map's keys are unique, so the CSR's structure holds by construction
     and only the values are checked: a size that is not a non-negative int,
-    an empty gram, an id that is not an integer in ``[0, size)`` and a count
-    that is not a finite, non-negative, scalar number raise
-    :class:`ModelError`, a bad id or count naming the first bad context in
-    row order.  A model takes the counts as they are.
+    an empty gram, any id of a gram, context included, that is not a token
+    id (:func:`is_token_id`; ``(True, 2)`` would count for context ``(1,)``)
+    and a count that is not a finite, non-negative, scalar number raise
+    :class:`ModelError`, naming the first bad gram's context in row order.
+    A model takes the counts as they are.
     """
 
     def __init__(self, size: int, grams: Mapping[TokenSeq, float]):
@@ -348,15 +348,20 @@ class NgramCounts:
             raise ModelError(f"n-gram counts must be numbers: {exc}") from None
         if data.shape != row.shape:
             raise ModelError("n-gram counts must be scalar numbers")
-        ids = _token_ids([g[-1] for g in grams], size)
+        # every id of every gram, its context's too
+        lengths = np.fromiter(map(len, grams), dtype=np.intp, count=len(grams))
+        ends = np.cumsum(lengths)
+        flat = _token_ids(list(itertools.chain.from_iterable(grams)), size)
+        ids = flat[ends - 1]
         problems = [
-            (f"token id outside [0, {size}) or not an integer", (ids < 0) | (ids >= size)),
+            (f"token id outside [0, {size}) or not an integer",
+             np.minimum.reduceat(flat, ends - lengths) < 0),
             ("count not finite and non-negative", ~(np.isfinite(data) & (data >= 0))),
         ]
         bad = np.flatnonzero(np.logical_or.reduce([found for _, found in problems]))
         if len(bad):
             i = bad[np.argmin(row[bad])]  # a bad gram of the first bad row
-            context = next(itertools.islice(rows, row[i], None))
+            context = next(itertools.islice(grams, i, None))[:-1]
             what = "; ".join(name for name, found in problems if found[i])
             raise ModelError(f"n-gram counts of context {context}: {what}")
         order = np.lexsort((ids, row))

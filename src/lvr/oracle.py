@@ -21,7 +21,7 @@ it; a table refuses more texts than the budget before building them.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import product
 from typing import Callable
 
@@ -261,36 +261,27 @@ def naive_restriction_prefix_prob_table(
 
 @dataclass
 class PrefixProbReport:
-    """Per-text comparison of original vs reduced prefix probabilities."""
+    """Per-text comparison of original vs reduced prefix probabilities;
+    the fields are in the order of the JSON document, ``rows`` last."""
 
     instance: str
     method: str
     max_len: int
     tolerance: float
-    rows: list[tuple[bytes, float, float]]  # (text, original, reduced)
     max_discrepancy: float
     passed: bool
     budget_used: int
+    rows: list[tuple[bytes, float, float]]  # (text, original, reduced)
 
     def to_json_dict(self) -> dict:
-        return {
-            "instance": self.instance,
-            "method": self.method,
-            "max_len": self.max_len,
-            "tolerance": self.tolerance,
-            "max_discrepancy": self.max_discrepancy,
-            "passed": self.passed,
-            "budget_used": self.budget_used,
-            "rows": [
-                {
-                    "text": escape_bytes(text),
-                    "original": orig,
-                    "reduced": red,
-                    "discrepancy": abs(orig - red),
-                }
-                for text, orig, red in self.rows
-            ],
-        }
+        """Every field by name, each row's text escaped and its discrepancy added."""
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        doc["rows"] = [
+            {"text": escape_bytes(text), "original": orig, "reduced": red,
+             "discrepancy": abs(orig - red)}
+            for text, orig, red in self.rows
+        ]
+        return doc
 
 
 def lossless_check(
@@ -326,8 +317,8 @@ def lossless_check(
         method=method,
         max_len=max_len,
         tolerance=tol,
-        rows=rows,
         max_discrepancy=max_disc,
         passed=bool(max_disc <= tol),
         budget_used=bud.used,
+        rows=rows,
     )

@@ -56,7 +56,7 @@ import numpy as np
 
 from .errors import ReductionError
 from .model import LanguageModel, Node
-from .tokenization import NestedTokenizer, ReencodingNode, TokenSeq
+from .tokenization import NestedTokenizer, ReencodingNode, TokenSeq, is_token_id
 
 DEFAULT_TOP_K = 300
 _NO_IDS, _NO_VALUES = np.zeros(0, dtype=np.intp), np.zeros(0)
@@ -348,7 +348,7 @@ class ReductionSession:
         """The last distribution, once ``chosen`` is a sub-token of it."""
         if self._last is None:
             raise ReductionError(f"compute a distribution before {action}")
-        if not 0 <= chosen < len(self._last.raw_marginals):
+        if not is_token_id(chosen, len(self._last.raw_marginals)):
             raise ReductionError(f"sub-token id {chosen} out of range")
         return self._last
 

@@ -29,6 +29,12 @@ _CHUNK_ENTRIES = 4096
 _CHUNK_BYTES = 32
 
 
+def is_token_id(value: object, size: int) -> bool:
+    """Whether ``value`` is an int or a numpy integer in ``[0, size)``: a
+    token id of a ``size``-token vocabulary, unlike ``True`` or ``1.0``."""
+    return (type(value) is int or isinstance(value, np.integer)) and 0 <= value < size
+
+
 @dataclass(frozen=True)
 class Alphabet:
     """Set of byte values texts may use, with an optional reserved terminator.
@@ -115,7 +121,7 @@ class Vocabulary:
         return len(self.surfaces)
 
     def surface(self, tid: int) -> bytes:
-        if not 0 <= tid < len(self.surfaces):
+        if not is_token_id(tid, len(self.surfaces)):
             raise TokenizationError(f"unknown token id {tid}")
         return self.surfaces[tid]
 
@@ -252,14 +258,6 @@ class _MergeTrees(NamedTuple):
     node_rank: np.ndarray  # and the rank of the merge that consumed the node
 
 
-def _merge_ids(rank: int, merge: tuple[int, int]) -> tuple[int, int]:
-    """A merge's ids as ints, refused unless each is an int or a numpy integer."""
-    a, b = merge
-    if not (isinstance(a, (int, np.integer)) and isinstance(b, (int, np.integer))):
-        raise TokenizationError(f"merge {rank}: ids must be integers, not {merge!r}")
-    return int(a), int(b)
-
-
 def _spine(producer, top: int, consumed: int, side: int) -> Iterator[tuple[int, int]]:
     """The left (``side`` 0) or right (1) spine of ``top``'s merge tree, top
     first, each node with the rank of the merge that consumed it: ``top``
@@ -290,8 +288,12 @@ class BpeTokenizer(DeterministicTokenizer):
         if not vocab.complete:
             raise TokenizationError("BPE tokenizer requires a complete vocabulary")
         self.vocab = vocab
-        self.merges: tuple[tuple[int, int], ...] = tuple(
-            _merge_ids(rank, merge) for rank, merge in enumerate(merges))
+        merges, size = tuple(merges), len(vocab)
+        for rank, merge in enumerate(merges):
+            if not all(is_token_id(t, size) for t in merge):
+                raise TokenizationError(
+                    f"merge {rank}: ids must be integers in [0, {size}), not {merge!r}")
+        self.merges: tuple[tuple[int, int], ...] = tuple((int(a), int(b)) for a, b in merges)
         self._single = {s[0]: i for i, s in enumerate(vocab.surfaces) if len(s) == 1}
         # (left, right) -> (rank, product id); first occurrence wins on dupes.
         self._pair_rank: dict[tuple[int, int], tuple[int, int]] = {}
@@ -548,7 +550,7 @@ class NestedTokenizer(DeterministicTokenizer):
         """Concatenated per-token re-encodings; preserves decode."""
         out: list[int] = []
         for t in outer_ids:
-            if not 0 <= t < len(self.mapping):
+            if not is_token_id(t, len(self.mapping)):
                 raise TokenizationError(f"unknown token id {t}")
             out.extend(self.mapping[t])
         return tuple(out)

@@ -111,6 +111,12 @@ class TestFileFormatErrors:
             ["verify-lossless", "--model", "BAD", "--subvocab", "SUB"],
             "table entry (2.7,)",
         ),
+        "table key with a boolean id": (
+            _table_doc([{"prefix": [2], "probs": _UNIFORM},
+                        {"prefix": [True], "probs": _UNIFORM}]).encode(),
+            ["verify-lossless", "--model", "BAD", "--subvocab", "SUB"],
+            "table entry (True,)",
+        ),
         "table key with a string id": (
             _table_doc([{"prefix": ["3"], "probs": _UNIFORM}]).encode(),
             ["verify-lossless", "--model", "BAD", "--subvocab", "SUB"],

@@ -75,7 +75,8 @@ class TestNextTokenDist:
         assert model.next_token_dist((2,)).sum() == pytest.approx(1.0)
 
     @pytest.mark.parametrize(
-        "key", [(99,), (-1,), (4,), (2, -1), ("x",), (2.7,), (np.float64(2),), (np.bool_(1),)]
+        "key", [(99,), (-1,), (4,), (2, -1), ("x",), (2.7,), (np.float64(2),), (np.bool_(1),),
+                (True,), (1, False)]
     )
     def test_key_outside_the_vocabulary_refused(self, binary, key):
         # no prefix could read such a row
@@ -113,10 +114,21 @@ class TestMarginal:
     def test_invalid_path_is_zero(self, binary):
         assert binary.model.marginal((2, 1)) == 0.0
 
-    @pytest.mark.parametrize("ids", [(-1,), (4,), (2, -1)])
+    @pytest.mark.parametrize("ids", [(-1,), (4,), (2, -1), (2.0, 0), (True,), (2, np.bool_(0))])
     def test_unknown_id_raises(self, binary, ids):
         with pytest.raises(TokenizationError, match="unknown token id"):
             binary.model.marginal(ids)
+
+    @pytest.mark.parametrize("prefix", [(1.0,), (True,), (2, False), (2, np.float64(0))])
+    def test_node_refuses_an_id_that_is_no_integer(self, binary, prefix):
+        # on a fresh model every step adds a node, so each one is checked;
+        # before, True indexed the mask as a boolean array and 1.0 as a float
+        model = binary.model
+        for call in (lambda: model.node(prefix), lambda: model.next_token_dist(prefix),
+                     lambda: model.child(model.node(prefix[:-1]), prefix[-1])):
+            with pytest.raises(TokenizationError, match=re.escape(f"unknown token id {prefix[-1]}")):
+                call()
+        assert model.root.children.keys() <= {2}
 
     def test_chain_rule_and_monotonicity(self):
         rng = np.random.default_rng(7)
@@ -1085,10 +1097,29 @@ class TestNgramCountsValidation:
          ({(3, 1): 1.0, (1, np.float64(2.0)): 1.0}, _NOT_AN_ID),
          ({(3, 1): 1.0, (1, "x"): 1.0, (2, 0): -1.0}, _NOT_AN_ID),
          ({(3, 1): 1.0, (1, None): 1.0}, _NOT_AN_ID),
-         ({(3, 1): 1.0, (1, (2, 3)): 1.0}, _NOT_AN_ID)],
+         ({(3, 1): 1.0, (1, (2, 3)): 1.0}, _NOT_AN_ID),
+         # a bool among ints, and an int too large for any integer dtype
+         ({(3, 1): 1.0, (1, True): 1.0}, _NOT_AN_ID),
+         ({(3, 1): 1.0, (1, 2**70): 1.0}, _NOT_AN_ID)],
     )
     def test_bad_gram_names_its_context(self, grams, message):
         with pytest.raises(ModelError, match=rf"context \(1,\): {message}"):
+            NgramCounts(5, grams)
+
+    @pytest.mark.parametrize(
+        "grams, context",
+        [({(3, 1): 1.0, (7, 1): 1.0}, (7,)),
+         ({(1.5, 0): 1.0}, (1.5,)),
+         ({("x", 0): 1.0}, ("x",)),
+         ({(2, 0): 1.0, (2, -1, 0): 1.0}, (2, -1)),
+         # each equals the context (1,) of the gram before it, so it would
+         # count in that row
+         ({(1, 0): 1.0, (True, 2): 1.0}, (True,)),
+         ({(1, 0): 1.0, (1.0, 2): 1.0}, (1.0,)),
+         ({(1, 0): 1.0, (np.float64(1), 2): 1.0}, (np.float64(1),))],
+    )
+    def test_bad_context_id_names_its_context(self, grams, context):
+        with pytest.raises(ModelError, match=re.escape(f"context {context}: ") + _NOT_AN_ID):
             NgramCounts(5, grams)
 
     @pytest.mark.parametrize(

@@ -165,10 +165,11 @@ class TestStep:
         with pytest.raises(ReductionError):
             session.step(0)
 
-    @pytest.mark.parametrize("y", [7, -1])
+    @pytest.mark.parametrize("y", [7, -1, 1.0, True])
     def test_out_of_range_refused_by_branch(self, binary, y):
-        # branch and relative_cover refuse an id outside the sub-vocabulary
-        # as step does, rather than reach a prefix with an empty cover
+        # branch and relative_cover refuse an id outside the sub-vocabulary,
+        # or one that is no integer, as step does, rather than reach a
+        # prefix with an empty cover or read True as 1
         session = ReductionSession(binary.model, binary.nested, topk=None)
         session.next_subtoken_dist()
         message = f"sub-token id {y} out of range"
@@ -178,6 +179,23 @@ class TestStep:
             with pytest.raises(ReductionError, match=message):
                 session.relative_cover(y_prefix)
         assert session.prefix == ()
+
+    @pytest.mark.parametrize("y", [1.0, True])
+    def test_id_that_is_no_integer_refused_by_step(self, binary, y):
+        session = ReductionSession(binary.model, binary.nested, topk=None)
+        session.next_subtoken_dist()
+        with pytest.raises(ReductionError, match=f"sub-token id {y} out of range"):
+            session.step(y)
+        assert session.prefix == ()
+
+    def test_numpy_integer_steps(self, binary):
+        session = ReductionSession(binary.model, binary.nested, topk=None)
+        session.next_subtoken_dist()
+        child, want = session.branch(np.int64(1)), session.branch(1)
+        assert child.prefix == (1,)
+        assert child.next_subtoken_dist().ptilde.tolist() == want.next_subtoken_dist().ptilde.tolist()
+        session.step(np.int64(1))
+        assert session.prefix == (1,)
 
     def test_zero_mass_refused(self, binary):
         model = TableModel(
@@ -399,6 +417,39 @@ class TestCoverHoldsRetokenization:
             session.next_subtoken_dist()
         with pytest.raises(ModelError, match="invalid continuations"):
             original_prefix_prob_table(model, 3)
+
+
+class TestTopKShortfall:
+    # ROADMAP item 10's probe: top-K only drops cover entries, so along a
+    # path its true marginals stay at or below the exact session's, and all
+    # they miss was dropped at this step or an earlier one
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_shortfall_within_running_dropped_mass(self, seed):
+        rng = np.random.default_rng(seed)
+        inst = make_instance(
+            rng,
+            n_symbols=int(rng.integers(2, 4)),
+            n_multi=int(rng.integers(1, 5)),
+            n_sub_multi=int(rng.integers(0, 2)),
+        )
+        k = int(rng.integers(1, len(inst.model.vocab)))
+        topk = ReductionSession(inst.model, inst.nested, topk=k)
+        exact = ReductionSession(inst.model, inst.nested, topk=None)
+        dropped = 0.0  # D, the top-K session's dropped mass so far
+        for _ in range(24):
+            got, want = topk.next_subtoken_dist(), exact.next_subtoken_dist()
+            dropped += got.dropped
+            assert np.all(got.ptilde <= want.ptilde), (k, topk.prefix)
+            shortfall = float((want.ptilde - got.ptilde).sum())
+            # the shortfall is a float sum of D's terms, so it may pass D by
+            # a rounding: ratios up to 1.0000000000000018 are seen
+            assert shortfall <= dropped * (1 + 1e-9), (k, topk.prefix, shortfall, dropped)
+            y = int(rng.choice(len(got.probs), p=got.probs))
+            topk.step(y)
+            exact.step(y)
+            if y == inst.nested.vocab.eos_id:
+                break
 
 
 def _assert_naive_equal_along_generation(rng, model, nested, steps):

@@ -43,6 +43,11 @@ class TestDecode:
         with pytest.raises(TokenizationError):
             binary.tokenizer.decode((99,))
 
+    @pytest.mark.parametrize("tid", [1.0, True, np.bool_(False), "1", None])
+    def test_id_that_is_no_integer(self, binary, tid):
+        with pytest.raises(TokenizationError, match="unknown token id"):
+            binary.tokenizer.vocab.surface(tid)
+
     def test_homomorphism(self, binary):
         dec = binary.tokenizer.decode
         assert dec((2, 1, 0)) == dec((2,)) + dec((1, 0))
@@ -112,11 +117,11 @@ class TestBpeEncode:
             BpeTokenizer(vocab, [(0, 1)])
 
     @pytest.mark.parametrize("merge", [(0.9, 1.2), ("1", "0"), (0, 1.0), (np.float64(1), 0),
-                                       (None, 1)])
+                                       (None, 1), (False, True), (0, True), (0, 4)])
     def test_merge_ids_must_be_integers(self, merge):
-        # an id that is not an integer is refused naming its rank; the
-        # float (0.9, 1.2) was read as (0, 1) and the string ("1", "0") as
-        # (1, 0)
+        # an id that is not an integer in range is refused naming its rank;
+        # the float (0.9, 1.2) was read as (0, 1), the string ("1", "0") as
+        # (1, 0) and the bools (False, True) as (0, 1)
         vocab = Vocabulary([b"a", b"b", b"ab", b"ba"], Alphabet.of("ab"))
         with pytest.raises(TokenizationError, match="merge 1: ids must be integers"):
             BpeTokenizer(vocab, [(0, 1), merge])
@@ -161,6 +166,11 @@ class TestNested:
         for seq in [(3,), (2, 0), (2, 3)]:
             nested = binary.nested.nested_encode(seq)
             assert binary.nested.decode(nested) == binary.tokenizer.decode(seq)
+
+    @pytest.mark.parametrize("ids", [(True,), (2, 1.0), (-1,), (4,)])
+    def test_unknown_id_refused(self, binary, ids):
+        with pytest.raises(TokenizationError, match=f"unknown token id {ids[-1]}$"):
+            binary.nested.nested_encode(ids)
 
     def test_sub_vocab_must_be_subset(self, binary):
         stranger = GreedyTokenizer(
@@ -667,3 +677,15 @@ def test_greedy_single_byte_surfaces_have_an_empty_mask_context():
     assert max(reads, default=0) == 0
     assert tokenizer.mask_context(prefix) == ()
     assert node.mask is tokenizer.valid_continuations(())
+
+
+@pytest.mark.parametrize(
+    "value, size, want",
+    [(0, 1, True), (3, 4, True), (np.int64(3), 4, True), (np.uint8(0), 1, True),
+     (4, 4, False), (-1, 4, False), (2**70, 4, False), (True, 4, False), (False, 4, False),
+     (np.bool_(True), 4, False), (1.0, 4, False), (np.float64(1), 4, False), ("1", 4, False),
+     (None, 4, False), (0, 0, False)],
+)
+def test_is_token_id(value, size, want):
+    # the one rule every id check in the library uses
+    assert tokenization.is_token_id(value, size) == want
