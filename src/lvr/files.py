@@ -12,7 +12,8 @@ the line number as the merge rank.
 Table-model file: ``{"vocab": <path>, "entries": [{"prefix": [ids],
 "probs": [floats]}], "default": [floats] | null}``, where each prefix id is
 an integer id of the vocabulary; any other (``99`` over four tokens, ``-1``,
-``2.7``, ``"3"``, ``true``, ``false``) is refused.  Each row is
+``2.7``, ``"3"``, ``true``, ``false``) is refused, and so is a prefix
+equal to an earlier entry's (``[true]`` after ``[1]``).  Each row is
 renormalized over the continuations valid after its prefix; a file that
 sets ``"renormalize": false`` is refused.
 
@@ -167,10 +168,14 @@ def load_table_model(path: str | Path, merges_path: str | Path | None = None):
             )
         vocab_path = Path(path).parent / doc["vocab"]
         tokenizer = load_tokenizer(vocab_path, merges_path)
-        entries = {
-            tuple(row["prefix"]): np.asarray(row["probs"], dtype=float)
-            for row in doc["entries"]
-        }
+        entries = {}
+        for i, row in enumerate(doc["entries"]):
+            prefix = tuple(row["prefix"])
+            # [1] and [true] compare equal, so one would overwrite the other
+            if prefix in entries:
+                raise FileFormatError(
+                    f"{path}: entry {i} repeats the prefix of an earlier entry: {prefix}")
+            entries[prefix] = np.asarray(row["probs"], dtype=float)
         default = (
             np.asarray(doc["default"], dtype=float)
             if doc.get("default") is not None

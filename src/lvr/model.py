@@ -326,16 +326,17 @@ class NgramCounts:
     in row order.
 
     The map's keys are unique, so the CSR's structure holds by construction
-    and only the values are checked: a size that is not a non-negative int,
-    an empty gram, any id of a gram, context included, that is not a token
-    id (:func:`is_token_id`; ``(True, 2)`` would count for context ``(1,)``)
-    and a count that is not a finite, non-negative, scalar number raise
-    :class:`ModelError`, naming the first bad gram's context in row order.
+    and only the values are checked: a size that is not a non-negative int
+    (``True`` is none), an empty gram, any id of a gram, context included,
+    that is not a token id (:func:`is_token_id`; ``(True, 2)`` would count
+    for context ``(1,)``) and a count that is not a finite, non-negative,
+    scalar number raise :class:`ModelError`, naming the first bad gram's
+    context in row order.
     A model takes the counts as they are.
     """
 
     def __init__(self, size: int, grams: Mapping[TokenSeq, float]):
-        if not isinstance(size, (int, np.integer)) or size < 0:
+        if not (type(size) is int or isinstance(size, np.integer)) or size < 0:
             raise ModelError(f"n-gram counts need a vocabulary size, a non-negative int: {size!r}")
         if () in grams:
             raise ModelError("an n-gram needs at least one token")

@@ -14,7 +14,7 @@ import functools
 import heapq
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -248,26 +248,20 @@ class GreedyTokenizer(DeterministicTokenizer):
 
 
 class _MergeTrees(NamedTuple):
-    """Index of an ordered BPE merge list for :meth:`BpeTokenizer.mask_row`."""
+    """Validity rows of an ordered BPE merge list (see
+    :meth:`BpeTokenizer.mask_row`) as one CSR over tokens."""
 
     canonical: np.ndarray  # token -> encodes to itself
-    producer: dict[int, tuple[int, int, int]]  # product -> (left, right, rank)
-    by_left: dict[int, tuple[np.ndarray, np.ndarray]]  # left -> (rights, ranks)
-    holder: np.ndarray  # left-spine entries: the token whose spine it is,
-    node: np.ndarray  # the node on that spine,
-    node_rank: np.ndarray  # and the rank of the merge that consumed the node
+    start: np.ndarray  # token a -> offset of its followers in ``blocked``
+    blocked: np.ndarray  # the ids whose step after a some merge blocks
 
 
-def _spine(producer, top: int, consumed: int, side: int) -> Iterator[tuple[int, int]]:
-    """The left (``side`` 0) or right (1) spine of ``top``'s merge tree, top
-    first, each node with the rank of the merge that consumed it: ``top``
-    with ``consumed``, each child with its parent's merge rank."""
-    while True:
-        yield top, consumed
-        made = producer.get(top)
-        if made is None:
-            return
-        top, consumed = made[side], made[2]
+def _ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each index of ``range(lo[i], hi[i])``, ``i`` by ``i``, with its ``i``:
+    ``(owners, indices)``."""
+    counts = hi - lo
+    owner = np.repeat(np.arange(len(lo)), counts)
+    return owner, np.arange(len(owner)) + (lo - np.cumsum(counts) + counts)[owner]
 
 
 class BpeTokenizer(DeterministicTokenizer):
@@ -335,84 +329,108 @@ class BpeTokenizer(DeterministicTokenizer):
         leftmost first: the pair across the boundary lies right of the
         merge that consumes ``u`` and left of the one that consumes ``v``.
 
-        A merge list that is not ordered uses the generic re-encoding fill.
+        :meth:`_merge_trees` lists, for each ``a``, the ``x`` that some such
+        merge blocks, so a row is the ``canonical`` flags with
+        ``blocked[start[a]:start[a + 1]]`` cleared, and all False after an
+        ``a`` that does not encode to itself.  A merge list that is not
+        ordered uses the generic re-encoding fill.
         """
         trees = self._merge_trees
         if trees is None:
             return super().mask_row(context)
         if not context:
             return trees.canonical.copy()
-        (u,) = context
-        if not trees.canonical[u]:
+        (a,) = context
+        if not trees.canonical[a]:
             return np.zeros(len(self.vocab), dtype=bool)
-        # limit[v]: lowest rank r of a merge (u, v) with u on the right
-        # spine and r < rank_a(u); it blocks x if rank_x(v) >= r.  The rank
-        # len(self.merges) stands for infinity.
-        limit = np.full(len(self.vocab), len(self.merges) + 1)
-        for u, consumed in _spine(trees.producer, u, len(self.merges), 1):
-            if u in trees.by_left:
-                vs, ranks = trees.by_left[u]
-                k = int(np.searchsorted(ranks, consumed))
-                limit[vs[:k]] = np.minimum(limit[vs[:k]], ranks[:k])
         mask = trees.canonical.copy()
-        mask[trees.holder[trees.node_rank >= limit[trees.node]]] = False
+        mask[trees.blocked[trees.start[a]:trees.start[a + 1]]] = False
         return mask
 
     @functools.cached_property
     def _merge_trees(self) -> "_MergeTrees | None":
-        """Merge trees of an ordered merge list (see :meth:`mask_row`), or
-        None.  Built on the first row request, not at construction."""
-        surfaces = self.vocab.surfaces
-        producer: dict[int, tuple[int, int, int]] = {}
-        by_left: dict[int, tuple[list[int], list[int]]] = {}
-        # canonical[t]: t encodes to itself.  A byte does; a product of
-        # (a, b) at rank r does iff a and b do and no other merge across
-        # their boundary blocks it: the row rule below, with both tops
-        # consumed at r.
-        canonical = [len(surf) == 1 for surf in surfaces]
-        for rank, (a, b) in enumerate(self.merges):
-            product = self._pair_rank[(a, b)][1]
-            if product in producer:
-                return None
-            if any(len(surfaces[p]) > 1 and p not in producer for p in (a, b)):
-                return None
-            producer[product] = (a, b, rank)
-            vs, ranks = by_left.setdefault(a, ([], []))
-            vs.append(b)
-            ranks.append(rank)
-            if canonical[a] and canonical[b]:
-                canonical[product] = not self._crossed(producer, a, b, rank)
-        canonical = np.array(canonical)
-        # one (token, node, rank consumed) triple per left-spine node of
-        # every token that encodes to itself
-        holder, node, node_rank = zip(*(
-            (x, v, consumed) for x in np.flatnonzero(canonical).tolist()
-            for v, consumed in _spine(producer, x, len(self.merges), 0)))
-        return _MergeTrees(
-            canonical=canonical,
-            producer=producer,
-            by_left={
-                u: (np.array(vs, dtype=np.int64), np.array(ranks, dtype=np.int64))
-                for u, (vs, ranks) in by_left.items()
-            },
-            holder=np.array(holder, dtype=np.int64),
-            node=np.array(node, dtype=np.int64),
-            node_rank=np.array(node_rank, dtype=np.int64),
-        )
+        """Canonical flags and blocked followers of an ordered merge list
+        (see :meth:`mask_row`), or None.  Built on the first row request,
+        not at construction, by array operations over the ``M`` merges:
 
-    def _crossed(self, producer, a: int, b: int, rank: int) -> bool:
-        """Whether a merge ``(u, v)`` of rank ``r`` with ``u`` on the right
-        spine of ``a`` and ``v`` on the left spine of ``b`` fires in the
-        encoding of their concatenation before the merge of ``rank`` joins
-        them: ``r < rank_a(u)`` and ``r <= rank_b(v)`` (see :meth:`mask_row`),
-        with both tops consumed at ``rank``."""
-        right = list(_spine(producer, a, rank, 1))
-        for v, v_consumed in _spine(producer, b, rank, 0):
-            for u, u_consumed in right:
-                hit = self._pair_rank.get((u, v))
-                if hit is not None and hit[0] < u_consumed and hit[0] <= v_consumed:
-                    return True
-        return False
+        - every token's spines as ``(holder, node, rank consumed)`` entries,
+          filled depth by depth, ``M`` standing for the holder's infinity;
+        - for each right-spine entry ``(a, u, l)``, the merges ``(u, v)`` of
+          rank ``r < l``, keeping the lowest ``r`` per ``(a, v)``;
+        - canonicality, in one pass in rank order: a byte encodes to
+          itself, and the product of ``(a, b)`` at rank ``r`` does iff
+          ``a`` and ``b`` do and no left-spine entry ``(b, v, c)`` has an
+          ``(a, v)`` rank at most ``min(c, r - 1)``: with both tops
+          consumed at ``r``, every other spine node is consumed below it,
+          so the bound ``r`` is all that changes;
+        - the CSR: each ``(a, v, r)`` joined with the left-spine entries
+          ``(x, v, c)`` that have ``c >= r``.
+        """
+        size, count = len(self.vocab), len(self.merges)
+        width = count + 1  # a key's rank digit, 0..M
+        pairs = np.array(self.merges, dtype=np.int64).reshape(count, 2)
+        product = [self._pair_rank[m][1] for m in self.merges]
+        if len(set(product)) < count:
+            return None
+        rank_of = np.full(size, -1)  # token -> rank of the merge making it
+        rank_of[product] = np.arange(count)
+        multi = np.array([len(surf) > 1 for surf in self.vocab.surfaces])
+        part_rank = rank_of[pairs]
+        if np.any(multi[pairs] & ((part_rank < 0) | (part_rank >= np.arange(count)[:, None]))):
+            return None
+        children = np.zeros((size, 2), dtype=np.int64)
+        children[product] = pairs
+        spines = []  # left, then right
+        for side in (0, 1):
+            holder = node = np.arange(size)
+            consumed = np.full(size, count)
+            depths = [(holder, node, consumed)]
+            while (made := rank_of[node] >= 0).any():
+                holder, node = holder[made], node[made]
+                consumed, node = rank_of[node], children[node, side]
+                depths.append((holder, node, consumed))
+            spines.append([np.concatenate(column) for column in zip(*depths)])
+        (x_of, v_of, c_of), (a_of, u_of, l_of) = spines
+        # Stable argsorts and sorted keys, not np.unique, the default sort
+        # kind or floor division: their first calls grow resident memory.
+        # The merges of left u below rank l are a range of (left, rank).
+        by_left = np.argsort(pairs[:, 0], kind="stable")
+        owner, at = _ranges(*np.searchsorted(
+            pairs[by_left, 0] * width + by_left, [u_of * width, u_of * width + l_of]))
+        a, rank = a_of[owner], by_left[at]
+        v = pairs[rank, 1]
+        order = np.argsort((a * size + v) * width + rank, kind="stable")
+        a, v, rank = a[order], v[order], rank[order]
+        lowest = np.diff(a * size + v, prepend=-1) != 0  # the lowest rank per (a, v)
+        a, v, rank = a[lowest], v[lowest], rank[lowest]
+        keys = (a * size + v) * width + rank  # sorted
+        # merge r is crossed iff some (a, v) key of its pair has a rank
+        # below r and at most the rank consuming v on b's left spine
+        in_order = np.argsort(x_of, kind="stable")  # left-spine entries by holder
+        firsts = np.searchsorted(x_of[in_order], np.arange(size + 1))
+        merge, at = _ranges(firsts[pairs[:, 1]], firsts[pairs[:, 1] + 1])
+        at = in_order[at]
+        query = (pairs[merge, 0] * size + v_of[at]) * width
+        bound = query + np.minimum(c_of[at], merge - 1) + 1
+        crossed = np.zeros(count, dtype=bool)
+        crossed[merge[np.searchsorted(keys, query) < np.searchsorted(keys, bound)]] = True
+        canonical = (~multi).tolist()
+        for (left, right), made, cross in zip(self.merges, product, crossed.tolist()):
+            if canonical[left] and canonical[right]:
+                canonical[made] = not cross
+        # left-spine entries of node v consumed at c >= r are a range of
+        # (node, rank consumed); the join keeps the (a, v) order, so it
+        # lists the blocked followers a by a
+        by_node = np.argsort(v_of * width + c_of, kind="stable")
+        lo, hi = np.searchsorted((v_of * width + c_of)[by_node],
+                                 [v * width + rank, (v + 1) * width])
+        _, at = _ranges(lo, hi)
+        offsets = np.concatenate(([0], np.cumsum(hi - lo)))
+        return _MergeTrees(
+            canonical=np.array(canonical),
+            start=offsets[np.searchsorted(a, np.arange(size + 1))],
+            blocked=x_of[by_node[at]],
+        )
 
     def encode(self, text: bytes) -> TokenSeq:
         chunks, joins = self._chunks, self._joins

@@ -4,6 +4,7 @@ sub-vocabulary)."""
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import NamedTuple
 from unittest import mock
 
@@ -140,6 +141,39 @@ def wide_merge_tokenizer(rng) -> BpeTokenizer:
             surfaces.append(product)
         merges.append((int(a), int(b)))
     return BpeTokenizer(Vocabulary(surfaces, Alphabet.of(symbols)), merges)
+
+
+def learned_merge_tokenizer(rng) -> BpeTokenizer:
+    """BPE with 20 to 80 merges over three or four symbols, learned from a
+    random corpus of repeated words: each merge joins the most frequent
+    adjacent pair whose product is new, so every list is ordered, and
+    frequent words become deep merge trees."""
+    symbols = list(b"abcd"[: int(rng.integers(3, 5))])
+    words = [bytes(rng.choice(symbols, size=int(rng.integers(2, 9))).tolist())
+             for _ in range(int(rng.integers(4, 13)))]
+    weights = 1.0 / np.arange(1, len(words) + 1)
+    picks = rng.choice(len(words), size=150, p=weights / weights.sum())
+    units = [bytes([c]) for c in b"".join(words[i] for i in picks)]
+    surfaces = [bytes([s]) for s in symbols]
+    merges: list[tuple[int, int]] = []
+    for _ in range(int(rng.integers(20, 81))):
+        fresh = [(n, pair) for pair, n in Counter(zip(units, units[1:])).items()
+                 if n > 1 and pair[0] + pair[1] not in surfaces]
+        if not fresh:
+            break
+        _, (left, right) = max(fresh)
+        merges.append((surfaces.index(left), surfaces.index(right)))
+        surfaces.append(left + right)
+        out, i = [], 0
+        while i < len(units):  # leftmost occurrences first
+            if units[i : i + 2] == [left, right]:
+                out.append(left + right)
+                i += 2
+            else:
+                out.append(units[i])
+                i += 1
+        units = out
+    return BpeTokenizer(Vocabulary(surfaces, Alphabet.of(bytes(symbols))), merges)
 
 
 def has_followers(tokenizer) -> bool:

@@ -117,6 +117,12 @@ class TestFileFormatErrors:
             ["verify-lossless", "--model", "BAD", "--subvocab", "SUB"],
             "table entry (True,)",
         ),
+        "table key repeated as a boolean id": (
+            _table_doc([{"prefix": [1], "probs": _UNIFORM},
+                        {"prefix": [True], "probs": _UNIFORM}]).encode(),
+            ["verify-lossless", "--model", "BAD", "--subvocab", "SUB"],
+            "entry 1 repeats the prefix",
+        ),
         "table key with a string id": (
             _table_doc([{"prefix": ["3"], "probs": _UNIFORM}]).encode(),
             ["verify-lossless", "--model", "BAD", "--subvocab", "SUB"],

@@ -128,6 +128,24 @@ def test_table_model_round_trip(tmp_path, binary):
     )
 
 
+@pytest.mark.parametrize(
+    "prefixes", [[[1], [True]], [[True], [1]], [[2], [1], [2]]],
+    ids=["1-then-true", "true-then-1", "repeat"])
+def test_table_model_with_a_repeated_prefix_refused(tmp_path, binary, prefixes):
+    # equal prefixes would load as one key, the later row silently winning
+    vpath = tmp_path / "vocab.json"
+    mpath = tmp_path / "model.json"
+    save_vocabulary(binary.tokenizer.vocab, vpath)
+    save_table_model(binary.model, mpath, vpath.name)
+    doc = json.loads(mpath.read_text())
+    doc["entries"] = [{"prefix": p, "probs": [0.25] * 4} for p in prefixes]
+    mpath.write_text(json.dumps(doc))
+    last = len(prefixes) - 1
+    with pytest.raises(FileFormatError) as err:
+        load_table_model(mpath)
+    assert str(err.value).startswith(f"{mpath}: entry {last} repeats the prefix")
+
+
 def test_table_model_with_unrescaled_rows_refused(tmp_path, binary, capsys):
     # every row is renormalized over its valid continuations; a file asking
     # to keep rows as written would silently change meaning, so it is refused

@@ -1133,7 +1133,7 @@ class TestNgramCountsValidation:
         with pytest.raises(ModelError):
             NgramCounts(5, grams)
 
-    @pytest.mark.parametrize("size", [-1, 5.0, None])
+    @pytest.mark.parametrize("size", [-1, 5.0, None, True])
     def test_size_not_a_count_refused(self, size):
         with pytest.raises(ModelError, match="need a vocabulary size"):
             NgramCounts(size, {(1,): 1.0})

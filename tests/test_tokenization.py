@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     binary_instance,
+    learned_merge_tokenizer,
     make_instance,
     mcv_instance,
     random_merge_tokenizer,
@@ -403,6 +404,33 @@ def test_bpe_canonical_flags_match_self_encoding(seed, wide):
     assert trees.canonical.tolist() == expected, tokenizer.merges
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_bpe_rows_match_reencoding_on_learned_merge_lists(seed):
+    # learned lists are ordered, so every row comes from the blocked
+    # followers, through spines several merges deep
+    tokenizer = learned_merge_tokenizer(np.random.default_rng(seed))
+    trees = tokenizer._merge_trees
+    assert trees is not None, tokenizer.merges
+    expected = [tokenizer.encode(surf) == (tid,)
+                for tid, surf in enumerate(tokenizer.vocab.surfaces)]
+    assert trees.canonical.tolist() == expected, tokenizer.merges
+    _assert_rows_match_reencoding(tokenizer)
+
+
+def _tree_depth(tokenizer) -> int:
+    depth = {}
+    for a, b in tokenizer.merges:
+        depth[tokenizer._pair_rank[(a, b)][1]] = 1 + max(depth.get(a, 0), depth.get(b, 0))
+    return max(depth.values(), default=0)
+
+
+def test_learned_merge_lists_are_long_and_deep():
+    tokenizers = [learned_merge_tokenizer(np.random.default_rng(seed)) for seed in range(20)]
+    assert all(20 <= len(t.merges) <= 80 for t in tokenizers)
+    assert min(map(_tree_depth, tokenizers)) >= 4
+
+
 def test_wide_merge_lists_are_ordered_and_not():
     ordered = {
         wide_merge_tokenizer(np.random.default_rng(seed))._merge_trees is not None
@@ -429,6 +457,21 @@ def _not_ordered():
     return BpeTokenizer(vocab, merges)
 
 
+def _two_blockers():
+    # after ab, (b, c) of rank 0 sits below b's rank 1 and (ab, c) of rank 3
+    # at the top; ca consumes c at rank 2, so only the lower rank blocks ca
+    vocab = Vocabulary([b"a", b"b", b"c", b"bc", b"ab", b"ca", b"abc"], Alphabet.of("abc"))
+    return BpeTokenizer(vocab, [(1, 2), (0, 1), (2, 0), (4, 2)])
+
+
+def _bytes_only():
+    # no merge takes a multi-byte part; after a, (a, b) of rank 0 blocks b
+    # and ba, and (a, a) of rank 2 blocks a and aa but not ab, which
+    # consumes its a at rank 0
+    vocab = Vocabulary([b"a", b"b", b"ab", b"ba", b"aa"], Alphabet.of("ab"))
+    return BpeTokenizer(vocab, [(0, 1), (1, 0), (0, 0)])
+
+
 def _b_bb():
     return BpeTokenizer(Vocabulary([b"b", b"bb"], Alphabet.of("b")), [(0, 0)])
 
@@ -442,14 +485,28 @@ def _b_bb():
         (_not_ordered, (5,), 8, False),
         # ab + c encodes as abc
         (_abcd, (4,), 2, True),
+        # ab + ca encodes as a bc a
+        (_two_blockers, (4,), 5, True),
+        # a + aa encodes as aa a
+        (_bytes_only, (0,), 4, True),
     ],
-    ids=["tie-rule", "not-ordered-fallback", "abc-from-ab-and-c"],
+    ids=["tie-rule", "not-ordered-fallback", "abc-from-ab-and-c", "lowest-rank-blocks",
+         "merges-of-bytes-only"],
 )
 def test_bpe_row_edge_cases(build, context, token, ordered):
     tokenizer = build()
     assert tokenizer.is_valid(context) and tokenizer.is_valid((token,))
     assert not tokenizer.valid_continuations(context)[token]
     assert (tokenizer._merge_trees is not None) == ordered
+    _assert_rows_match_reencoding(tokenizer)
+
+
+def test_bpe_rows_without_merges():
+    # ab is in the vocabulary, but no merge makes it
+    tokenizer = BpeTokenizer(Vocabulary([b"a", b"b", b"ab"], Alphabet.of("ab")), [])
+    assert tokenizer._merge_trees is not None
+    assert tokenizer.valid_continuations((0,)).tolist() == [True, True, False]
+    assert not tokenizer.mask_row((2,)).any()
     _assert_rows_match_reencoding(tokenizer)
 
 
