@@ -13,7 +13,6 @@ from __future__ import annotations
 import functools
 import heapq
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -24,7 +23,8 @@ TokenSeq = tuple[int, ...]
 
 _NO_IDS = np.zeros(0, dtype=np.intp)  # ids and ys of every trie node with no id past σ
 
-# bounds of a BPE tokenizer's chunk memo: entries, and bytes per chunk
+# bounds of a BPE tokenizer's chunk memo: entries, and bytes per chunk; a
+# longer text finds its chunks by array lookups
 _CHUNK_ENTRIES = 4096
 _CHUNK_BYTES = 32
 
@@ -264,6 +264,12 @@ def _ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return owner, np.arange(len(owner)) + (lo - np.cumsum(counts) + counts)[owner]
 
 
+def _byte_pairs(data: bytes) -> np.ndarray:
+    """Each adjacent byte pair of nonempty ``data`` as ``first << 8 | second``:
+    a big-endian uint16 view of the bytes at stride 1, with no copy."""
+    return np.ndarray((len(data) - 1,), dtype=">u2", buffer=data, strides=(1,))
+
+
 class BpeTokenizer(DeterministicTokenizer):
     """Byte-pair encoding: start from single-symbol tokens and repeatedly
     apply the lowest-ranked applicable merge, leftmost occurrence first among
@@ -275,32 +281,41 @@ class BpeTokenizer(DeterministicTokenizer):
     split is exact for every merge list, ordered or not: a merge's product
     is a surface (the constructor refuses any other), so no merge crosses
     such a pair, and each side's merges fire in the same (rank, leftmost)
-    order as they would on that side alone.
+    order as they would on that side alone.  The pairs are read from one
+    65,536-entry table built at construction, flagging each byte pair that
+    occurs inside no surface: a text of more than ``_CHUNK_BYTES`` bytes
+    looks all its pairs up at once with array operations, a shorter one
+    byte by byte in Python, which costs less below about 40 bytes.
     """
 
     def __init__(self, vocab: Vocabulary, merges: Sequence[tuple[int, int]]):
         if not vocab.complete:
             raise TokenizationError("BPE tokenizer requires a complete vocabulary")
         self.vocab = vocab
-        merges, size = tuple(merges), len(vocab)
+        merges, size, surfaces = tuple(merges), len(vocab), vocab.surfaces
         for rank, merge in enumerate(merges):
             if not all(is_token_id(t, size) for t in merge):
                 raise TokenizationError(
                     f"merge {rank}: ids must be integers in [0, {size}), not {merge!r}")
         self.merges: tuple[tuple[int, int], ...] = tuple((int(a), int(b)) for a, b in merges)
-        self._single = {s[0]: i for i, s in enumerate(vocab.surfaces) if len(s) == 1}
+        self._single = {s[0]: i for i, s in enumerate(surfaces) if len(s) == 1}
         # (left, right) -> (rank, product id); first occurrence wins on dupes.
         self._pair_rank: dict[tuple[int, int], tuple[int, int]] = {}
         for rank, (a, b) in enumerate(self.merges):
-            product = vocab.surface(a) + vocab.surface(b)
+            product = surfaces[a] + surfaces[b]  # ids checked above
             pid = vocab.index.get(product)
             if pid is None:
                 raise TokenizationError(
                     f"merge {rank} produces {product!r}, not in the vocabulary"
                 )
             self._pair_rank.setdefault((a, b), (rank, pid))
-        # byte pairs (as first << 8 | second) that occur inside a surface
-        self._joins = {a << 8 | b for s in vocab.surfaces for a, b in zip(s, s[1:])}
+        # byte pair (as first << 8 | second) -> 1 if it occurs inside no
+        # surface; the pairs of the joined surfaces minus those across a seam
+        joined = b"".join(surfaces)
+        inside = np.ones(len(joined) - 1, dtype=bool)
+        inside[np.cumsum([len(s) for s in surfaces[:-1]], dtype=np.intp) - 1] = False
+        self._cuts = bytearray(b"\x01") * (1 << 16)
+        np.frombuffer(self._cuts, dtype=bool)[_byte_pairs(joined)[inside]] = False
         self._chunks: dict[bytes, TokenSeq] = {}  # chunk -> ids, bounded
 
     def mask_context(self, prefix: Sequence[int]) -> TokenSeq:
@@ -433,15 +448,21 @@ class BpeTokenizer(DeterministicTokenizer):
         )
 
     def encode(self, text: bytes) -> TokenSeq:
-        chunks, joins = self._chunks, self._joins
-        out: list[int] = []
-        start = 0
-        # the pair (last byte, -1) is in no surface: it ends the last chunk
-        for end, (a, b) in enumerate(zip(text, chain(text[1:], (-1,))), 1):
-            if a << 8 | b not in joins:
-                chunk = text[start:end]
-                out += chunks.get(chunk) or self._encode_chunk(chunk)
-                start = end
+        if not text:
+            return ()
+        cuts = self._cuts
+        if len(text) > _CHUNK_BYTES:  # past here array lookups beat the loop
+            ends = (np.flatnonzero(np.frombuffer(cuts, dtype=bool)[_byte_pairs(text)])
+                    + 1).tolist()
+        else:
+            ends = [end for end, (a, b) in enumerate(zip(text, text[1:]), 1)
+                    if cuts[a << 8 | b]]
+        ends.append(len(text))
+        chunks, out, start = self._chunks, [], 0
+        for end in ends:
+            chunk = text[start:end]
+            out += chunks.get(chunk) or self._encode_chunk(chunk)
+            start = end
         return tuple(out)
 
     def _encode_chunk(self, chunk: bytes) -> TokenSeq:

@@ -307,14 +307,19 @@ def _with_separator(tokenizer):
 @st.composite
 def _chunked_texts(draw):
     """A random merge list, ordered or not, plus texts of a few words joined
-    by the separator, so chunks recur within and across texts."""
+    by the separator, so chunks recur within and across texts.  When a
+    draw from 0..3 gives 0 (19% of 200 examples, as hypothesis draws them),
+    each text has 60 to 80 words, hundreds of bytes, well past
+    ``_CHUNK_BYTES``, so :meth:`BpeTokenizer.encode` finds its chunks with
+    array operations; otherwise it has at most 8 words, mostly below it."""
     make = wide_merge_tokenizer if draw(st.booleans()) else random_merge_tokenizer
     base = make(np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
     letters = bytes(sorted(base.vocab.alphabet.symbols)).decode()
     words = draw(st.lists(st.text(letters, max_size=8).map(str.encode),
                           min_size=1, max_size=4))
-    texts = draw(st.lists(st.lists(st.sampled_from(words), max_size=8).map(b"_".join),
-                          min_size=1, max_size=4))
+    count = (60, 80) if draw(st.integers(0, 3)) == 0 else (0, 8)
+    text = st.lists(st.sampled_from(words), min_size=count[0], max_size=count[1])
+    texts = draw(st.lists(text.map(b"_".join), min_size=1, max_size=4))
     return _with_separator(base), texts
 
 
@@ -333,12 +338,35 @@ def _ab_separated():
     return BpeTokenizer(vocab, [(0, 1), (0, 0)])
 
 
+_SHORT, _LONG = 8, tokenization._CHUNK_BYTES + 8
+
+
+# The texts cut at "b_" and "_a" right beside a merge of a and b, so a chunk
+# end one byte off splits that merge; "aa" and "ab" are never cut.
+@pytest.mark.parametrize("text", [
+    b"",
+    b"a",
+    *[(b"ab_" * 20)[:n] for n in range(tokenization._CHUNK_BYTES - 1,
+                                       tokenization._CHUNK_BYTES + 3)],
+    *[b"_" + b"ab" * (n // 2) for n in (_SHORT, _LONG)],  # a cut at the first pair
+    *[b"ab" * (n // 2) + b"_" for n in (_SHORT, _LONG)],  # a cut at the last pair
+    *[b"a" * n + b"b" for n in (_SHORT, _LONG)],  # no cut at all
+], ids=repr)
+def test_bpe_chunk_ends_match_reference(text):
+    tokenizer = _ab_separated()
+    expected = _reference_bpe(tokenizer, text)
+    assert tokenizer.encode(text) == expected
+    assert tokenizer.encode(text) == expected  # again, now from the memo
+
+
 def test_bpe_unknown_byte_named_after_memoized_chunks():
     tokenizer = _ab_separated()
     assert tokenizer.encode(b"ab_ab") == (3, 2, 3)
-    # the chunk ab is memoized; c is the first byte without a token
-    with pytest.raises(TokenizationError, match="^no single-symbol token for byte 0x63$"):
-        tokenizer.encode(b"ab_abc_ab\x07")
+    # the chunk ab is memoized; c is the first byte without a token, in a
+    # short text and in one split by array lookups
+    for text in (b"ab_abc_ab\x07", b"ab_" * tokenization._CHUNK_BYTES + b"abc_ab\x07"):
+        with pytest.raises(TokenizationError, match="^no single-symbol token for byte 0x63$"):
+            tokenizer.encode(text)
 
 
 def test_bpe_chunk_memo_is_bounded(monkeypatch):
