@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import EnsembleError, LvrError, ZeroProductError
 from .model import LanguageModel
-from .reduction import ReductionSession, SubTokenDistribution, decode
+from .reduction import ReductionSession, SubTokenDistribution, _lift, decode
 from .tokenization import DeterministicTokenizer, TokenSeq, Vocabulary
 
 
@@ -53,6 +53,12 @@ def moe_combine(dists: Sequence[np.ndarray]) -> np.ndarray:
 _COMBINERS = {"poe": poe_combine, "moe": moe_combine}
 
 
+def _check_mode(mode: str) -> None:
+    """Refuse a mode that ``_COMBINERS`` has no combiner for."""
+    if mode not in _COMBINERS:
+        raise EnsembleError(f"unknown ensemble mode {mode!r}")
+
+
 @dataclass
 class EnsembleSpec:
     """Lock-step ensemble of reduction sessions over one sub-vocabulary."""
@@ -63,8 +69,7 @@ class EnsembleSpec:
     def __post_init__(self):
         if not self.members:
             raise EnsembleError("ensemble needs at least one member")
-        if self.mode not in _COMBINERS:
-            raise EnsembleError(f"unknown ensemble mode {self.mode!r}")
+        _check_mode(self.mode)
         shared = self.members[0].nested.vocab.surfaces
         for m in self.members[1:]:
             if m.nested.vocab.surfaces != shared:
@@ -104,13 +109,9 @@ def ensemble_generate(
 
 def union_vocab(vocabs: Sequence[Vocabulary]) -> Vocabulary:
     """Union of vocabularies by surface, first vocabulary's order first."""
-    surfaces: list[bytes] = []
-    seen: set[bytes] = set()
-    for vocab in vocabs:
-        for surf in vocab.surfaces:
-            if surf not in seen:
-                seen.add(surf)
-                surfaces.append(surf)
+    if not vocabs:
+        raise EnsembleError("cannot take the union of an empty list of vocabularies")
+    surfaces = dict.fromkeys(surf for vocab in vocabs for surf in vocab.surfaces)
     return Vocabulary(surfaces, vocabs[0].alphabet)
 
 
@@ -121,23 +122,15 @@ def union_baseline_dist(
     mode: str = "poe",
 ) -> np.ndarray:
     """Union-vocabulary baseline: each member retokenizes the prefix text in
-    its own vocabulary, computes its next-token distribution, and
-    zero-extends it onto the union; the extended vectors are then combined.
+    its own vocabulary, computes its next-token distribution, and lifts it
+    onto the union (0.0 at each surface the member lacks); the lifted
+    vectors are then combined.
 
     In product mode the members' supports may be disjoint, in which case
     the documented zero-product error is raised.
     """
-    if mode not in _COMBINERS:
-        raise EnsembleError(f"unknown ensemble mode {mode!r}")
+    _check_mode(mode)
     text = union.decode(tuple(prefix))
-    extended: list[np.ndarray] = []
-    for model, tokenizer in members:
-        retok = tokenizer.encode(text)
-        dist = model.next_token_dist(retok)
-        lifted = np.zeros(len(union))
-        for uid, surf in enumerate(union.surfaces):
-            tid = tokenizer.vocab.index.get(surf)
-            if tid is not None:
-                lifted[uid] = dist[tid]
-        extended.append(lifted)
-    return _COMBINERS[mode](extended)
+    lifted = [_lift(model.next_token_dist(tokenizer.encode(text)), tokenizer.vocab, union)
+              for model, tokenizer in members]
+    return _COMBINERS[mode](lifted)

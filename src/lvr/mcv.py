@@ -83,6 +83,9 @@ def build_mcv(tokenizers: Sequence[BpeTokenizer]) -> tuple[McvResult, BpeTokeniz
     """Common vocabulary plus its associated BPE tokenizer."""
     if len(tokenizers) < 2:
         raise TokenizationError("need at least two tokenizers")
+    for i, tok in enumerate(tokenizers):
+        if not isinstance(tok, BpeTokenizer):
+            raise TokenizationError(f"tokenizer {i} is a {type(tok).__name__}, not a BpeTokenizer")
     alphabet = tokenizers[0].vocab.alphabet
     for tok in tokenizers[1:]:
         if tok.vocab.alphabet.symbols != alphabet.symbols:

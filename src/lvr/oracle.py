@@ -129,7 +129,7 @@ def _require_fresh_exact(session: ReductionSession) -> None:
     marginals are not the reduced model's from the empty text."""
     if session.prefix:
         raise ValueError("reduced-model oracle requires a fresh session (empty prefix)")
-    if session.topk is not None and session.topk < len(session.model.vocab):
+    if session.topk is not None:
         raise ValueError("reduced-model oracle requires an exact (untruncated) session")
 
 

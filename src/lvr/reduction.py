@@ -56,7 +56,7 @@ import numpy as np
 
 from .errors import ReductionError
 from .model import LanguageModel, Node
-from .tokenization import NestedTokenizer, ReencodingNode, TokenSeq, is_token_id
+from .tokenization import NestedTokenizer, ReencodingNode, TokenSeq, Vocabulary, is_token_id
 
 DEFAULT_TOP_K = 300
 _NO_IDS, _NO_VALUES = np.zeros(0, dtype=np.intp), np.zeros(0)
@@ -140,8 +140,9 @@ class ReductionSession:
     """Stateful reducer: a sampled sub-token prefix and its relative cover,
     the only store of marginals.
 
-    ``topk=None`` requests exact mode (every extension considered);
-    otherwise only the K most probable one-token extensions of the canonical
+    ``topk=None`` requests exact mode (every extension considered), and so
+    does any K >= |V|, which :attr:`topk` stores as ``None``; otherwise only
+    the K most probable one-token extensions of the canonical
     retokenization enter the cover at each step.  The attribute is read at
     each distribution computation, so it may be changed between steps.
 
@@ -192,15 +193,17 @@ class ReductionSession:
 
     @property
     def topk(self) -> int | None:
-        """K, or ``None`` for exact mode; anything else but an ``int`` of at
-        least 1 raises :class:`ReductionError`, here or in the constructor."""
+        """K, or ``None`` for exact mode, which is also what any K >= |V|
+        reads back as: it keeps every extension.  Anything else but an
+        ``int`` of at least 1 raises :class:`ReductionError`, here or in the
+        constructor."""
         return self._topk
 
     @topk.setter
     def topk(self, value: int | None) -> None:
         if value is not None and (type(value) is not int or value < 1):
             raise ReductionError(f"top-K must be an int of at least 1 or None, not {value!r}")
-        self._topk = value
+        self._topk = None if value is not None and value >= len(self.model.vocab) else value
 
     @property
     def prefix(self) -> TokenSeq:
@@ -265,7 +268,7 @@ class ReductionSession:
                 return None, 0.0
         ext = base * self.model.next_token_dist(node)
         kept, dropped = node.mask, 0.0
-        if topk is not None and topk < len(ext):
+        if topk is not None:
             drop = np.argsort(-ext, kind="stable")[topk:]
             dropped = float(ext[drop].sum())
             ext[drop] = 0.0  # the step's own array, not the model's
@@ -473,6 +476,14 @@ def decode(
     return steps()
 
 
+def _lift(dist: np.ndarray, source: Vocabulary, target: Vocabulary) -> np.ndarray:
+    """The lift of ``dist``, over ``source``, onto ``target``: each target
+    surface's probability, 0.0 where ``source`` lacks the surface.  Both
+    lossy baselines move distributions with it."""
+    index = source.index
+    return np.array([dist[index[surf]] if surf in index else 0.0 for surf in target.surfaces])
+
+
 def naive_restriction_dist(
     model: LanguageModel, nested: NestedTokenizer, prefix: Sequence[int]
 ) -> SubTokenDistribution:
@@ -483,10 +494,7 @@ def naive_restriction_dist(
     prefix = tuple(prefix)
     retok = nested.outer.encode(nested.decode(prefix))
     cond = model.next_token_dist(retok)
-    outer_index = nested.outer.vocab.index
-    sub = np.zeros(len(nested.vocab))
-    for sid, surf in enumerate(nested.vocab.surfaces):
-        sub[sid] = cond[outer_index[surf]]
+    sub = _lift(cond, nested.outer.vocab, nested.vocab)
     total = sub.sum()
     if total <= 0.0:
         raise ReductionError("restriction removed all probability mass")

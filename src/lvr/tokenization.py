@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import heapq
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence, Sized
 
 import numpy as np
 
@@ -294,9 +294,11 @@ class BpeTokenizer(DeterministicTokenizer):
         self.vocab = vocab
         merges, size, surfaces = tuple(merges), len(vocab), vocab.surfaces
         for rank, merge in enumerate(merges):
-            if not all(is_token_id(t, size) for t in merge):
+            if not (isinstance(merge, Sized) and len(merge) == 2
+                    and all(is_token_id(t, size) for t in merge)):
                 raise TokenizationError(
-                    f"merge {rank}: ids must be integers in [0, {size}), not {merge!r}")
+                    f"merge {rank}: ids must be integers in [0, {size}), two per merge, "
+                    f"not {merge!r}")
         self.merges: tuple[tuple[int, int], ...] = tuple((int(a), int(b)) for a, b in merges)
         self._single = {s[0]: i for i, s in enumerate(surfaces) if len(s) == 1}
         # (left, right) -> (rank, product id); first occurrence wins on dupes.

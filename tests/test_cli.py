@@ -74,6 +74,10 @@ class TestFileFormatErrors:
             ["reduce-generate", "--model", "BAD", "--subvocab", "SUB"],
             "can't decode byte 0xff",
         ),
+        "vocabulary with a repeated surface": (
+            b'["0", "1", "0"]', ["tokenize", "--vocab", "BAD", "--text", "0"],
+            "duplicate token surface b'0'",
+        ),
         "vocabulary not an array of strings": (
             b'["0", "1", 2]', ["tokenize", "--vocab", "BAD", "--text", "0"],
             "expected a JSON array of strings",
@@ -605,6 +609,10 @@ class TestUsageErrors:
             "bench zero order",
             "bench zero alpha",
             "bench negative target-bytes",
+            "zero k",
+            "member field without =",
+            "unknown member field",
+            "member without vocab or model",
         ],
     )
     def test_exit_2_with_error_line(self, binary_files, bpe_member_files, capsys, case):
@@ -651,7 +659,24 @@ class TestUsageErrors:
             "bench zero order": [*bench, "--order", "0"],
             "bench zero alpha": [*bench, "--alpha", "0"],
             "bench negative target-bytes": [*bench, "--target-bytes", "-3"],
+            "zero k": ["reduce-generate", *binary, "--k", "0"],
+            "member field without =": [
+                "ensemble-generate", "--member", f"model={t1},{m1}", "--subvocab", "bytes",
+            ],
+            "unknown member field": [
+                "ensemble-generate", "--member", f"model={t1},merge={m1}", "--subvocab", "bytes",
+            ],
+            "member without vocab or model": [
+                *bench[:-4], "--member", f"merges={m2}", "--corpus", corpus,
+            ],
         }[case]
+        # where another refusal would also exit 2, the message tells them apart
+        fragment = {
+            "zero k": "K must be >= 1 or 'exact'",
+            "member field without =": "is not KEY=PATH",
+            "unknown member field": "unknown member field 'merge'",
+            "member without vocab or model": "member needs vocab= or model=",
+        }.get(case, "")
         try:
             code = main([str(a) for a in argv])
         except SystemExit as exc:  # argparse rejects the value while parsing
@@ -663,6 +688,7 @@ class TestUsageErrors:
             line.startswith("error: ") or ": error: " in line
             for line in captured.err.splitlines()
         ), captured.err
+        assert fragment in captured.err, captured.err
 
 
 class TestBench:

@@ -3,8 +3,10 @@ baseline with its documented product failure."""
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from conftest import binary_instance
+from conftest import binary_instance, has_followers, make_instance, random_merge_tokenizer
 
 from lvr import (
     Alphabet,
@@ -17,8 +19,10 @@ from lvr import (
     TableModel,
     Vocabulary,
     ZeroProductError,
+    byte_vocabulary,
     ensemble_generate,
     moe_combine,
+    naive_restriction_dist,
     poe_combine,
     text_prefix_prob,
     union_baseline_dist,
@@ -93,6 +97,28 @@ class TestMoECombine:
 
 def _session(inst, topk=None):
     return ReductionSession(inst.model, inst.nested, topk=topk)
+
+
+class TestRefusals:
+    # case -> (a call on the binary instance, a fragment of its EnsembleError)
+    CASES = {
+        "poe of nothing": (lambda inst: poe_combine([]), "nothing to combine"),
+        "moe of nothing": (lambda inst: moe_combine([]), "nothing to combine"),
+        "ensemble without members": (lambda inst: EnsembleSpec([]), "at least one member"),
+        "ensemble of an unknown mode": (
+            lambda inst: EnsembleSpec([_session(inst)], mode="sum"), "unknown ensemble mode 'sum'"),
+        "union baseline of an unknown mode": (
+            lambda inst: union_baseline_dist(
+                [(inst.model, inst.tokenizer)], inst.tokenizer.vocab, (), mode="sum"),
+            "unknown ensemble mode 'sum'"),
+        "union of no vocabularies": (lambda inst: union_vocab([]), "empty list"),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_refused(self, case):
+        call, fragment = self.CASES[case]
+        with pytest.raises(EnsembleError, match=fragment):
+            call(binary_instance())
 
 
 class TestEnsembleGenerate:
@@ -254,3 +280,62 @@ class TestUnionBaseline:
         m2 = TableModel(t2, {(): on_ab}, default=on_ab)
         out = union_baseline_dist([(m1, t1), (m2, t2)], union, (), mode="moe")
         assert abs(out.sum() - 1.0) < 1e-9
+
+
+def _lift_reference(dist, source, target) -> list[float]:
+    """``dist`` over ``source`` read surface by surface onto ``target``."""
+    return [float(dist[source.surfaces.index(surf)]) if surf in source.surfaces else 0.0
+            for surf in target.surfaces]
+
+
+class TestLift:
+    # both lossy baselines copy a distribution onto another vocabulary by
+    # surface; a surface the source lacks gets 0.0
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["poe", "moe"]))
+    def test_baselines_match_a_surface_by_surface_reference(self, seed, mode):
+        rng = np.random.default_rng(seed)
+        # the terminator $ may follow any greedy prefix; prefixes stay
+        # before it, over abc, which the BPE member also spells
+        greedy = make_instance(rng, n_symbols=3,
+                               n_multi=int(rng.integers(1, 5)), n_sub_multi=int(rng.integers(0, 2)))
+        bpe = random_merge_tokenizer(rng)
+        assume(has_followers(bpe))
+
+        def draw_prefix(vocab, most):
+            ids = [i for i, surf in enumerate(vocab.surfaces) if b"$" not in surf]
+            return tuple(rng.choice(ids, size=int(rng.integers(0, most))).tolist())
+
+        vec = rng.uniform(0.05, 1.0, len(bpe.vocab))
+        bpe_model = TableModel(bpe, {}, default=vec / vec.sum())
+        byte_inner = GreedyTokenizer(byte_vocabulary(bpe.vocab.alphabet))
+        # the byte-level member lacks every multi-byte surface of the others
+        byte_model = TableModel(byte_inner, {}, default=np.full(3, 1 / 3))
+        for model, nested in [(greedy.model, greedy.nested),
+                              (bpe_model, NestedTokenizer(bpe, byte_inner))]:
+            prefix = draw_prefix(nested.vocab, 5)
+            cond = model.next_token_dist(nested.outer.encode(nested.decode(prefix)))
+            sub = np.array(_lift_reference(cond, model.vocab, nested.vocab))
+            if sub.sum() <= 0.0:
+                with pytest.raises(ReductionError, match="removed all probability mass"):
+                    naive_restriction_dist(model, nested, prefix)
+                continue
+            dist = naive_restriction_dist(model, nested, prefix)
+            assert dist.raw_marginals.tolist() == sub.tolist()
+            assert dist.probs.tolist() == (sub / sub.sum()).tolist()
+            assert dist.dropped_mass == float(cond.sum() - sub.sum())
+        members = [(greedy.model, greedy.tokenizer), (bpe_model, bpe), (byte_model, byte_inner)]
+        union = union_vocab([t.vocab for _, t in members])
+        assert len(union) > len(byte_inner.vocab)
+        prefix = draw_prefix(union, 4)
+        text = union.decode(prefix)
+        lifted = [_lift_reference(m.next_token_dist(t.encode(text)), t.vocab, union)
+                  for m, t in members]
+        combine = {"poe": poe_combine, "moe": moe_combine}[mode]
+        try:
+            want = combine([np.array(v) for v in lifted])
+        except ZeroProductError:
+            with pytest.raises(ZeroProductError):
+                union_baseline_dist(members, union, prefix, mode=mode)
+            return
+        assert union_baseline_dist(members, union, prefix, mode=mode).tolist() == want.tolist()

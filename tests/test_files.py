@@ -31,6 +31,8 @@ def test_escape_keeps_printable_text():
     assert escape_bytes(b"hello") == "hello"
     assert escape_bytes(b"a\tb") == "a\\x09b"
     assert escape_bytes(b"a\\b") == "a\\x5cb"
+    # an escaped backslash, as written by hand, reads as one backslash
+    assert unescape_bytes("a\\\\b") == b"a\\b"
 
 
 def test_escape_single_bytes():
@@ -109,6 +111,9 @@ def test_merges_round_trip(tmp_path):
     vocab = load_vocabulary(vpath)
     merges = [(0, 1), (2, 1)]
     save_merges(vocab, merges, mpath)
+    assert load_merges(vocab, mpath) == merges
+    # blank lines are skipped and take no rank
+    mpath.write_text("\n" + mpath.read_text().replace("\n", "\n\n"))
     assert load_merges(vocab, mpath) == merges
     tokenizer = load_tokenizer(vpath, mpath)
     assert tokenizer.decode(tokenizer.encode(b"abba")) == b"abba"

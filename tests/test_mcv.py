@@ -11,6 +11,7 @@ from conftest import has_followers, wide_merge_tokenizer
 from lvr import (
     Alphabet,
     BpeTokenizer,
+    GreedyTokenizer,
     NestedTokenizer,
     TableModel,
     TokenizationError,
@@ -108,6 +109,30 @@ class TestRestrictMerges:
 
 
 class TestBuildMcv:
+    # case -> (the tokenizers, a fragment of the TokenizationError)
+    REFUSED = {
+        "one tokenizer": (lambda: [bpe(SINGLES + [b"ab"], [(b"a", b"b")], ABCD)],
+                          "need at least two tokenizers"),
+        # the intersection would be complete over the first alphabet
+        "two alphabets": (lambda: [bpe([b"a", b"b"], [], Alphabet.of("ab")),
+                                   bpe([b"a", b"b", b"c"], [], Alphabet.of("abc"))],
+                          "share one alphabet"),
+        "greedy first": (lambda: [GreedyTokenizer(Vocabulary(SINGLES, ABCD)),
+                                  bpe(SINGLES + [b"ab"], [(b"a", b"b")], ABCD)],
+                         "tokenizer 0 is a GreedyTokenizer, not a BpeTokenizer"),
+        # only the first tokenizer's merges are read, so this list built a
+        # common vocabulary
+        "greedy second": (lambda: [bpe(SINGLES + [b"ab"], [(b"a", b"b")], ABCD),
+                                   GreedyTokenizer(Vocabulary(SINGLES, ABCD))],
+                          "tokenizer 1 is a GreedyTokenizer, not a BpeTokenizer"),
+    }
+
+    @pytest.mark.parametrize("case", REFUSED)
+    def test_refused(self, case):
+        tokenizers, fragment = self.REFUSED[case]
+        with pytest.raises(TokenizationError, match=fragment):
+            build_mcv(tokenizers())
+
     def test_identical_tokenizers_unchanged(self):
         t1 = bpe(SINGLES + [b"ab", b"cd"], [(b"a", b"b"), (b"c", b"d")], ABCD)
         t2 = bpe(SINGLES + [b"ab", b"cd"], [(b"a", b"b"), (b"c", b"d")], ABCD)

@@ -54,6 +54,9 @@ class TestTextPrefixProb:
 
     def test_empty_text(self, binary):
         assert text_prefix_prob(binary.model, binary.tokenizer, b"") == 1.0
+        # both routes answer without a visit
+        assert text_prefix_prob(binary.model, binary.tokenizer, b"", budget=0) == 1.0
+        assert text_prefix_prob_exhaustive(binary.model, b"", budget=0) == 1.0
 
     def test_single_cover_element(self, binary):
         assert abs(text_prefix_prob(binary.model, binary.tokenizer, b"001") - 0.3) < 1e-12
@@ -97,6 +100,16 @@ class TestReducedTextPrefixProb:
     def test_single_token_text(self, binary):
         assert abs(reduced_text_prefix_prob(self._session(binary), b"1") - 0.1) < 1e-12
 
+    def test_walk_stops_at_a_zero_marginal(self, binary):
+        # the root gives "1" no mass, so each cover sequence of "10" stops at
+        # its first sub-token; stepping on would reach a prefix with none
+        model = TableModel(binary.tokenizer, {(): np.array([0.5, 0.0, 0.25, 0.25])},
+                           default=np.full(4, 0.25))
+        session = ReductionSession(model, binary.nested, topk=None)
+        assert set(minimal_cover(binary.nested, b"10")) == {(1, 0), (1, 2)}
+        assert reduced_text_prefix_prob(session, b"10") == 0.0
+        assert text_prefix_prob(model, binary.tokenizer, b"10") == 0.0
+
     def test_leaves_the_session_as_it_was(self, binary):
         session = self._session(binary)
         for text, want in [(b"000", 0.5), (b"", 1.0), (b"1", 0.1)]:
@@ -127,8 +140,13 @@ class TestSessionRefusals:
         with pytest.raises(ValueError, match="exact"):
             _ROUTES[route](ReductionSession(binary.model, binary.nested, topk=vocab_size - 1))
         exact = _ROUTES[route](ReductionSession(binary.model, binary.nested, topk=None))
-        full = _ROUTES[route](ReductionSession(binary.model, binary.nested, topk=vocab_size))
-        assert full == exact
+        # K >= |V| is exact mode, at construction or assigned
+        for k in (vocab_size, vocab_size + 3):
+            full = _ROUTES[route](ReductionSession(binary.model, binary.nested, topk=k))
+            assert full == exact
+            assigned = ReductionSession(binary.model, binary.nested, topk=1)
+            assigned.topk = k
+            assert _ROUTES[route](assigned) == exact
 
 
 class TestIndependentWitness:
@@ -236,6 +254,10 @@ class TestLosslessCheck:
         assert report.rows == [(t, original[t], reduced[t]) for t in sorted(original)]
         assert report.budget_used == first.used + second.used
         assert len(built) == 3
+
+    def test_unknown_method_refused(self, binary):
+        with pytest.raises(ValueError, match="unknown method 'x'"):
+            lossless_check(binary.model, binary.nested, max_len=2, method="x")
 
     def test_report_rows_are_per_text(self, binary):
         report = lossless_check(binary.model, binary.nested, max_len=2)

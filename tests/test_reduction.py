@@ -55,6 +55,7 @@ class TestSessionSetup:
         session = ReductionSession(binary.model, binary.nested, topk=None)
         assert session.prefix == ()
         assert session.cover_cache[()].entries == [CoverEntry((), (), 1.0)]
+        assert session._pending is None  # no distribution yet
 
     def test_zero_topk_rejected(self, binary):
         with pytest.raises(ReductionError):
@@ -125,16 +126,48 @@ class TestWorkedExample:
         assert session.relative_cover((2, 1)).sequences() == {(3,)}
         assert session.relative_cover((2, 2)).sequences() == {(2, 2), (2, 3)}
         assert session.relative_cover((2, 0)).sequences() == {(2, 0)}
+        session.next_subtoken_dist()
+        session.step(2)
+        with pytest.raises(ReductionError, match=r"\(0,\) does not extend the session prefix"):
+            session.relative_cover((0,))
 
 
 class TestTopK:
     def test_exact_when_k_covers_vocab(self, binary):
         exact = ReductionSession(binary.model, binary.nested, topk=None)
         wide = ReductionSession(binary.model, binary.nested, topk=len(binary.tokenizer.vocab))
+        assert wide.topk is None
         d1 = exact.next_subtoken_dist()
         d2 = wide.next_subtoken_dist()
         assert list(d1.raw_marginals) == list(d2.raw_marginals)
         assert d2.dropped_mass == 0.0
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_k_at_least_the_vocabulary_is_exact_mode(self, seed):
+        # any K >= |V|, given at construction or assigned, reads back as
+        # None and gives the exact session's distributions bit for bit
+        rng = np.random.default_rng(seed)
+        inst = make_instance(rng, n_symbols=int(rng.integers(2, 4)),
+                             n_multi=int(rng.integers(1, 5)), n_sub_multi=int(rng.integers(0, 2)))
+        size = len(inst.model.vocab)
+        built = ReductionSession(inst.model, inst.nested, topk=size + int(rng.integers(0, 3)))
+        assigned = ReductionSession(inst.model, inst.nested, topk=1)
+        assigned.topk = size + int(rng.integers(0, 3))
+        assert built.topk is None and assigned.topk is None
+        exact = ReductionSession(inst.model, inst.nested, topk=None)
+        sessions = (exact, built, assigned)
+        for _ in range(16):
+            want, *got = [s.next_subtoken_dist() for s in sessions]
+            for d in got:
+                assert d.raw_marginals.tolist() == want.raw_marginals.tolist()
+                assert d.probs.tolist() == want.probs.tolist()
+                assert (d.dropped_mass, d.exponent) == (want.dropped_mass, want.exponent) == (0.0, 0)
+            y = int(rng.choice(len(want.probs), p=want.probs))
+            for s in sessions:
+                s.step(y)
+            if y == inst.nested.vocab.eos_id:
+                break
 
     def test_truncation_after_exact_prefix(self, binary):
         # Walk to the prefix (00) exactly, then truncate to the single most
@@ -1061,6 +1094,12 @@ class TestNaiveRestriction:
     def test_conditional_distribution(self, binary):
         dist = naive_restriction_dist(binary.model, binary.nested, (2,))
         np.testing.assert_allclose(dist.probs, [2 / 3, 0.0, 1 / 3], atol=1e-12)
+
+    def test_all_mass_removed_is_refused(self, binary):
+        # every root token but 001, which the sub-vocabulary lacks, has 0
+        model = TableModel(binary.tokenizer, {(): np.array([0.0, 0.0, 0.0, 1.0])})
+        with pytest.raises(ReductionError, match="restriction removed all probability mass"):
+            naive_restriction_dist(model, binary.nested, ())
 
     def test_identity_when_sub_vocab_is_full(self, binary):
         nested = NestedTokenizer(binary.tokenizer, binary.tokenizer)

@@ -118,11 +118,13 @@ class TestBpeEncode:
             BpeTokenizer(vocab, [(0, 1)])
 
     @pytest.mark.parametrize("merge", [(0.9, 1.2), ("1", "0"), (0, 1.0), (np.float64(1), 0),
-                                       (None, 1), (False, True), (0, True), (0, 4)])
+                                       (None, 1), (False, True), (0, True), (0, 4),
+                                       (0, 1, 1), (0,), 5])
     def test_merge_ids_must_be_integers(self, merge):
         # an id that is not an integer in range is refused naming its rank;
         # the float (0.9, 1.2) was read as (0, 1), the string ("1", "0") as
-        # (1, 0) and the bools (False, True) as (0, 1)
+        # (1, 0) and the bools (False, True) as (0, 1); a merge that is not
+        # a pair raised a bare ValueError or TypeError from unpacking
         vocab = Vocabulary([b"a", b"b", b"ab", b"ba"], Alphabet.of("ab"))
         with pytest.raises(TokenizationError, match="merge 1: ids must be integers"):
             BpeTokenizer(vocab, [(0, 1), merge])
@@ -189,6 +191,29 @@ class TestByteVocabulary:
 
     def test_full_alphabet(self):
         assert len(byte_vocabulary(Alphabet.bytes())) == 256
+
+
+class TestConstructorRefusals:
+    # case -> (a constructor call, a fragment of its TokenizationError)
+    CASES = {
+        "alphabet without symbols": (lambda: Alphabet(frozenset()), "alphabet must be nonempty"),
+        "alphabet symbol past 255": (lambda: Alphabet(frozenset({97, 256})), "byte values"),
+        "terminator outside the symbols": (
+            lambda: Alphabet(frozenset({97}), eos=36), "terminator symbol must belong"),
+        "two-symbol terminator": (lambda: Alphabet.of("ab", eos="$$"), "single symbol"),
+        "vocabulary without surfaces": (lambda: Vocabulary([]), "vocabulary must be nonempty"),
+        "surface outside the alphabet": (
+            lambda: Vocabulary([b"a", b"b", b"c"], Alphabet.of("ab")), "outside the alphabet"),
+        "BPE over an incomplete vocabulary": (
+            lambda: BpeTokenizer(Vocabulary([b"a", b"ab"], Alphabet.of("ab")), []),
+            "BPE tokenizer requires a complete vocabulary"),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_refused(self, case):
+        build, fragment = self.CASES[case]
+        with pytest.raises(TokenizationError, match=fragment):
+            build()
 
 
 class TestVocabularyInvariants:
