@@ -28,16 +28,18 @@ class Node:
     """One valid prefix in a model's cache, and the sequence it stands for:
     ``len(node)`` is its length, and ``node[i:]`` (``i`` may be negative) and
     iteration build its tokens by walking ``parent`` links, in O(tokens
-    built).  It holds its validity mask and its masked distribution (``None``
-    until computed), both shared read-only arrays, the nodes of its one-token
-    extensions by id, its parent's node (``None`` at the root), the token
-    that extends the parent (``-1`` at the root) and its length ``depth``."""
+    built).  It holds its validity mask, its masked distribution and that
+    distribution's ranking (each ``None`` until computed), all shared
+    read-only arrays, the nodes of its one-token extensions by id, its
+    parent's node (``None`` at the root), the token that extends the parent
+    (``-1`` at the root) and its length ``depth``."""
 
-    __slots__ = ("dist", "mask", "children", "parent", "token", "depth")
+    __slots__ = ("dist", "ranking", "mask", "children", "parent", "token", "depth")
 
     def __init__(self, mask: np.ndarray, parent: Node | None = None, token: int = -1):
         self.mask = mask
         self.dist: np.ndarray | None = None
+        self.ranking: np.ndarray | None = None
         self.children: dict[int, Node] = {}
         self.parent = parent
         self.token = token
@@ -63,6 +65,13 @@ class Node:
         return tuple(out)
 
 
+def _descending(dist: np.ndarray) -> np.ndarray:
+    """The ids of ``dist`` in descending order, ties lower id first, as
+    ``np.argsort(-dist, kind="stable")`` gives them without its Python
+    wrapper (about 1 of 6.5 us at |V| = 346, 2-vCPU Xeon)."""
+    return (-dist).argsort(kind="stable")
+
+
 class LanguageModel:
     """Base class: subclasses supply the raw (unmasked) conditional table.
 
@@ -77,7 +86,8 @@ class LanguageModel:
     one node per valid prefix reached, ancestors included, and is never
     pruned (a node and its parent refer to each other, so the tree is freed
     with the model by the cyclic collector), but its nodes share one
-    distribution per (:meth:`model_context`, mask) pair.
+    distribution per (:meth:`model_context`, mask) pair, and one
+    :meth:`ranking` per distribution, made only when a caller asks for it.
 
     Each step that adds a node, and :meth:`marginal`, checks its id with
     :func:`is_token_id`.  A step onto a node already added is a dict read,
@@ -120,6 +130,12 @@ class LanguageModel:
     @cached_property
     def _dists(self) -> dict[tuple[Hashable, int], np.ndarray]:
         return {}  # (model context, id of the mask) -> masked distribution
+
+    @cached_property
+    def _rankings(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+        # id of a distribution -> (that distribution, its ranking); holding
+        # the distribution keeps its id from naming another array
+        return {}
 
     def node(self, prefix: Sequence[int]) -> Node:
         """Tree node of the valid prefix ``prefix``, walked from the root and
@@ -207,6 +223,25 @@ class LanguageModel:
                 self._dists[memo] = out
         node.dist = out
         return out
+
+    def ranking(self, node: Node) -> np.ndarray:
+        """The ids of :meth:`next_token_dist` of ``node`` in descending
+        order of probability, ties lower id first, as
+        ``np.argsort(-dist, kind="stable")`` gives them.
+
+        The ranking is made once per distribution array, so nodes that
+        share a distribution share it, and it is read-only; a node keeps it
+        once asked.  A model that is never asked allocates no ranking memo.
+        """
+        if node.ranking is None:
+            dist = node.dist if node.dist is not None else self.next_token_dist(node)
+            held = self._rankings.get(id(dist))
+            if held is None:
+                order = _descending(dist)
+                order.flags.writeable = False
+                held = self._rankings[id(dist)] = (dist, order)
+            node.ranking = held[1]
+        return node.ranking
 
     def marginal(self, ids: Sequence[int]) -> float:
         """Probability that a generated sequence starts with ``ids``,

@@ -25,7 +25,9 @@ step; entry marginals are extended incrementally, never recomputed, and in
 either mode the session re-encodes no text: the retokenization and its
 marginal are read from the cover.  The efficient variant restricts source
 (ii) to the top-K most probable extensions and reports the marginal mass it
-dropped.
+dropped.  They are the first K ids of the model's ranking of the step's
+conditional (:meth:`LanguageModel.ranking`), which the model makes once per
+distribution, so a step on a distribution ranked before sorts nothing.
 
 The cover is one *group* per step with extensions: the model tree node of
 the step's retokenization (the next step reaches its own by one child
@@ -143,7 +145,8 @@ class ReductionSession:
     ``topk=None`` requests exact mode (every extension considered), and so
     does any K >= |V|, which :attr:`topk` stores as ``None``; otherwise only
     the K most probable one-token extensions of the canonical
-    retokenization enter the cover at each step.  The attribute is read at
+    retokenization, by the model's conditional with ties kept in ascending
+    id, enter the cover at each step.  The attribute is read at
     each distribution computation, so it may be changed between steps.
 
     The cover is a list of ``(trie node, CoverGroup)`` pairs, oldest first:
@@ -194,16 +197,20 @@ class ReductionSession:
     @property
     def topk(self) -> int | None:
         """K, or ``None`` for exact mode, which is also what any K >= |V|
-        reads back as: it keeps every extension.  Anything else but an
-        ``int`` of at least 1 raises :class:`ReductionError`, here or in the
+        reads back as: it keeps every extension.  A numpy integer is stored
+        as an ``int``.  Anything else but an integer of at least 1 (a
+        ``bool`` is none) raises :class:`ReductionError`, here or in the
         constructor."""
         return self._topk
 
     @topk.setter
     def topk(self, value: int | None) -> None:
-        if value is not None and (type(value) is not int or value < 1):
-            raise ReductionError(f"top-K must be an int of at least 1 or None, not {value!r}")
-        self._topk = None if value is not None and value >= len(self.model.vocab) else value
+        if value is not None:
+            if not (type(value) is int or isinstance(value, np.integer)) or value < 1:
+                raise ReductionError(
+                    f"top-K must be an int of at least 1 or None, not {value!r}")
+            value = None if value >= len(self.model.vocab) else int(value)
+        self._topk = value
 
     @property
     def prefix(self) -> TokenSeq:
@@ -269,7 +276,9 @@ class ReductionSession:
         ext = base * self.model.next_token_dist(node)
         kept, dropped = node.mask, 0.0
         if topk is not None:
-            drop = np.argsort(-ext, kind="stable")[topk:]
+            # base * dist is monotone in dist, so ext[drop] holds the values
+            # a sort of ext would give, in the same order
+            drop = self.model.ranking(node)[topk:]
             dropped = float(ext[drop].sum())
             ext[drop] = 0.0  # the step's own array, not the model's
             kept = kept.copy()

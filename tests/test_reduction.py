@@ -38,6 +38,7 @@ from lvr import (
     naive_restriction_dist,
     train_ngram,
 )
+from lvr import model as model_module
 from lvr import reduction
 from lvr.model import Node
 from lvr.reduction import CoverEntry
@@ -61,7 +62,8 @@ class TestSessionSetup:
         with pytest.raises(ReductionError):
             ReductionSession(binary.model, binary.nested, topk=0)
 
-    @pytest.mark.parametrize("topk", [0, -1, 2.5, 3.0, True, "3", np.int64(3)])
+    @pytest.mark.parametrize(
+        "topk", [0, -1, 2.5, 3.0, True, "3", np.bool_(True), np.float32(3.0), np.int64(0)])
     def test_bad_topk_refused_at_construction_and_assignment(self, binary, topk):
         with pytest.raises(ReductionError, match="top-K must be an int"):
             ReductionSession(binary.model, binary.nested, topk=topk)
@@ -73,6 +75,19 @@ class TestSessionSetup:
         assert session.topk is None
         session.topk = 1
         assert np.count_nonzero(session.next_subtoken_dist().raw_marginals) == 1
+
+    @pytest.mark.parametrize("kind", [np.int64, np.int8, np.uint16])
+    def test_numpy_integer_topk_stored_as_int(self, binary, kind):
+        # |V| = 4: K = 2 truncates, K = 4 is exact mode
+        session = ReductionSession(binary.model, binary.nested, topk=kind(2))
+        assert type(session.topk) is int and session.topk == 2
+        reference = ReductionSession(binary.model, binary.nested, topk=2)
+        assert (session.next_subtoken_dist().raw_marginals.tolist()
+                == reference.next_subtoken_dist().raw_marginals.tolist())
+        session.topk = kind(4)
+        assert session.topk is None
+        session.topk = kind(1)
+        assert type(session.topk) is int and session.topk == 1
 
     def test_vocabulary_mismatch_rejected(self, binary):
         other = GreedyTokenizer(
@@ -151,9 +166,9 @@ class TestTopK:
         inst = make_instance(rng, n_symbols=int(rng.integers(2, 4)),
                              n_multi=int(rng.integers(1, 5)), n_sub_multi=int(rng.integers(0, 2)))
         size = len(inst.model.vocab)
-        built = ReductionSession(inst.model, inst.nested, topk=size + int(rng.integers(0, 3)))
+        built = ReductionSession(inst.model, inst.nested, topk=size + rng.integers(0, 3))
         assigned = ReductionSession(inst.model, inst.nested, topk=1)
-        assigned.topk = size + int(rng.integers(0, 3))
+        assigned.topk = size + rng.integers(0, 3)
         assert built.topk is None and assigned.topk is None
         exact = ReductionSession(inst.model, inst.nested, topk=None)
         sessions = (exact, built, assigned)
@@ -371,7 +386,7 @@ def _assert_cover_holds_retokenization(session, steps, seed):
 
 
 def _random_topk(rng, model, truncate):
-    return int(rng.integers(1, len(model.vocab))) if truncate else None
+    return rng.integers(1, len(model.vocab)) if truncate else None
 
 
 class TestCoverHoldsRetokenization:
@@ -466,7 +481,7 @@ class TestTopKShortfall:
             n_multi=int(rng.integers(1, 5)),
             n_sub_multi=int(rng.integers(0, 2)),
         )
-        k = int(rng.integers(1, len(inst.model.vocab)))
+        k = rng.integers(1, len(inst.model.vocab))
         topk = ReductionSession(inst.model, inst.nested, topk=k)
         exact = ReductionSession(inst.model, inst.nested, topk=None)
         dropped = 0.0  # D, the top-K session's dropped mass so far
@@ -635,19 +650,20 @@ class TestLazyBucketsMatchNaive:
         # On one session state: at K >= |V| every bucket the efficient step
         # builds equals the naive one entry for entry and the marginals are
         # bit-identical; at K < |V| a bucket is the naive one without the
-        # extensions that top-K dropped (stable order, lowest id on ties).
+        # extensions that top-K dropped: all but the K most probable under
+        # the step's conditional (stable order, lowest id on ties).
         rng = np.random.default_rng(seed)
         model, nested = _random_instance(rng)
         assume(has_followers(model.tokenizer))
         size = len(model.vocab)
-        topk = int(rng.integers(1, size)) if truncate else size
+        topk = rng.integers(1, size) if truncate else size
         session = ReductionSession(model, nested, topk=topk)
         for _ in range(8):
             ref = session.next_subtoken_dist_naive()
             naive = {y: c.entries for y, c in session._pending.items()}
             group, _ = session._step_group(None)
-            ext = np.zeros(size) if group is None else group.ext
-            kept = set(np.argsort(-ext, kind="stable")[:topk].tolist())
+            cond = np.zeros(size) if group is None else group.node.dist
+            kept = set(np.argsort(-cond, kind="stable")[:topk].tolist())
             carried = set(session.cover_cache[session.prefix].entries)
             dist = session.next_subtoken_dist()
             lazy = {y: c.entries for y, c in session._pending.items()}
@@ -664,6 +680,142 @@ class TestLazyBucketsMatchNaive:
             session.step(choice)
             if choice == nested.vocab.eos_id:
                 break
+
+
+def _reference_topk_step(session, topk):
+    """The top-K step by its definition, made apart from the engine: a fresh
+    stable sort of the step's conditional, every id past the first ``topk``
+    dropped, and each pending entry's marginal added to its next
+    sub-token's sum.  Returns ``(probs, raw_marginals, dropped_mass,
+    kept)``, ``kept`` ``None`` when the step has no group."""
+    group, _ = session._step_group(None)
+    pending, dropped, kept = session.cover, 0.0, None
+    if group is not None:
+        drop = np.argsort(-group.node.dist, kind="stable")[topk:]
+        ext, kept = group.ext, group.node.mask.copy()
+        dropped = float(ext[drop].sum())
+        ext[drop], kept[drop] = 0.0, False
+        ranked = reduction.CoverGroup(group.node, group.base, ext, kept)
+        pending = [*session.cover, (session.nested.trie, ranked)]
+    k, sums = len(session.prefix), [0.0] * len(session.nested.vocab)
+    for e in session._entries(pending, scaled=True):
+        if len(e.nested) > k:
+            sums[e.nested[k]] += e.marginal
+    raw = np.array(sums)
+    return raw / raw.sum(), raw, dropped, kept
+
+
+def _tree(model):
+    """Every node of ``model``'s prefix tree."""
+    stack = [model.root]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(node.children.values())
+
+
+class TestRankedTopK:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_steps_match_a_fresh_sort_of_the_conditional(self, seed):
+        # Sessions on one model, branches among them, K drawn anew before
+        # each step: every step equals the reference bit for bit, whether
+        # its node's ranking is new, shared with another node of the same
+        # distribution, or already on the node.  K = |V| is exact mode.
+        rng = np.random.default_rng(seed)
+        model, nested = _random_instance(rng)
+        assume(has_followers(model.tokenizer))
+        size, eos = len(model.vocab), nested.vocab.eos_id
+        sessions = [ReductionSession(model, nested)]
+        for _ in range(24):
+            i = rng.integers(len(sessions))
+            session = sessions[i]
+            session.topk = rng.integers(1, size + 1)
+            k = size if session.topk is None else session.topk
+            probs, raw, dropped, kept = _reference_topk_step(session, k)
+            dist = session.next_subtoken_dist()
+            assert dist.probs.tolist() == probs.tolist()
+            assert dist.raw_marginals.tolist() == raw.tolist()
+            assert dist.dropped_mass == dropped
+            pending = session._pending_groups
+            if kept is None:
+                assert len(pending) == len(session.cover)
+            else:
+                assert pending[-1][1].kept.tolist() == kept.tolist()
+            y = int(rng.choice(len(dist.probs), p=dist.probs))
+            if y == eos:
+                sessions.pop(i)
+                if not sessions:
+                    break
+            elif rng.random() < 0.3:
+                sessions.append(session.branch(y))
+            else:
+                session.step(y)
+
+
+class TestRankingCounters:
+    # Deterministic counters of the sorts that top-K makes, not clocks.
+
+    @staticmethod
+    def _count_sorts(monkeypatch) -> list[int]:
+        """Patch the model's one sort so that each call appends the length
+        of what it sorts; the engine sorts nothing itself."""
+        sorts, descending = [], model_module._descending
+
+        def spy(dist):
+            sorts.append(len(dist))
+            return descending(dist)
+
+        class Numpy:
+            @staticmethod
+            def argsort(*args, **kwargs):
+                raise AssertionError("the engine sorted")
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+        monkeypatch.setattr(model_module, "_descending", spy)
+        monkeypatch.setattr(reduction, "np", Numpy())
+        return sorts
+
+    @staticmethod
+    def _bytes_session(model, topk):
+        nested = NestedTokenizer(
+            model.tokenizer, GreedyTokenizer(byte_vocabulary(model.vocab.alphabet)))
+        return ReductionSession(model, nested, topk=topk)
+
+    def test_one_sort_per_distribution_and_none_warm(self, monkeypatch):
+        model = _pinned_bpe_members()[0]
+        topk = len(model.vocab) - 4
+        sorts = self._count_sorts(monkeypatch)
+        cold = [_generation_digest(self._bytes_session(model, topk), 60, s) for s in range(3)]
+        dists = {id(n.dist) for n in _tree(model) if n.dist is not None}
+        assert 0 < len(sorts) == len(model._rankings) <= len(dists)
+        assert set(sorts) == {len(model.vocab)}
+        sorts.clear()
+        warm = [_generation_digest(self._bytes_session(model, topk), 60, s) for s in range(3)]
+        assert warm == cold == BPE_DIGESTS[:3]
+        assert sorts == []
+        # nodes that share a distribution share its one read-only ranking
+        by_dist = {}
+        for node in _tree(model):
+            if node.ranking is not None:
+                by_dist.setdefault(id(node.dist), set()).add(id(node.ranking))
+                assert not node.ranking.flags.writeable
+        assert all(len(rankings) == 1 for rankings in by_dist.values())
+        assert any(
+            sum(n.ranking is not None and id(n.dist) == d for n in _tree(model)) > 1
+            for d in by_dist
+        )
+
+    def test_exact_session_ranks_nothing(self, monkeypatch):
+        model = _pinned_bpe_members()[0]
+        sorts = self._count_sorts(monkeypatch)
+        for seed in range(3):
+            _generation_digest(self._bytes_session(model, None), 60, seed)
+        assert sorts == []
+        assert "_rankings" not in vars(model)
+        assert all(node.ranking is None for node in _tree(model))
 
 
 class TestOneEnumerator:
