@@ -6,10 +6,11 @@ reduction engine's cover recursion, so the engine can be certified against
 it on small instances.  Two routes share no code.  The cover route sums
 marginals over the enumerated minimal cover of a text: the model's, or the
 engine's unnormalized ones over covers under the nested tokenizer.  The
-tree route is one walk, :func:`_walk`, over the tree of a generator, adding
-each extension's probability to the texts it first covers; it walks the
-model's token tree, the reduction session's sub-token tree (weighted by
-the engine's unnormalized marginals) and the naive-restriction baseline's.
+tree route is one walk, :func:`_walk`, a loop over the tree of a generator
+that adds each extension's probability to the texts it first covers; it
+walks the model's token tree node by node, the reduction session's
+sub-token tree (weighted by the engine's unnormalized marginals) and the
+naive-restriction baseline's.
 The tables are tested against the cover route, so a defect in either route
 or in the engine shows up as a discrepancy.
 
@@ -20,6 +21,7 @@ it; a table refuses more texts than the budget before building them.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, fields
 from itertools import product
@@ -121,7 +123,8 @@ def text_prefix_prob_exhaustive(
     if text == b"":
         return 1.0
     prefixes = [text[:n] for n in range(len(text) + 1)]
-    return _walk(_chain(model.next_token_dist), model.vocab, prefixes, budget)[text]
+    tree = _chain(model.next_token_dist, model.root, model.child)
+    return _walk(tree, model.vocab, prefixes, budget)[text]
 
 
 def _require_fresh_exact(session: ReductionSession) -> None:
@@ -187,8 +190,11 @@ def _walk(
     of extension ``y``.  Each extension costs one budget visit; one of
     weight > 0 adds its weight to every text its decoding first covers, and
     is descended into only while that decoding is not terminated and is a
-    text shorter than the longest: ``texts`` are closed under prefixes, so
-    this is a proper prefix of a text.  The empty text has probability 1.
+    text shorter than the longest.  ``texts`` must be closed under prefixes
+    (every caller's are): an extension's scan stops at its first new
+    prefix that is not a text.  The empty text has probability 1.  A frame
+    of the stack resumes its iterator of extensions after each child, so
+    the order is a recursive walk's, and depth costs no Python recursion.
     """
     root, expand, child = tree
     bud = _as_budget(budget)
@@ -196,30 +202,45 @@ def _walk(
     found[b""] = 1.0
     longest = max(map(len, found))
     surfaces, eos = vocab.surfaces, vocab.eos_id
-
-    def rec(state, decoded: bytes) -> None:
-        weights = expand(state)
-        bud.tick(len(weights))
-        lo = len(decoded)
-        for y, w in enumerate(weights.tolist()):
-            if w <= 0.0:
+    weights = expand(root)
+    bud.tick(len(weights))
+    stack = [(root, b"", 0, enumerate(weights.tolist()))]
+    while stack:
+        state, decoded, depth, extensions = stack[-1]
+        first = depth + 1  # length of an extension's first new prefix
+        for y, w in extensions:
+            if w <= 0.0:  # not `not w > 0.0`: a NaN weight is added
                 continue
             nd = decoded + surfaces[y]
-            for n in range(lo + 1, min(len(nd), longest) + 1):
-                t = nd[:n]
-                if t in found:
+            n = len(nd)
+            if n == first:
+                if nd not in found:
+                    continue
+                found[nd] += w
+            else:
+                for m in range(first, n + 1):
+                    t = nd[:m]
+                    if t not in found:
+                        n = longest  # nd is no text either: no descent
+                        break
                     found[t] += w
-            if len(nd) < longest and nd in found and y != eos:
-                rec(child(state, y, w), nd)
-
-    rec(root, b"")
+            if n < longest and y != eos:
+                state = child(state, y, w)
+                weights = expand(state)
+                bud.tick(len(weights))
+                stack.append((state, nd, n, enumerate(weights.tolist())))
+                break
+        else:
+            stack.pop()
     return found
 
 
-def _chain(cond: Callable[[TokenSeq], np.ndarray]):
+def _chain(cond: Callable[..., np.ndarray], root=(), child=lambda p, y: p + (y,)):
     """Tree of an autoregressive generator with conditionals ``cond(prefix)``;
-    a state is ``(prefix, probability)``."""
-    return ((), 1.0), lambda s: s[1] * cond(s[0]), lambda s, y, w: (s[0] + (y,), w)
+    a state is ``(prefix, probability)``, the prefix a tuple or, given a
+    model's ``root`` and ``child``, its node, stepped to without a walk
+    from the root."""
+    return (root, 1.0), lambda s: s[1] * cond(s[0]), lambda s, y, w: (child(s[0], y), w)
 
 
 def original_prefix_prob_table(
@@ -229,7 +250,8 @@ def original_prefix_prob_table(
     terminator-free text of length <= ``max_len``."""
     bud = _as_budget(budget)
     texts = bud.texts(model.vocab, max_len)
-    return _walk(_chain(model.next_token_dist), model.vocab, texts, bud)
+    tree = _chain(model.next_token_dist, model.root, model.child)
+    return _walk(tree, model.vocab, texts, bud)
 
 
 def reduced_prefix_prob_table(
@@ -298,8 +320,10 @@ def lossless_check(
 
     ``method="reduction"`` checks the exact reduction engine (this is the
     lossless claim); ``method="naive"`` substitutes the naive-restriction
-    baseline, which is expected to fail.  Raises ``BudgetExceededError``
-    instead of starting an enumeration larger than the budget.
+    baseline, which is expected to fail.  The maximum discrepancy is NaN,
+    and the check fails, if any row's is not finite.  Raises
+    ``BudgetExceededError`` instead of starting an enumeration larger than
+    the budget.
     """
     if method not in ("reduction", "naive"):
         raise ValueError(f"unknown method {method!r}")
@@ -311,7 +335,8 @@ def lossless_check(
     else:
         reduced = naive_restriction_prefix_prob_table(model, nested, max_len, bud)
     rows = [(t, float(original[t]), float(reduced[t])) for t in sorted(original)]
-    max_disc = max(abs(o - r) for _, o, r in rows)
+    discs = [abs(o - r) for _, o, r in rows]
+    max_disc = max(discs) if all(map(math.isfinite, discs)) else math.nan
     return PrefixProbReport(
         instance=instance,
         method=method,

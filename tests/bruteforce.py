@@ -33,3 +33,41 @@ def brute_relative_cover(nested: NestedTokenizer, y_prefix: tuple[int, ...]) -> 
 
     rec((), ())
     return found
+
+
+def recursive_walk(tree, vocab, texts: list[bytes], budget) -> dict[bytes, float]:
+    """Reference for the oracle's tree walk: the same depth-first walk of
+    ``(root, expand, child)`` written as a recursion, one call per descended
+    extension, scanning every new prefix of an extension up to the longest
+    text.  ``vocab`` needs ``surfaces`` and ``eos_id``; ``budget.tick(n)``
+    is charged ``len(weights)`` per expanded state and may raise.  It
+    reaches Python's recursion limit on texts of about 1,000 tokens."""
+    root, expand, child = tree
+    found = dict.fromkeys(texts, 0.0)
+    found[b""] = 1.0
+    longest = max(map(len, found))
+    surfaces, eos = vocab.surfaces, vocab.eos_id
+
+    def rec(state, decoded: bytes) -> None:
+        weights = expand(state)
+        budget.tick(len(weights))
+        lo = len(decoded)
+        for y, w in enumerate(weights.tolist()):
+            if w <= 0.0:
+                continue
+            nd = decoded + surfaces[y]
+            for n in range(lo + 1, min(len(nd), longest) + 1):
+                t = nd[:n]
+                if t in found:
+                    found[t] += w
+            if len(nd) < longest and nd in found and y != eos:
+                rec(child(state, y, w), nd)
+
+    rec(root, b"")
+    return found
+
+
+def chain(cond):
+    """Tree of an autoregressive generator with conditionals ``cond(prefix)``,
+    ``prefix`` a tuple of ids; a state is ``(prefix, probability)``."""
+    return ((), 1.0), lambda s: s[1] * cond(s[0]), lambda s, y, w: (s[0] + (y,), w)

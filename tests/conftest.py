@@ -4,6 +4,8 @@ sub-vocabulary)."""
 
 from __future__ import annotations
 
+import dataclasses
+import math
 from collections import Counter
 from typing import NamedTuple
 from unittest import mock
@@ -16,6 +18,7 @@ from lvr import (
     BpeTokenizer,
     GreedyTokenizer,
     NestedTokenizer,
+    ReductionSession,
     TableModel,
     Vocabulary,
 )
@@ -207,3 +210,20 @@ def spy_node_reads(reads: list[int]):
         return out
 
     return mock.patch.object(Node, "__getitem__", spy)
+
+
+def nan_at_root(monkeypatch) -> None:
+    """Patch :class:`ReductionSession` so the distribution of a fresh
+    session gives sub-token 1 a NaN marginal; what a session keeps, and
+    every branch of it, is unchanged."""
+    real = ReductionSession.next_subtoken_dist
+
+    def patched(session):
+        dist = real(session)
+        if session.prefix:
+            return dist
+        raw = dist.raw_marginals.copy()
+        raw[1] = math.nan
+        return dataclasses.replace(dist, raw_marginals=raw)
+
+    monkeypatch.setattr(ReductionSession, "next_subtoken_dist", patched)

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import binary_instance
+from conftest import binary_instance, nan_at_root
 
 from lvr import TableModel, reduction
 from lvr.cli import main
@@ -335,6 +335,20 @@ class TestVerifyLossless:
         )
         assert code == 1
         assert capsys.readouterr().out.startswith("FAIL")
+
+    def test_a_nan_marginal_fails_exit_one(self, binary_files, capsys, monkeypatch):
+        # the NaN row came after the first, so max() skipped it: PASS, exit 0
+        nan_at_root(monkeypatch)
+        code = main(
+            [
+                "verify-lossless",
+                "--model", str(binary_files["model"]),
+                "--subvocab", str(binary_files["subvocab"]),
+                "--max-len", "3",
+            ]
+        )
+        assert code == 1
+        assert capsys.readouterr().out.startswith("FAIL: max discrepancy nan")
 
     @pytest.mark.parametrize("budget", ["abc", "1e6", "-5"])
     def test_bad_enumeration_budget_is_a_usage_error(self, binary_files, capsys,

@@ -2,20 +2,36 @@
 routes, terminator bookkeeping, and the lossless check itself."""
 
 import ast
+import math
 import tracemalloc
+from itertools import product
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import has_followers, make_instance, random_merge_tokenizer
+from bruteforce import chain, recursive_walk
+from conftest import (
+    binary_instance,
+    has_followers,
+    make_instance,
+    nan_at_root,
+    random_merge_tokenizer,
+)
 
 from lvr import (
+    Alphabet,
     BudgetExceededError,
     GreedyTokenizer,
+    LanguageModel,
+    ModelError,
     NestedTokenizer,
     ReductionSession,
     TableModel,
+    Vocabulary,
     byte_vocabulary,
     lossless_check,
     minimal_cover,
@@ -28,6 +44,7 @@ from lvr.oracle import (
     original_prefix_prob_table,
     reduced_prefix_prob_table,
 )
+from lvr.reduction import naive_restriction_dist
 
 
 class TestMinimalCover:
@@ -255,6 +272,15 @@ class TestLosslessCheck:
         assert report.budget_used == first.used + second.used
         assert len(built) == 3
 
+    def test_a_nan_row_fails_the_check(self, binary, monkeypatch):
+        # max() over the discrepancies skipped a NaN after the first row,
+        # so this report passed with a maximum of 0.0
+        nan_at_root(monkeypatch)
+        report = lossless_check(binary.model, binary.nested, max_len=3)
+        assert math.isnan({t: r for t, _, r in report.rows}[b"1"])
+        assert math.isnan(report.max_discrepancy)
+        assert not report.passed
+
     def test_unknown_method_refused(self, binary):
         with pytest.raises(ValueError, match="unknown method 'x'"):
             lossless_check(binary.model, binary.nested, max_len=2, method="x")
@@ -295,3 +321,157 @@ class TestBudget:
     def test_enumeration_budget_charged(self, binary):
         with pytest.raises(BudgetExceededError):
             minimal_cover(binary.tokenizer, b"0000", budget=3)
+
+
+def _outcome(walk, limit=None) -> tuple[str, int]:
+    """``repr`` of what ``walk(budget)`` returns, or of the refusal it
+    raises, and the visits charged to the budget."""
+    budget = oracle._Budget(limit)
+    try:
+        out = repr(walk(budget))
+    except (BudgetExceededError, ModelError) as exc:
+        out = f"{type(exc).__name__}: {exc}"
+    return out, budget.used
+
+
+def _generic_tree(rng):
+    """A random tree over ``a`` and ``b``: surfaces of one to three
+    symbols and maybe a terminator ``$``, weights fixed by the path that
+    are positive, zero, negative or NaN, and a random prefix-closed set of
+    texts of length <= 5."""
+    surfaces = [bytes(rng.choice(list(b"ab"), int(rng.integers(1, 4))).tolist())
+                for _ in range(int(rng.integers(1, 6)))]
+    eos = None
+    if rng.random() < 0.5:
+        surfaces.append(b"$")
+        eos = len(surfaces) - 1
+    seed = int(rng.integers(2**32))
+
+    def expand(path):
+        draw = np.random.default_rng([seed, len(path), *path])
+        weights = draw.uniform(0.0, 0.6, len(surfaces))
+        kind = draw.integers(0, 8, len(surfaces))
+        weights[kind == 0] = 0.0
+        weights[kind == 1] = -0.25
+        weights[kind == 2] = np.nan
+        return weights
+
+    max_len = int(rng.integers(0, 6))
+    picked = [bytes(t) for n in range(max_len + 1) for t in product(b"ab", repeat=n)
+              if rng.random() < 0.6]
+    texts = sorted({t[:n] for t in picked for n in range(len(t) + 1)} | {b""})
+    vocab = SimpleNamespace(surfaces=surfaces, eos_id=eos)
+    return ((), expand, lambda s, y, w: s + (y,)), vocab, texts
+
+
+def _model_routes(rng) -> dict:
+    """Each route of the oracle on a random greedy or BPE instance, with
+    the recursive reference walk of the same tree: ``name -> (oracle,
+    reference, n_texts)``, the first two functions of the budget.  A table
+    refuses a budget below its ``n_texts`` texts before it walks."""
+    if rng.random() < 0.6:
+        inst = make_instance(rng, n_symbols=int(rng.integers(2, 4)),
+                             with_eos=bool(rng.random() < 0.5))
+        model, nested = inst.model, inst.nested
+    else:
+        tokenizer = random_merge_tokenizer(rng)
+        vec = rng.uniform(0.05, 1.0, len(tokenizer.vocab))
+        model = TableModel(tokenizer, {}, default=vec / vec.sum())
+        inner = GreedyTokenizer(byte_vocabulary(tokenizer.vocab.alphabet))
+        nested = NestedTokenizer(tokenizer, inner)
+    max_len = int(rng.integers(0, 4))
+    texts = oracle._all_texts(model.vocab, max_len, oracle._Budget(None))
+    symbols = sorted(model.vocab.alphabet.symbols)
+    text = bytes(rng.choice(symbols, int(rng.integers(1, 5))).tolist())
+    prefixes = [text[:n] for n in range(len(text) + 1)]
+
+    def fresh():
+        return ReductionSession(model, nested, topk=None)
+
+    def session_tree(session):
+        return session, lambda s: s.next_subtoken_dist().ptilde, lambda s, y, w: s.branch(y)
+
+    def naive(prefix):
+        return naive_restriction_dist(model, nested, prefix).probs
+
+    return {
+        "original": (
+            lambda b: original_prefix_prob_table(model, max_len, b),
+            lambda b: recursive_walk(chain(model.next_token_dist), model.vocab, texts, b),
+            len(texts),
+        ),
+        "reduced": (
+            lambda b: reduced_prefix_prob_table(fresh(), max_len, b),
+            lambda b: recursive_walk(session_tree(fresh()), nested.vocab, texts, b),
+            len(texts),
+        ),
+        "naive": (
+            lambda b: oracle.naive_restriction_prefix_prob_table(model, nested, max_len, b),
+            lambda b: recursive_walk(chain(naive), nested.vocab, texts, b),
+            len(texts),
+        ),
+        "exhaustive": (
+            lambda b: text_prefix_prob_exhaustive(model, text, b),
+            lambda b: recursive_walk(chain(model.next_token_dist), model.vocab, prefixes,
+                                     b)[text],
+            0,
+        ),
+    }
+
+
+class TestWalkMatchesRecursion:
+    # the oracle's walk is a loop over an explicit stack; the recursive
+    # walk it replaced is kept as the reference, and both must visit,
+    # charge and add in the same order: equal reprs (NaN included), equal
+    # visits, and a refusal at the same visit under a smaller budget
+    @staticmethod
+    def _same(ours, reference, rng, n_texts: int = 0) -> None:
+        out, used = _outcome(ours)
+        assert (out, used) == _outcome(reference)
+        if used <= n_texts:
+            return
+        limit = int(rng.integers(n_texts, used))
+        small = _outcome(ours, limit)
+        assert small == _outcome(reference, limit)
+        assert small[0].startswith("BudgetExceededError: enumeration exceeded")
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_generic_trees(self, seed):
+        rng = np.random.default_rng(seed)
+        tree, vocab, texts = _generic_tree(rng)
+        self._same(lambda b: oracle._walk(tree, vocab, texts, b),
+                   lambda b: recursive_walk(tree, vocab, texts, b), rng)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_model_routes(self, seed):
+        rng = np.random.default_rng(seed)
+        for ours, reference, n_texts in _model_routes(rng).values():
+            self._same(ours, reference, rng, n_texts)
+
+
+class TestDeepTexts:
+    def test_a_3000_byte_text_is_the_marginal(self):
+        # the recursive walk reached Python's recursion limit here
+        alphabet = Alphabet.of("ab")
+        tokenizer = GreedyTokenizer(Vocabulary([b"a", b"b"], alphabet))
+        model = TableModel(tokenizer, {}, default=np.array([0.999, 0.001]))
+        assert text_prefix_prob_exhaustive(model, b"a" * 3000) == model.marginal((0,) * 3000)
+
+    def test_model_routes_walk_by_node(self, monkeypatch):
+        # each descent is one child of a node, never a prefix looked up
+        # from the root
+        looked_up = []
+        node = LanguageModel.node
+        monkeypatch.setattr(LanguageModel, "node",
+                            lambda model, prefix: looked_up.append(len(prefix))
+                            or node(model, prefix))
+        model = binary_instance().model
+        original_prefix_prob_table(model, 6)
+        text_prefix_prob_exhaustive(model, b"0010010001")
+        assert looked_up == []
+        # the counter sees the tuple route of the reference
+        recursive_walk(chain(model.next_token_dist), model.vocab, [b"", b"0"],
+                       oracle._Budget(None))
+        assert looked_up
