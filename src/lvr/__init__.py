@@ -27,7 +27,6 @@ from .tokenization import (
 )
 from .model import LanguageModel, NgramCounts, NgramModel, TableModel, train_ngram
 from .reduction import (
-    DEFAULT_TOP_K,
     ReductionSession,
     Step,
     SubTokenDistribution,

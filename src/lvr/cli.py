@@ -36,7 +36,7 @@ from .files import (
 from .mcv import build_mcv
 from .model import train_ngram
 from .oracle import enumeration_budget, lossless_check
-from .reduction import DEFAULT_TOP_K, ReductionSession, decode
+from .reduction import ReductionSession, decode
 from .tokenization import (
     BpeTokenizer,
     GreedyTokenizer,
@@ -294,8 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_generation_flags(p):
-        p.add_argument("--k", type=_parse_topk, default=DEFAULT_TOP_K,
-                       help="top-K extensions per step, or 'exact'")
+        p.add_argument("--k", type=_parse_topk,
+                       help="top-K extensions per step, a lossy baseline, or 'exact' (the default)")
         p.add_argument("--seed", type=_non_negative, default=0)
         p.add_argument("--decoding", choices=("greedy", "sample"), default="greedy")
         p.add_argument("--max-steps", type=_non_negative, default=64)
@@ -349,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=_at_least(float, 0, strict=True), default=0.5)
     p.add_argument("--target-bytes", type=_non_negative, default=500)
     p.add_argument("--seed", type=_non_negative, default=0)
-    p.add_argument("--k", type=_parse_topk, default=DEFAULT_TOP_K)
+    p.add_argument("--k", type=_parse_topk, help="top-K extensions per step, or 'exact' (default)")
     p.add_argument("--mode", choices=("poe", "moe"), default="poe")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_bench)

@@ -296,11 +296,16 @@ class PrefixProbReport:
     rows: list[tuple[bytes, float, float]]  # (text, original, reduced)
 
     def to_json_dict(self) -> dict:
-        """Every field by name, each row's text escaped and its discrepancy added."""
+        """Every field by name, each row's text escaped and its discrepancy
+        added; a number that is not finite is ``None``, JSON's ``null``."""
+        def finite(x: float) -> float | None:
+            return x if math.isfinite(x) else None
+
         doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        doc["max_discrepancy"] = finite(self.max_discrepancy)
         doc["rows"] = [
-            {"text": escape_bytes(text), "original": orig, "reduced": red,
-             "discrepancy": abs(orig - red)}
+            {"text": escape_bytes(text), "original": finite(orig), "reduced": finite(red),
+             "discrepancy": finite(abs(orig - red))}
             for text, orig, red in self.rows
         ]
         return doc

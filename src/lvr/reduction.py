@@ -23,10 +23,11 @@ Each step combines two sources:
 Only source (ii) touches the model, with exactly one distribution call per
 step; entry marginals are extended incrementally, never recomputed, and in
 either mode the session re-encodes no text: the retokenization and its
-marginal are read from the cover.  The efficient variant restricts source
-(ii) to the top-K most probable extensions and reports the marginal mass it
-dropped.  They are the first K ids of the model's ranking of the step's
-conditional (:meth:`LanguageModel.ranking`), which the model makes once per
+marginal are read from the cover.  A session is exact unless made with a
+K below |V|: that lossy baseline keeps only the top-K most probable
+extensions in source (ii) and reports the marginal mass it dropped.  They
+are the first K ids of the model's ranking of the step's conditional
+(:meth:`LanguageModel.ranking`), which the model makes once per
 distribution, so a step on a distribution ranked before sorts nothing.
 
 The cover is one *group* per step with extensions: the model tree node of
@@ -60,7 +61,6 @@ from .errors import ReductionError
 from .model import LanguageModel, Node
 from .tokenization import NestedTokenizer, ReencodingNode, TokenSeq, Vocabulary, is_token_id
 
-DEFAULT_TOP_K = 300
 _NO_IDS, _NO_VALUES = np.zeros(0, dtype=np.intp), np.zeros(0)
 
 # When the chosen sub-token's marginal m = f * 2**e (0.5 <= f < 1) falls
@@ -142,12 +142,12 @@ class ReductionSession:
     """Stateful reducer: a sampled sub-token prefix and its relative cover,
     the only store of marginals.
 
-    ``topk=None`` requests exact mode (every extension considered), and so
-    does any K >= |V|, which :attr:`topk` stores as ``None``; otherwise only
-    the K most probable one-token extensions of the canonical
+    ``topk=None``, the default, is exact mode (every extension considered),
+    and so is any K >= |V|, which :attr:`topk` reads back as ``None``;
+    otherwise only the K most probable one-token extensions of the canonical
     retokenization, by the model's conditional with ties kept in ascending
-    id, enter the cover at each step.  The attribute is read at
-    each distribution computation, so it may be changed between steps.
+    id, enter the cover at each step.  K is fixed at construction, and a
+    branch keeps it; :meth:`step` falls back to the exact distribution.
 
     The cover is a list of ``(trie node, CoverGroup)`` pairs, oldest first:
     each step with extensions appends its group, kept while some of its
@@ -174,15 +174,19 @@ class ReductionSession:
         self,
         model: LanguageModel,
         nested: NestedTokenizer,
-        topk: int | None = DEFAULT_TOP_K,
+        topk: int | None = None,
     ):
         if nested.outer.vocab.surfaces != model.vocab.surfaces:
             raise ReductionError(
                 "nested tokenizer's outer vocabulary does not match the model's"
             )
+        if topk is not None:
+            if not (type(topk) is int or isinstance(topk, np.integer)) or topk < 1:
+                raise ReductionError(f"top-K must be an int of at least 1 or None, not {topk!r}")
+            topk = None if topk >= len(model.vocab) else int(topk)
         self.model = model
         self.nested = nested
-        self.topk = topk
+        self._topk = topk
         # the prefix, last sub-token outermost; None is the empty prefix
         self._chain: tuple | None = None
         self.exponent = 0
@@ -196,21 +200,10 @@ class ReductionSession:
 
     @property
     def topk(self) -> int | None:
-        """K, or ``None`` for exact mode, which is also what any K >= |V|
-        reads back as: it keeps every extension.  A numpy integer is stored
-        as an ``int``.  Anything else but an integer of at least 1 (a
-        ``bool`` is none) raises :class:`ReductionError`, here or in the
-        constructor."""
+        """K, fixed at construction and stored as an ``int``, or ``None``
+        for exact mode.  Anything but an integer of at least 1 (a ``bool``
+        is none) raises :class:`ReductionError` in the constructor."""
         return self._topk
-
-    @topk.setter
-    def topk(self, value: int | None) -> None:
-        if value is not None:
-            if not (type(value) is int or isinstance(value, np.integer)) or value < 1:
-                raise ReductionError(
-                    f"top-K must be an int of at least 1 or None, not {value!r}")
-            value = None if value >= len(self.model.vocab) else int(value)
-        self._topk = value
 
     @property
     def prefix(self) -> TokenSeq:
@@ -293,13 +286,15 @@ class ReductionSession:
         self._pending_groups = pending
         return self._last
 
-    def _scatter_dist(self, topk: int | None) -> SubTokenDistribution:
-        group, dropped = self._step_group(topk)
+    def _scatter_dist(self, exact: bool) -> SubTokenDistribution:
+        """:meth:`next_subtoken_dist`; if ``exact``, with no top-K: each
+        carried group adds ``base * node.dist`` in place of ``ext``."""
+        group, dropped = self._step_group(None if exact else self._topk)
         ys, values = [], []
         for at, g in self.cover:
             if at.ids.size:
                 ys.append(at.ys)
-                values.append(g.ext[at.ids])
+                values.append(g.base * g.node.dist[at.ids] if exact else g.ext[at.ids])
         if group is None:
             pending = self.cover
         else:
@@ -326,7 +321,7 @@ class ReductionSession:
         entries in cover order and then every id whose re-encoding starts
         with it, in ascending id, as :meth:`next_subtoken_dist_naive` does,
         with exact zeros between."""
-        return self._scatter_dist(self._topk)
+        return self._scatter_dist(False)
 
     def next_subtoken_dist_naive(self) -> SubTokenDistribution:
         """Reference variant: enumerate every pending entry, the cover's
@@ -387,14 +382,14 @@ class ReductionSession:
         """Commit to a sub-token: extend the prefix, keep its cover, evict
         the unselected siblings' covers.
 
-        A sub-token with zero mass is refused, unless top-K dropped mass at
-        this step: the step is then recomputed exactly once and checked
-        again."""
+        A sub-token with zero mass is refused, unless the session is top-K:
+        the distribution is then recomputed exactly once, as the exact
+        session's times a power of two, and checked again."""
         last = self._checked(chosen, "stepping")
-        if last.raw_marginals.item(chosen) <= 0.0 and last.dropped_mass > 0.0:
+        if last.raw_marginals.item(chosen) <= 0.0 and self._topk is not None:
             # a caller such as a mixture can pick `chosen` on another
-            # source's mass after top-K dropped every extension reaching it
-            last = self._scatter_dist(None)
+            # source's mass after top-K dropped every entry reaching it, here or earlier
+            last = self._scatter_dist(True)
         if last.raw_marginals.item(chosen) <= 0.0:
             raise ReductionError(
                 f"sub-token {chosen} has zero probability after the current prefix"

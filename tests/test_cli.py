@@ -1,5 +1,6 @@
 """CLI surface: subcommands, exit codes, traces, and file plumbing."""
 
+import itertools
 import json
 
 import numpy as np
@@ -7,7 +8,17 @@ import pytest
 
 from conftest import binary_instance, nan_at_root
 
-from lvr import TableModel, reduction
+from lvr import (
+    Alphabet,
+    BpeTokenizer,
+    GreedyTokenizer,
+    NestedTokenizer,
+    ReductionSession,
+    TableModel,
+    Vocabulary,
+    byte_vocabulary,
+    reduction,
+)
 from lvr.cli import main
 from lvr.files import escape_bytes, save_table_model, save_vocabulary
 
@@ -263,6 +274,34 @@ class TestReduceGenerate:
         records = [json.loads(line) for line in path.read_text().splitlines()]
         assert any(r["dropped_mass"] > 0 for r in records)
 
+    def test_exact_without_k_past_300_ids(self, tmp_path, capsys):
+        # |V| = 306: the full byte alphabet plus 50 merges, where K = 300
+        # would drop extensions; the session and the flag default to exact
+        alphabet = Alphabet.bytes()
+        singles = [bytes([b]) for b in range(256)]
+        pairs = list(itertools.product(b"abcdefghij", repeat=2))[:50]
+        vocab = Vocabulary(singles + [bytes(p) for p in pairs], alphabet)
+        tokenizer = BpeTokenizer(vocab, [(vocab.id_of(bytes([a])), vocab.id_of(bytes([b])))
+                                         for a, b in pairs])
+        weights = np.random.default_rng(5).uniform(0.2, 1.0, len(vocab))
+        model = TableModel(tokenizer, {}, default=weights / weights.sum())
+        nested = NestedTokenizer(tokenizer, GreedyTokenizer(byte_vocabulary(alphabet)))
+        assert len(model.vocab) > 300 and ReductionSession(model, nested).topk is None
+        save_vocabulary(vocab, tmp_path / "vocab.json")
+        save_table_model(model, tmp_path / "model.json", "vocab.json")
+        written = {}
+        for k in ([], ["--k", "exact"], ["--k", "300"]):
+            trace = tmp_path / f"trace{len(written)}.jsonl"
+            argv = ["reduce-generate", "--model", str(tmp_path / "model.json"),
+                    "--subvocab", "bytes", "--max-steps", "6", "--decoding", "sample",
+                    "--seed", "1", "--trace", str(trace), *k]
+            assert main(argv) == 0
+            written[tuple(k)] = (capsys.readouterr().out, trace.read_text())
+        assert written[()] == written[("--k", "exact")]
+        assert all(json.loads(line)["dropped_mass"] == 0.0
+                   for line in written[()][1].splitlines())
+        assert written[()][1] != written[("--k", "300")][1]
+
     def test_failed_run_keeps_trace(self, binary_files, capsys):
         # only the root row and no default: the second step has no table entry
         inst = binary_instance()
@@ -339,16 +378,29 @@ class TestVerifyLossless:
     def test_a_nan_marginal_fails_exit_one(self, binary_files, capsys, monkeypatch):
         # the NaN row came after the first, so max() skipped it: PASS, exit 0
         nan_at_root(monkeypatch)
+        out = binary_files["dir"] / "report.json"
         code = main(
             [
                 "verify-lossless",
                 "--model", str(binary_files["model"]),
                 "--subvocab", str(binary_files["subvocab"]),
                 "--max-len", "3",
+                "--out", str(out),
             ]
         )
         assert code == 1
         assert capsys.readouterr().out.startswith("FAIL: max discrepancy nan")
+        # the report is JSON: each number that is not finite is null, where
+        # json.dumps would write the bare NaN that JSON has no word for
+
+        def refuse(constant):
+            raise AssertionError(f"{constant} in the report")
+
+        report = json.loads(out.read_text(), parse_constant=refuse)
+        assert report["passed"] is False and report["max_discrepancy"] is None
+        nan_rows = [r for r in report["rows"] if r["reduced"] is None]
+        assert nan_rows and all(r["discrepancy"] is None for r in nan_rows)
+        assert all(r["original"] is not None for r in report["rows"])
 
     @pytest.mark.parametrize("budget", ["abc", "1e6", "-5"])
     def test_bad_enumeration_budget_is_a_usage_error(self, binary_files, capsys,
@@ -550,6 +602,37 @@ class TestEnsembleMoeTopK:
         )
         assert code == 0, capsys.readouterr().err
         assert set(capsys.readouterr().out.strip()) <= set("abcd")
+
+    @pytest.mark.parametrize("subvocab", ["bytes", "mcv"])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_default_row_members(self, tmp_path, capsys, subvocab, seed):
+        # default-row table models over {a, b, ab, abb} and {a, b, ab, ba}:
+        # at K=2 a member's top-K drops, at an earlier step, every entry
+        # reaching a sub-token that the mixture later picks on the other
+        # member's mass, so only an exact fallback that restores the
+        # carried groups too can step onto it
+        for name, extra, merges in [("1", "abb", "a\tb\nab\tb\n"),
+                                    ("2", "ba", "a\tb\nb\ta\n")]:
+            (tmp_path / f"v{name}.json").write_text(
+                json.dumps(["\\x00", "a", "b", "ab", extra]))
+            (tmp_path / f"m{name}.txt").write_text(merges)
+            (tmp_path / f"t{name}.json").write_text(json.dumps(
+                {"vocab": f"v{name}.json", "entries": [],
+                 "default": [0.1, 0.3, 0.3, 0.2, 0.1]}))
+        code = main(
+            [
+                "ensemble-generate",
+                "--member", f"model={tmp_path / 't1.json'},merges={tmp_path / 'm1.txt'}",
+                "--member", f"model={tmp_path / 't2.json'},merges={tmp_path / 'm2.txt'}",
+                "--subvocab", subvocab,
+                "--mode", "moe",
+                "--k", "2",
+                "--decoding", "sample",
+                "--seed", str(seed),
+            ]
+        )
+        assert code == 0, capsys.readouterr().err
+        assert set(capsys.readouterr().out.strip()) <= set("ab")
 
 
 class TestUnopenablePaths:

@@ -157,13 +157,16 @@ class TestSessionRefusals:
         with pytest.raises(ValueError, match="exact"):
             _ROUTES[route](ReductionSession(binary.model, binary.nested, topk=vocab_size - 1))
         exact = _ROUTES[route](ReductionSession(binary.model, binary.nested, topk=None))
-        # K >= |V| is exact mode, at construction or assigned
-        for k in (vocab_size, vocab_size + 3):
+        # K >= |V| is exact mode
+        for k in (vocab_size, vocab_size + 3, np.int64(vocab_size)):
             full = _ROUTES[route](ReductionSession(binary.model, binary.nested, topk=k))
             assert full == exact
-            assigned = ReductionSession(binary.model, binary.nested, topk=1)
-            assigned.topk = k
-            assert _ROUTES[route](assigned) == exact
+        # K is fixed at construction, so a truncated session stays refused
+        truncated = ReductionSession(binary.model, binary.nested, topk=1)
+        with pytest.raises(AttributeError):
+            truncated.topk = vocab_size
+        with pytest.raises(ValueError, match="exact"):
+            _ROUTES[route](truncated)
 
 
 class TestIndependentWitness:

@@ -1,6 +1,7 @@
 """Reduction engine: relative covers, marginal recursion, top-K truncation,
 stepping, generation, and the naive-restriction baseline."""
 
+import copy
 import hashlib
 import itertools
 import math
@@ -65,16 +66,18 @@ class TestSessionSetup:
     @pytest.mark.parametrize(
         "topk", [0, -1, 2.5, 3.0, True, "3", np.bool_(True), np.float32(3.0), np.int64(0)])
     def test_bad_topk_refused_at_construction_and_assignment(self, binary, topk):
+        # K is fixed at construction: a bad one is refused there, and no K,
+        # bad or good, may be assigned afterwards
         with pytest.raises(ReductionError, match="top-K must be an int"):
             ReductionSession(binary.model, binary.nested, topk=topk)
         session = ReductionSession(binary.model, binary.nested, topk=2)
-        with pytest.raises(ReductionError, match="top-K must be an int"):
-            session.topk = topk
+        for k in (topk, None, 1):
+            with pytest.raises(AttributeError):
+                session.topk = k
         assert session.topk == 2
-        session.topk = None
-        assert session.topk is None
-        session.topk = 1
-        assert np.count_nonzero(session.next_subtoken_dist().raw_marginals) == 1
+        assert ReductionSession(binary.model, binary.nested).topk is None
+        single = ReductionSession(binary.model, binary.nested, topk=1)
+        assert np.count_nonzero(single.next_subtoken_dist().raw_marginals) == 1
 
     @pytest.mark.parametrize("kind", [np.int64, np.int8, np.uint16])
     def test_numpy_integer_topk_stored_as_int(self, binary, kind):
@@ -84,10 +87,9 @@ class TestSessionSetup:
         reference = ReductionSession(binary.model, binary.nested, topk=2)
         assert (session.next_subtoken_dist().raw_marginals.tolist()
                 == reference.next_subtoken_dist().raw_marginals.tolist())
-        session.topk = kind(4)
-        assert session.topk is None
-        session.topk = kind(1)
-        assert type(session.topk) is int and session.topk == 1
+        assert ReductionSession(binary.model, binary.nested, topk=kind(4)).topk is None
+        single = ReductionSession(binary.model, binary.nested, topk=kind(1))
+        assert type(single.topk) is int and single.topk == 1
 
     def test_vocabulary_mismatch_rejected(self, binary):
         other = GreedyTokenizer(
@@ -160,18 +162,17 @@ class TestTopK:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1))
     def test_k_at_least_the_vocabulary_is_exact_mode(self, seed):
-        # any K >= |V|, given at construction or assigned, reads back as
-        # None and gives the exact session's distributions bit for bit
+        # any K >= |V|, a numpy integer or an int, reads back as None and
+        # gives the exact session's distributions bit for bit
         rng = np.random.default_rng(seed)
         inst = make_instance(rng, n_symbols=int(rng.integers(2, 4)),
                              n_multi=int(rng.integers(1, 5)), n_sub_multi=int(rng.integers(0, 2)))
         size = len(inst.model.vocab)
         built = ReductionSession(inst.model, inst.nested, topk=size + rng.integers(0, 3))
-        assigned = ReductionSession(inst.model, inst.nested, topk=1)
-        assigned.topk = size + rng.integers(0, 3)
-        assert built.topk is None and assigned.topk is None
+        at_size = ReductionSession(inst.model, inst.nested, topk=size)
+        assert built.topk is None and at_size.topk is None
         exact = ReductionSession(inst.model, inst.nested, topk=None)
-        sessions = (exact, built, assigned)
+        sessions = (exact, built, at_size)
         for _ in range(16):
             want, *got = [s.next_subtoken_dist() for s in sessions]
             for d in got:
@@ -185,16 +186,28 @@ class TestTopK:
                 break
 
     def test_truncation_after_exact_prefix(self, binary):
-        # Walk to the prefix (00) exactly, then truncate to the single most
-        # probable extension: the 00-bucket loses both of its extension
-        # entries while the 1-bucket keeps its inherited cover element.
-        session = ReductionSession(binary.model, binary.nested, topk=None)
-        session.next_subtoken_dist()
+        # At K=2 the root row, which puts no mass past 00 and 001, drops
+        # nothing, so the prefix (00) is reached exactly.  The next step
+        # truncates to the two most probable extensions, 0 and 00 (1 is
+        # invalid after 00): the 00-bucket loses its extension (00, 001)
+        # while the 1-bucket keeps its inherited cover element (001).
+        model = TableModel(
+            binary.tokenizer,
+            {(): np.array([0.0, 0.0, 0.5, 0.5]), (2,): np.array([0.6, 0.0, 0.3, 0.1])},
+            default=np.full(4, 0.25),
+        )
+        session = ReductionSession(model, binary.nested, topk=2)
+        exact = ReductionSession(model, binary.nested, topk=None)
+        first = session.next_subtoken_dist()
+        assert first.dropped_mass == 0.0
+        assert first.raw_marginals.tolist() == exact.next_subtoken_dist().raw_marginals.tolist()
         session.step(2)
-        session.topk = 1
+        assert session.cover_cache[(2,)].sequences() == {(2,), (3,)}
         dist = session.next_subtoken_dist()
-        np.testing.assert_allclose(dist.raw_marginals, [0.3, 0.3, 0.0], atol=1e-12)
-        assert abs(dist.dropped_mass - 0.2) < 1e-12
+        np.testing.assert_allclose(dist.raw_marginals, [0.3, 0.5, 0.15], atol=1e-12)
+        assert abs(dist.dropped_mass - 0.05) < 1e-12
+        assert session._pending[2].sequences() == {(2, 2)}
+        assert session._pending[1].sequences() == {(3,)}
 
     def test_dropped_mass_monotone_in_k(self, binary):
         drops = []
@@ -281,7 +294,8 @@ class TestStep:
         # the root row ranks 001 above 00, so K=1 keeps only (001,) in the
         # bucket of sub-token 00: the prefix's canonical retokenization (00,)
         # is not in its cover, and the next step reads its marginal from the
-        # root's group, whose mask still admits 00
+        # root's group, whose mask still admits 00; the exact fallback
+        # recovers the exact session's marginals from it
         model = TableModel(
             binary.tokenizer,
             {(): np.array([0.1, 0.1, 0.3, 0.5]), (2,): np.array([0.6, 0.0, 0.3, 0.1])},
@@ -291,13 +305,17 @@ class TestStep:
         session.next_subtoken_dist()
         session.step(2)
         assert session.cover_cache[(2,)].sequences() == {(3,)}
-        session.topk = None
-        recovered = session.next_subtoken_dist().raw_marginals
+        truncated = session.next_subtoken_dist().raw_marginals
+        recovered = session._scatter_dist(exact=True).raw_marginals
         exact = ReductionSession(model, binary.nested, topk=None)
         exact.next_subtoken_dist()
         exact.step(2)
         reference = exact.next_subtoken_dist().raw_marginals
         assert recovered.tolist() == reference.tolist()
+        # 00 after 00 has no mass under K=1, but step falls back onto it
+        assert truncated[2] == 0.0 < reference[2]
+        session.step(2)
+        assert session.prefix == (2, 2)
 
 
 class TestAgainstBruteForce:
@@ -718,19 +736,20 @@ class TestRankedTopK:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1))
     def test_steps_match_a_fresh_sort_of_the_conditional(self, seed):
-        # Sessions on one model, branches among them, K drawn anew before
-        # each step: every step equals the reference bit for bit, whether
-        # its node's ranking is new, shared with another node of the same
-        # distribution, or already on the node.  K = |V| is exact mode.
+        # Sessions on one model, each with its own K drawn once, branches
+        # among them keeping their parent's K: every step equals the
+        # reference bit for bit, whether its node's ranking is new, shared
+        # with another node of the same distribution, or already on the
+        # node.  K = |V| is exact mode.
         rng = np.random.default_rng(seed)
         model, nested = _random_instance(rng)
         assume(has_followers(model.tokenizer))
         size, eos = len(model.vocab), nested.vocab.eos_id
-        sessions = [ReductionSession(model, nested)]
+        sessions = [ReductionSession(model, nested, topk=rng.integers(1, size + 1))
+                    for _ in range(3)]
         for _ in range(24):
             i = rng.integers(len(sessions))
             session = sessions[i]
-            session.topk = rng.integers(1, size + 1)
             k = size if session.topk is None else session.topk
             probs, raw, dropped, kept = _reference_topk_step(session, k)
             dist = session.next_subtoken_dist()
@@ -749,8 +768,40 @@ class TestRankedTopK:
                     break
             elif rng.random() < 0.3:
                 sessions.append(session.branch(y))
+                assert sessions[-1].topk == session.topk
             else:
                 session.step(y)
+
+
+class TestExactFallback:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_fallback_is_the_exact_distribution(self, seed):
+        # A top-K session stepped along a path sampled from the exact
+        # session on the same model: at every step its exact recompute
+        # gives the exact session's probs and true marginals bit for bit,
+        # and step accepts every sub-token of positive exact mass, top-K
+        # having dropped it at this step, at an earlier one or not at all.
+        rng = np.random.default_rng(seed)
+        model, nested = _random_instance(rng)
+        assume(has_followers(model.tokenizer))
+        topk = ReductionSession(model, nested, topk=rng.integers(1, len(model.vocab)))
+        exact = ReductionSession(model, nested, topk=None)
+        for _ in range(24):
+            want = exact.next_subtoken_dist()
+            topk.next_subtoken_dist()
+            got = copy.copy(topk)._scatter_dist(exact=True)
+            assert got.probs.tolist() == want.probs.tolist(), topk.prefix
+            assert got.ptilde.tolist() == want.ptilde.tolist(), topk.prefix
+            for y in np.flatnonzero(want.raw_marginals).tolist():
+                stepped = copy.copy(topk)
+                stepped.step(y)
+                assert stepped.prefix == topk.prefix + (y,)
+            y = int(rng.choice(len(want.probs), p=want.probs))
+            topk.step(y)
+            exact.step(y)
+            if y == nested.vocab.eos_id:
+                break
 
 
 class TestRankingCounters:
