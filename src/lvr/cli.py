@@ -137,7 +137,7 @@ def _run_generation(next_dist, step_fn, vocab, args) -> None:
                         "chosen_surface": escape_bytes(vocab.surface(s.chosen)),
                         "ptilde": s.dist.ptilde.tolist(),
                         "normalizer": s.dist.normalizer,
-                        "dropped_mass": s.dist.dropped,
+                        "dropped_mass": s.dist.dropped_mass,
                     }
                     trace.write(json.dumps(record) + "\n")
                 if s.chosen != eos:

@@ -81,7 +81,7 @@ class EnsembleSpec:
         return SubTokenDistribution(
             probs=probs,
             raw_marginals=probs,
-            dropped_mass=max(d.dropped for d in dists),
+            dropped_mass=max(d.dropped_mass for d in dists),
         )
 
     def step(self, chosen: int) -> None:

@@ -13,9 +13,10 @@ Table-model file: ``{"vocab": <path>, "entries": [{"prefix": [ids],
 "probs": [floats]}], "default": [floats] | null}``, where each prefix id is
 an integer id of the vocabulary; any other (``99`` over four tokens, ``-1``,
 ``2.7``, ``"3"``, ``true``, ``false``) is refused, and so is a prefix
-equal to an earlier entry's (``[true]`` after ``[1]``).  Each row is
-renormalized over the continuations valid after its prefix; a file that
-sets ``"renormalize": false`` is refused.
+equal to an earlier entry's (``[true]`` after ``[1]``).  A probability is a
+JSON number: ``"0.25"`` and ``true`` are refused.  Each row is renormalized
+over the continuations valid after its prefix; a file that sets
+``"renormalize": false`` is refused.
 
 The alphabet of a loaded vocabulary is inferred from its single-byte
 surfaces (a usable vocabulary always contains them); a NUL (``\\x00``)
@@ -151,6 +152,17 @@ def save_table_model(model, path: str | Path, vocab_path: str | Path) -> None:
     Path(path).write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
 
 
+def _probs(row, path, where: str) -> np.ndarray:
+    """A row of probabilities, each an int or a float and never a ``bool``,
+    which numpy would read as 1.0, as it reads ``"0.25"`` as 0.25."""
+    if not isinstance(row, list):
+        raise FileFormatError(f"{path}: {where}: expected a JSON array of probabilities")
+    for p in row:
+        if type(p) not in (int, float):
+            raise FileFormatError(f"{path}: {where}: probability {p!r} is not a JSON number")
+    return np.asarray(row, dtype=float)
+
+
 def load_table_model(path: str | Path, merges_path: str | Path | None = None):
     """Load a table model; the vocabulary path inside the file is resolved
     relative to the file's directory."""
@@ -175,12 +187,8 @@ def load_table_model(path: str | Path, merges_path: str | Path | None = None):
             if prefix in entries:
                 raise FileFormatError(
                     f"{path}: entry {i} repeats the prefix of an earlier entry: {prefix}")
-            entries[prefix] = np.asarray(row["probs"], dtype=float)
-        default = (
-            np.asarray(doc["default"], dtype=float)
-            if doc.get("default") is not None
-            else None
-        )
+            entries[prefix] = _probs(row["probs"], path, f"entry {i}")
+        default = _probs(doc["default"], path, "default") if doc.get("default") is not None else None
         return TableModel(tokenizer, entries, default=default)
     except FileFormatError:
         raise

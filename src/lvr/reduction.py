@@ -24,25 +24,24 @@ Only source (ii) touches the model, with exactly one distribution call per
 step; entry marginals are extended incrementally, never recomputed, and in
 either mode the session re-encodes no text: the retokenization and its
 marginal are read from the cover.  A session is exact unless made with a
-K below |V|: that lossy baseline keeps only the top-K most probable
-extensions in source (ii) and reports the marginal mass it dropped.  They
-are the first K ids of the model's ranking of the step's conditional
-(:meth:`LanguageModel.ranking`), which the model makes once per
-distribution, so a step on a distribution ranked before sorts nothing.
+K below |V|: that lossy baseline carries the exact cover but adds only
+the top-K most probable extensions of source (ii), the first K ids of the
+model's ranking of the step's conditional (:meth:`LanguageModel.ranking`,
+made once per distribution), and reports the marginal mass it dropped.
 
 The cover is one *group* per step with extensions: the model tree node of
 the step's retokenization (the next step reaches its own by one child
-lookup, never hashing or copying a prefix) and its marginal, its
-extensions' marginals and kept mask, and a node of the nested tokenizer's
+lookup, never hashing or copying a prefix) and its marginal, a cache of
+its extensions' marginals, and a node of the nested tokenizer's
 re-encoding trie that lists which entries reach past the prefix, onto which
 sub-token, and which one ends at it.  Source (ii) is one more such group, at
 the trie root, which lists every outer id under its re-encoding's first
 sub-token.  A step adds every pending group's marginals (an extension's is
 an exact ``0.0`` if invalid or top-K-dropped) with one unbuffered
 ``np.bincount``, the cover's oldest first and its own last; in input order,
-as the naive reference adds, bit for bit.  Stepping moves each pending group
-one trie edge and conses the sub-token onto a shared chain: no per-entry
-object, and no tuple that grows with the prefix.
+as the naive reference adds in an exact session.  Stepping moves each
+pending group one trie edge and conses the sub-token onto a shared chain:
+no per-entry object, and no tuple that grows with the prefix.
 
 Marginals fall geometrically with the prefix, so a session keeps its cover's
 marginals, and reports ``p~``, as the true values times ``2**-exponent``
@@ -86,16 +85,14 @@ class CoverEntry(NamedTuple):
 
 class CoverGroup(NamedTuple):
     """The cover entries one step added: ``tuple(node) + (x,)`` for each
-    outer id ``x`` that ``kept`` admits, with marginal ``ext[x]``, where
-    ``node`` is the model's tree node of the step's retokenization.  That
-    retokenization has marginal ``base``, and its extension by ``x`` has
-    ``base * node.dist[x]`` even if top-K dropped it; both in the session's
-    scale.  Never written once made."""
+    outer id ``x`` that ``node.mask`` admits, with marginal ``base *
+    node.dist[x]`` in the session's scale, where ``node`` is the model's
+    tree node of the step's retokenization and ``base`` its marginal.
+    ``ext`` caches those products, exact zeros where top-K dropped them."""
 
     node: Node
     base: float
     ext: np.ndarray
-    kept: np.ndarray
 
 
 @dataclass
@@ -111,9 +108,9 @@ class RelativeCover:
 @dataclass
 class SubTokenDistribution:
     """Normalized next-sub-token distribution plus diagnostics: the raw
-    (unnormalized) marginals and the marginal mass dropped by top-K
-    truncation, both the true values times ``2**-exponent``; the true ones,
-    which may underflow to 0, are ``ptilde``, ``dropped`` and ``normalizer``."""
+    (unnormalized) marginals, the true values times ``2**-exponent``, and
+    the true marginal mass dropped by top-K truncation.  The true raw
+    marginals, which may underflow to 0, are ``ptilde``."""
 
     probs: np.ndarray
     raw_marginals: np.ndarray
@@ -126,11 +123,6 @@ class SubTokenDistribution:
         if self.exponent:
             return np.ldexp(self.raw_marginals, self.exponent)
         return self.raw_marginals
-
-    @property
-    def dropped(self) -> float:
-        """The true marginal mass that top-K dropped."""
-        return math.ldexp(self.dropped_mass, self.exponent)
 
     @property
     def normalizer(self) -> float:
@@ -146,8 +138,8 @@ class ReductionSession:
     and so is any K >= |V|, which :attr:`topk` reads back as ``None``;
     otherwise only the K most probable one-token extensions of the canonical
     retokenization, by the model's conditional with ties kept in ascending
-    id, enter the cover at each step.  K is fixed at construction, and a
-    branch keeps it; :meth:`step` falls back to the exact distribution.
+    id, add their marginals at each step.  K is fixed at construction, and
+    a branch keeps it; a step or branch falls back to the exact distribution.
 
     The cover is a list of ``(trie node, CoverGroup)`` pairs, oldest first:
     each step with extensions appends its group, kept while some of its
@@ -157,7 +149,7 @@ class ReductionSession:
     at the trie root, and stepping moves that list.  The readers
     (:attr:`cover_cache`, :meth:`relative_cover` and ``_pending``) and the
     slow reference :meth:`next_subtoken_dist_naive` share one enumerator,
-    ``_entries``, of :class:`CoverEntry` records from the groups;
+    ``_entries``, of the exact cover's :class:`CoverEntry` records;
     ``cover_cache`` and ``_pending`` stay because the benchmark tracer reads
     them.  The groups' marginals are the true ones times ``2**-exponent``.
 
@@ -218,8 +210,9 @@ class ReductionSession:
     def _entries(self, groups, scaled: bool = False) -> Iterator[CoverEntry]:
         """The :class:`CoverEntry` records of ``(trie node, group)`` pairs,
         in list order and ascending id within a group: every id the node
-        lists (one reaching past the prefix, or ``at.exact``) that the group
-        keeps.  Marginals are true unless ``scaled``."""
+        lists (one reaching past the prefix, or ``at.exact``) that the
+        group's node admits, with marginal ``base * node.dist[x]``, not
+        ``ext``'s.  Marginals are true unless ``scaled``."""
         mapping, prefix = self.nested.mapping, self.prefix
         exponent = 0 if scaled else self.exponent
         for at, g in groups:
@@ -227,9 +220,9 @@ class ReductionSession:
             # the node's prefix and the covered sub-tokens, built once
             seq, head = tuple(g.node), prefix[: len(prefix) - at.depth]
             for x in xs:
-                if g.kept[x]:
+                if g.node.mask[x]:
                     yield CoverEntry(seq + (x,), head + mapping[x],
-                                     math.ldexp(g.ext.item(x), exponent))
+                                     math.ldexp(g.base * g.node.dist.item(x), exponent))
 
     def _cover(self) -> RelativeCover:
         """The relative cover of the prefix, built from the groups."""
@@ -248,16 +241,15 @@ class ReductionSession:
 
     def _step_group(self, topk: int | None) -> tuple[CoverGroup | None, float]:
         """The step's group, the one-token extensions of the prefix's
-        canonical retokenization that enter the cover, and the marginal mass
-        top-K dropped from it; no group when no valid outer sequence ends at
-        the prefix."""
+        canonical retokenization, and the marginal mass top-K zeroed in its
+        ``ext``; no group when no valid outer sequence ends at the prefix."""
         if self._chain is None:
             node, base = self.model.root, 1.0
         else:
             # The prefix's canonical retokenization R, if it exists, is in a
             # live group: R[:-1] was an earlier step's, whose group has since
-            # followed mapping[R[-1]] down the trie.  The mask, not `kept`,
-            # admits R[-1], so an entry that top-K dropped is found too.
+            # followed mapping[R[-1]] down the trie, whether or not top-K
+            # zeroed R's marginal in that group's `ext`.
             for at, g in self.cover:
                 x = at.exact
                 if x >= 0 and g.node.mask[x]:
@@ -267,34 +259,38 @@ class ReductionSession:
             else:  # no R: source (ii) is empty
                 return None, 0.0
         ext = base * self.model.next_token_dist(node)
-        kept, dropped = node.mask, 0.0
+        dropped = 0.0
         if topk is not None:
             # base * dist is monotone in dist, so ext[drop] holds the values
             # a sort of ext would give, in the same order
             drop = self.model.ranking(node)[topk:]
             dropped = float(ext[drop].sum())
             ext[drop] = 0.0  # the step's own array, not the model's
-            kept = kept.copy()
-            kept[drop] = False
-        return CoverGroup(node, base, ext, kept), dropped
+        return CoverGroup(node, base, ext), dropped
 
     def _finish(self, raw, dropped, pending) -> SubTokenDistribution:
         total = np.add.reduce(raw)  # raw.sum() without its Python wrapper
         if total <= 0.0:
             raise ReductionError("no sub-token continuation has positive probability")
-        self._last = SubTokenDistribution(raw / total, raw, dropped, self.exponent)
+        self._last = SubTokenDistribution(
+            raw / total, raw, math.ldexp(dropped, self.exponent), self.exponent)
         self._pending_groups = pending
         return self._last
 
-    def _scatter_dist(self, exact: bool) -> SubTokenDistribution:
-        """:meth:`next_subtoken_dist`; if ``exact``, with no top-K: each
-        carried group adds ``base * node.dist`` in place of ``ext``."""
-        group, dropped = self._step_group(None if exact else self._topk)
+    def next_subtoken_dist(self) -> SubTokenDistribution:
+        """Efficient variant: one scatter-add of every pending group's
+        ``ext``, oldest first and the step's own last, each over the ids its
+        trie node lists.  ``ext`` is exactly ``0.0`` at every invalid id, so
+        each sub-token adds its carried entries in cover order and then
+        every id whose re-encoding starts with it, in ascending id, as
+        :meth:`next_subtoken_dist_naive` does, with exact zeros between;
+        top-K's zeros are all that tells the two apart."""
+        group, dropped = self._step_group(self._topk)
         ys, values = [], []
         for at, g in self.cover:
             if at.ids.size:
                 ys.append(at.ys)
-                values.append(g.base * g.node.dist[at.ids] if exact else g.ext[at.ids])
+                values.append(g.ext[at.ids])
         if group is None:
             pending = self.cover
         else:
@@ -313,21 +309,11 @@ class ReductionSession:
         raw = np.bincount(ys, values, minlength=len(self.nested.vocab))
         return self._finish(raw, dropped, pending)
 
-    def next_subtoken_dist(self) -> SubTokenDistribution:
-        """Efficient variant: one scatter-add over every pending group,
-        oldest first and the step's own last, each over the ids its trie
-        node lists.  ``ext`` is exactly ``0.0`` at every invalid id, and
-        top-K zeroes the ids it drops, so each sub-token adds its carried
-        entries in cover order and then every id whose re-encoding starts
-        with it, in ascending id, as :meth:`next_subtoken_dist_naive` does,
-        with exact zeros between."""
-        return self._scatter_dist(False)
-
     def next_subtoken_dist_naive(self) -> SubTokenDistribution:
         """Reference variant: enumerate every pending entry, the cover's
-        and then the step's exact extensions in ascending id, and add each
-        one's marginal to its next sub-token's sum.  Always exact;
-        bit-identical to the efficient variant run with K >= |V|."""
+        and then the step's extensions in ascending id, and add each one's
+        marginal to its next sub-token's sum.  Always exact: the efficient
+        variant's bits in an exact session, and top-K's fallback."""
         group, _ = self._step_group(None)
         pending = self.cover if group is None else [*self.cover, (self.nested.trie, group)]
         k, sums = len(self.prefix), [0.0] * len(self.nested.vocab)
@@ -338,9 +324,10 @@ class ReductionSession:
 
     @property
     def _pending(self) -> dict[int, RelativeCover] | None:
-        """Every non-empty bucket of the last distribution, by sub-token,
-        for readers such as tests and tracers; ``None`` before a
-        distribution is computed.  Goes with ROADMAP item 1."""
+        """The last distribution's pending entries, exact at any K, in a
+        non-empty bucket per next sub-token, for readers such as tests and
+        tracers; ``None`` before a distribution is computed.  Goes with
+        ROADMAP item 1."""
         if self._last is None:
             return None
         k, buckets = len(self.prefix), {}
@@ -352,11 +339,16 @@ class ReductionSession:
     # -- state transitions ---------------------------------------------------
 
     def _checked(self, chosen: int, action: str) -> SubTokenDistribution:
-        """The last distribution, once ``chosen`` is a sub-token of it."""
+        """The last distribution, once ``chosen`` is a sub-token of it; the
+        exact one, recomputed, if top-K left ``chosen`` no mass."""
         if self._last is None:
             raise ReductionError(f"compute a distribution before {action}")
         if not is_token_id(chosen, len(self._last.raw_marginals)):
             raise ReductionError(f"sub-token id {chosen} out of range")
+        if self._topk is not None and self._last.raw_marginals.item(chosen) <= 0.0:
+            # a mixture can pick `chosen` on another source's mass after
+            # top-K dropped every entry reaching it, here or earlier
+            return self.next_subtoken_dist_naive()
         return self._last
 
     def _adopt(self, chosen: int) -> None:
@@ -371,7 +363,7 @@ class ReductionSession:
         m = self._last.raw_marginals.item(chosen)
         if 0.0 < m < _RESCALE_BELOW:
             e = math.frexp(m)[1]
-            cover = [(at, CoverGroup(g.node, math.ldexp(g.base, -e), np.ldexp(g.ext, -e), g.kept))
+            cover = [(at, CoverGroup(g.node, math.ldexp(g.base, -e), np.ldexp(g.ext, -e)))
                      for at, g in cover]
             self.exponent += e
         self.cover = cover
@@ -382,14 +374,9 @@ class ReductionSession:
         """Commit to a sub-token: extend the prefix, keep its cover, evict
         the unselected siblings' covers.
 
-        A sub-token with zero mass is refused, unless the session is top-K:
-        the distribution is then recomputed exactly once, as the exact
-        session's times a power of two, and checked again."""
+        A sub-token with zero mass is refused, after a top-K session has
+        recomputed the exact distribution (times a power of two)."""
         last = self._checked(chosen, "stepping")
-        if last.raw_marginals.item(chosen) <= 0.0 and self._topk is not None:
-            # a caller such as a mixture can pick `chosen` on another
-            # source's mass after top-K dropped every entry reaching it, here or earlier
-            last = self._scatter_dist(True)
         if last.raw_marginals.item(chosen) <= 0.0:
             raise ReductionError(
                 f"sub-token {chosen} has zero probability after the current prefix"
@@ -398,11 +385,12 @@ class ReductionSession:
 
     def branch(self, chosen: int) -> "ReductionSession":
         """Child session advanced by one sub-token, leaving this session
-        untouched; requires a computed distribution, like :meth:`step`."""
-        self._checked(chosen, "branching")
-        # shallow copy; _adopt rebinds the shared state, never mutates it
+        untouched; :meth:`step` on a copy, falling back alike, except that
+        a zero-mass sub-token is taken."""
+        # shallow copy; _checked and _adopt rebind the shared state, never mutate it
         clone = object.__new__(type(self))
         clone.__dict__.update(self.__dict__)
+        clone._checked(chosen, "branching")
         clone._adopt(chosen)
         return clone
 

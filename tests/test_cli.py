@@ -143,6 +143,27 @@ class TestFileFormatErrors:
             ["verify-lossless", "--model", "BAD", "--subvocab", "SUB"],
             "table entry ('3',)",
         ),
+        # numpy would read each of these rows as numbers, and the check pass
+        "table row of string probabilities": (
+            _table_doc([{"prefix": [2], "probs": ["0.25"] * 4}]).encode(),
+            ["verify-lossless", "--model", "BAD", "--subvocab", "SUB"],
+            "entry 0: probability '0.25' is not a JSON number",
+        ),
+        "table row of boolean probabilities": (
+            _table_doc([{"prefix": [2], "probs": [True, False, False, False]}]).encode(),
+            ["verify-lossless", "--model", "BAD", "--subvocab", "SUB"],
+            "entry 0: probability True is not a JSON number",
+        ),
+        "default row of string probabilities": (
+            _table_doc([], ["0.25"] * 4).encode(),
+            ["verify-lossless", "--model", "BAD", "--subvocab", "bytes"],
+            "default: probability '0.25' is not a JSON number",
+        ),
+        "default row of boolean probabilities": (
+            _table_doc([], [False, True, False, False]).encode(),
+            ["reduce-generate", "--model", "BAD", "--subvocab", "SUB"],
+            "default: probability False is not a JSON number",
+        ),
     }
 
     @pytest.mark.parametrize("case", CASES)
@@ -361,6 +382,15 @@ class TestVerifyLossless:
         assert capsys.readouterr().out.startswith("PASS")
         doc = json.loads(report.read_text())
         assert doc["passed"] is True
+
+    def test_integer_probabilities_pass(self, binary_files, capsys):
+        # a JSON int is a number: a row of ints loads and the check passes
+        model = binary_files["dir"] / "ints.json"
+        model.write_text(_table_doc([{"prefix": [], "probs": [0, 0, 1, 0]}]))
+        code = main(["verify-lossless", "--model", str(model),
+                     "--subvocab", str(binary_files["subvocab"]), "--max-len", "3"])
+        assert code == 0
+        assert capsys.readouterr().out.startswith("PASS")
 
     def test_naive_method_fails_exit_one(self, binary_files, capsys):
         code = main(

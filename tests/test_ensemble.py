@@ -1,6 +1,8 @@
 """Ensemble combination rules, lock-step generation, and the union-vocabulary
 baseline with its documented product failure."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -184,8 +186,9 @@ class TestEnsembleGenerate:
 
     def test_dropped_mass_is_the_largest_member_dropped(self, monkeypatch):
         # two models at top-K 3 and 2, each rescaled at nearly every step by
-        # its own exponent: the ensemble reports the larger true mass, and
-        # each member's is the larger on some step
+        # its own exponent: each member reports its true mass, which its
+        # scaled cover bounds by 2**exponent, the ensemble reports the larger
+        # one, and each member's is the larger on some step
         monkeypatch.setattr(reduction, "_RESCALE_BELOW", 2.0)
         inst = binary_instance()
         skewed = TableModel(inst.tokenizer, {}, default=np.array([0.05, 0.05, 0.1, 0.8]))
@@ -202,9 +205,10 @@ class TestEnsembleGenerate:
         assert len(seen) == 2 * len(steps) == 400
         larger = set()
         for s, a, b in zip(steps, seen[::2], seen[1::2]):
-            assert s.dist.dropped_mass == s.dist.dropped == max(a.dropped, b.dropped)
-            if a.exponent != b.exponent and a.dropped != b.dropped:
-                larger.add(a.dropped > b.dropped)
+            assert all(d.dropped_mass <= math.ldexp(1.0, d.exponent) for d in (a, b))
+            assert s.dist.dropped_mass == max(a.dropped_mass, b.dropped_mass)
+            if a.exponent != b.exponent and a.dropped_mass != b.dropped_mass:
+                larger.add(a.dropped_mass > b.dropped_mass)
         assert larger == {True, False}
 
     def test_member_refusal_becomes_ensemble_error(self):

@@ -166,3 +166,55 @@ def test_table_model_with_unrescaled_rows_refused(tmp_path, binary, capsys):
         load_table_model(mpath)
     assert main(["verify-lossless", "--model", str(mpath), "--subvocab", "bytes"]) == 2
     assert "renormalize" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where", ["entry", "default"])
+@pytest.mark.parametrize("row, bad", [
+    (["0.25", "0.25", "0.25", "0.25"], "'0.25'"),
+    ([True, False, False, False], "True"),
+    ([0.5, 0.5, False, 0], "False"),
+    ([[0.25], 0.25, 0.25, 0.25], "[0.25]"),
+    ([None, 0.5, 0.25, 0.25], "None"),
+])
+def test_table_model_with_a_probability_not_a_number_refused(tmp_path, binary, where, row, bad):
+    # numpy reads "0.25" as 0.25 and true as 1.0, so such a row would load
+    # silently; each probability must be a JSON int or float
+    vpath = tmp_path / "vocab.json"
+    mpath = tmp_path / "model.json"
+    save_vocabulary(binary.tokenizer.vocab, vpath)
+    good = [0.25] * 4
+    entries = [{"prefix": [], "probs": good}, {"prefix": [2], "probs": good}]
+    default = good
+    if where == "entry":
+        entries[1]["probs"] = row
+    else:
+        default = row
+    mpath.write_text(json.dumps({"vocab": vpath.name, "entries": entries, "default": default}))
+    with pytest.raises(FileFormatError) as err:
+        load_table_model(mpath)
+    name = "entry 1" if where == "entry" else "default"
+    assert str(err.value) == f"{mpath}: {name}: probability {bad} is not a JSON number"
+
+
+@pytest.mark.parametrize("rows", [([1, 0, 0, 0], [0, 1, 0, 0]), ([1, 0.0, 0, 0], [0.5, 0.5, 0, 0])])
+def test_table_model_with_integer_probabilities_loads(tmp_path, binary, rows):
+    # a JSON int is a number: it loads as the float it names
+    entry, default = rows
+    vpath = tmp_path / "vocab.json"
+    mpath = tmp_path / "model.json"
+    save_vocabulary(binary.tokenizer.vocab, vpath)
+    mpath.write_text(json.dumps({"vocab": vpath.name, "default": default,
+                                 "entries": [{"prefix": [], "probs": entry}]}))
+    loaded = load_table_model(mpath)
+    assert loaded.entries[()].tolist() == [float(p) for p in entry]
+    assert loaded.default.tolist() == [float(p) for p in default]
+
+
+def test_table_model_with_a_row_not_an_array_refused(tmp_path, binary):
+    vpath = tmp_path / "vocab.json"
+    mpath = tmp_path / "model.json"
+    save_vocabulary(binary.tokenizer.vocab, vpath)
+    mpath.write_text(json.dumps({"vocab": vpath.name, "default": "0.25",
+                                 "entries": []}))
+    with pytest.raises(FileFormatError, match="default: expected a JSON array of probabilities"):
+        load_table_model(mpath)

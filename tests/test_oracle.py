@@ -29,6 +29,7 @@ from lvr import (
     LanguageModel,
     ModelError,
     NestedTokenizer,
+    ReductionError,
     ReductionSession,
     TableModel,
     Vocabulary,
@@ -328,11 +329,12 @@ class TestBudget:
 
 def _outcome(walk, limit=None) -> tuple[str, int]:
     """``repr`` of what ``walk(budget)`` returns, or of the refusal it
-    raises, and the visits charged to the budget."""
+    raises, and the visits charged to the budget.  The naive restriction
+    refuses a prefix whose retokenization puts no mass on a sub-token."""
     budget = oracle._Budget(limit)
     try:
         out = repr(walk(budget))
-    except (BudgetExceededError, ModelError) as exc:
+    except (BudgetExceededError, ModelError, ReductionError) as exc:
         out = f"{type(exc).__name__}: {exc}"
     return out, budget.used
 

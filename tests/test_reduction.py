@@ -189,8 +189,9 @@ class TestTopK:
         # At K=2 the root row, which puts no mass past 00 and 001, drops
         # nothing, so the prefix (00) is reached exactly.  The next step
         # truncates to the two most probable extensions, 0 and 00 (1 is
-        # invalid after 00): the 00-bucket loses its extension (00, 001)
-        # while the 1-bucket keeps its inherited cover element (001).
+        # invalid after 00): the 00-bucket adds nothing for its extension
+        # (00, 001), which the views still list with its exact marginal,
+        # while the 1-bucket adds its inherited cover element (001).
         model = TableModel(
             binary.tokenizer,
             {(): np.array([0.0, 0.0, 0.5, 0.5]), (2,): np.array([0.6, 0.0, 0.3, 0.1])},
@@ -206,7 +207,9 @@ class TestTopK:
         dist = session.next_subtoken_dist()
         np.testing.assert_allclose(dist.raw_marginals, [0.3, 0.5, 0.15], atol=1e-12)
         assert abs(dist.dropped_mass - 0.05) < 1e-12
-        assert session._pending[2].sequences() == {(2, 2)}
+        marginals = {e.seq: e.marginal for e in session._pending[2].entries}
+        assert marginals.keys() == {(2, 2), (2, 3)}
+        np.testing.assert_allclose([marginals[2, 2], marginals[2, 3]], [0.15, 0.05], atol=1e-12)
         assert session._pending[1].sequences() == {(3,)}
 
     def test_dropped_mass_monotone_in_k(self, binary):
@@ -291,11 +294,11 @@ class TestStep:
         assert set(session.cover_cache) == {(2,)}
 
     def test_evicted_retokenization_marginal_recomputed(self, binary):
-        # the root row ranks 001 above 00, so K=1 keeps only (001,) in the
+        # the root row ranks 001 above 00, so K=1 adds only (001,) to the
         # bucket of sub-token 00: the prefix's canonical retokenization (00,)
-        # is not in its cover, and the next step reads its marginal from the
-        # root's group, whose mask still admits 00; the exact fallback
-        # recovers the exact session's marginals from it
+        # adds nothing, yet the cover still lists it with its exact marginal,
+        # and the next step reads that marginal from the root's group; the
+        # exact fallback recovers the exact session's marginals from it
         model = TableModel(
             binary.tokenizer,
             {(): np.array([0.1, 0.1, 0.3, 0.5]), (2,): np.array([0.6, 0.0, 0.3, 0.1])},
@@ -304,9 +307,12 @@ class TestStep:
         session = ReductionSession(model, binary.nested, topk=1)
         session.next_subtoken_dist()
         session.step(2)
-        assert session.cover_cache[(2,)].sequences() == {(3,)}
+        cover = {e.seq: e.marginal for e in session.cover_cache[(2,)].entries}
+        assert cover.keys() == {(2,), (3,)}
+        np.testing.assert_allclose([cover[2,], cover[3,]], [0.3, 0.5], atol=1e-12)
         truncated = session.next_subtoken_dist().raw_marginals
-        recovered = session._scatter_dist(exact=True).raw_marginals
+        # on a copy, so that step still meets the truncated distribution
+        recovered = copy.copy(session).next_subtoken_dist_naive().raw_marginals
         exact = ReductionSession(model, binary.nested, topk=None)
         exact.next_subtoken_dist()
         exact.step(2)
@@ -505,7 +511,7 @@ class TestTopKShortfall:
         dropped = 0.0  # D, the top-K session's dropped mass so far
         for _ in range(24):
             got, want = topk.next_subtoken_dist(), exact.next_subtoken_dist()
-            dropped += got.dropped
+            dropped += got.dropped_mass
             assert np.all(got.ptilde <= want.ptilde), (k, topk.prefix)
             shortfall = float((want.ptilde - got.ptilde).sum())
             # the shortfall is a float sum of D's terms, so it may pass D by
@@ -628,13 +634,12 @@ class TestScatterKernel:
             for y in sigma:
                 at = self.nested.trie_child(at, y)
             groups.append((sigma, marginals))
-            kept = np.ones(39, dtype=bool)
-            cover.append((at, reduction.CoverGroup(None, 1.0, np.array(marginals), kept)))
+            cover.append((at, reduction.CoverGroup(None, 1.0, np.array(marginals))))
         expected = _per_group_sums(self.nested, groups, ext)
         assume(sum(expected) > 0.0)
         session = ReductionSession(self.model, self.nested, topk=None)
         session.cover = cover
-        group = reduction.CoverGroup(None, 1.0, ext.copy(), np.ones(39, dtype=bool))
+        group = reduction.CoverGroup(None, 1.0, ext.copy())
         session._step_group = lambda topk: (group, 0.0)
         assert session.next_subtoken_dist().raw_marginals.tolist() == expected
 
@@ -661,15 +666,29 @@ def _random_instance(rng) -> tuple[TableModel, NestedTokenizer]:
     return model, NestedTokenizer(tokenizer, inner)
 
 
+def _cached_sums(session, pending) -> np.ndarray:
+    """The raw marginals that the ``ext`` caches of ``pending`` groups add:
+    each entry that ``_entries`` lists past the prefix adds its group's
+    ``ext`` at its last id to its next sub-token's sum, in list order."""
+    k, sums = len(session.prefix), [0.0] * len(session.nested.vocab)
+    for at, g in pending:
+        for e in session._entries([(at, g)], scaled=True):
+            if len(e.nested) > k:
+                sums[e.nested[k]] += g.ext.item(e.seq[-1])
+    return np.array(sums)
+
+
 class TestLazyBucketsMatchNaive:
     @settings(max_examples=90, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.booleans())
     def test_entry_for_entry(self, seed, truncate):
-        # On one session state: at K >= |V| every bucket the efficient step
-        # builds equals the naive one entry for entry and the marginals are
-        # bit-identical; at K < |V| a bucket is the naive one without the
-        # extensions that top-K dropped: all but the K most probable under
-        # the step's conditional (stable order, lowest id on ties).
+        # On one session state every bucket the efficient step lists equals
+        # the naive one entry for entry, marginals included, at any K.  At
+        # K >= |V| the marginals the step adds are the naive ones bit for
+        # bit; at K < |V| they are the groups' ext caches, and the step's
+        # own is zero exactly at the extensions that top-K dropped: all but
+        # the K most probable under the step's conditional (stable order,
+        # lowest id on ties).
         rng = np.random.default_rng(seed)
         model, nested = _random_instance(rng)
         assume(has_followers(model.tokenizer))
@@ -680,20 +699,17 @@ class TestLazyBucketsMatchNaive:
             ref = session.next_subtoken_dist_naive()
             naive = {y: c.entries for y, c in session._pending.items()}
             group, _ = session._step_group(None)
-            cond = np.zeros(size) if group is None else group.node.dist
-            kept = set(np.argsort(-cond, kind="stable")[:topk].tolist())
-            carried = set(session.cover_cache[session.prefix].entries)
             dist = session.next_subtoken_dist()
             lazy = {y: c.entries for y, c in session._pending.items()}
+            assert lazy == naive
             if topk == size:
                 assert dist.raw_marginals.tolist() == ref.raw_marginals.tolist()
-                assert lazy == naive
             else:
-                expected = {
-                    y: [e for e in entries if e in carried or e.seq[-1] in kept]
-                    for y, entries in naive.items()
-                }
-                assert lazy == {y: entries for y, entries in expected.items() if entries}
+                pending = session._pending_groups
+                assert dist.raw_marginals.tolist() == _cached_sums(session, pending).tolist()
+                if group is not None:
+                    group.ext[np.argsort(-group.node.dist, kind="stable")[topk:]] = 0.0
+                    assert pending[-1][1].ext.tolist() == group.ext.tolist()
             choice = int(rng.choice(len(dist.probs), p=dist.probs))
             session.step(choice)
             if choice == nested.vocab.eos_id:
@@ -703,24 +719,19 @@ class TestLazyBucketsMatchNaive:
 def _reference_topk_step(session, topk):
     """The top-K step by its definition, made apart from the engine: a fresh
     stable sort of the step's conditional, every id past the first ``topk``
-    dropped, and each pending entry's marginal added to its next
-    sub-token's sum.  Returns ``(probs, raw_marginals, dropped_mass,
-    kept)``, ``kept`` ``None`` when the step has no group."""
+    dropped, and each pending entry's cached marginal added to its next
+    sub-token's sum.  Returns ``(probs, raw_marginals, dropped_mass, ext)``,
+    ``ext`` the step's own cache or ``None`` when the step has no group."""
     group, _ = session._step_group(None)
-    pending, dropped, kept = session.cover, 0.0, None
+    pending, dropped, ext = session.cover, 0.0, None
     if group is not None:
         drop = np.argsort(-group.node.dist, kind="stable")[topk:]
-        ext, kept = group.ext, group.node.mask.copy()
+        ext = group.ext
         dropped = float(ext[drop].sum())
-        ext[drop], kept[drop] = 0.0, False
-        ranked = reduction.CoverGroup(group.node, group.base, ext, kept)
-        pending = [*session.cover, (session.nested.trie, ranked)]
-    k, sums = len(session.prefix), [0.0] * len(session.nested.vocab)
-    for e in session._entries(pending, scaled=True):
-        if len(e.nested) > k:
-            sums[e.nested[k]] += e.marginal
-    raw = np.array(sums)
-    return raw / raw.sum(), raw, dropped, kept
+        ext[drop] = 0.0
+        pending = [*session.cover, (session.nested.trie, group)]
+    raw = _cached_sums(session, pending)
+    return raw / raw.sum(), raw, math.ldexp(dropped, session.exponent), ext
 
 
 def _tree(model):
@@ -751,16 +762,18 @@ class TestRankedTopK:
             i = rng.integers(len(sessions))
             session = sessions[i]
             k = size if session.topk is None else session.topk
-            probs, raw, dropped, kept = _reference_topk_step(session, k)
+            probs, raw, dropped, ext = _reference_topk_step(session, k)
             dist = session.next_subtoken_dist()
             assert dist.probs.tolist() == probs.tolist()
             assert dist.raw_marginals.tolist() == raw.tolist()
             assert dist.dropped_mass == dropped
             pending = session._pending_groups
-            if kept is None:
+            if ext is None:
                 assert len(pending) == len(session.cover)
             else:
-                assert pending[-1][1].kept.tolist() == kept.tolist()
+                # exactly 0.0 at the reference's dropped ids, base * dist
+                # elsewhere
+                assert pending[-1][1].ext.tolist() == ext.tolist()
             y = int(rng.choice(len(dist.probs), p=dist.probs))
             if y == eos:
                 sessions.pop(i)
@@ -790,7 +803,7 @@ class TestExactFallback:
         for _ in range(24):
             want = exact.next_subtoken_dist()
             topk.next_subtoken_dist()
-            got = copy.copy(topk)._scatter_dist(exact=True)
+            got = copy.copy(topk).next_subtoken_dist_naive()
             assert got.probs.tolist() == want.probs.tolist(), topk.prefix
             assert got.ptilde.tolist() == want.ptilde.tolist(), topk.prefix
             for y in np.flatnonzero(want.raw_marginals).tolist():
@@ -801,6 +814,81 @@ class TestExactFallback:
             topk.step(y)
             exact.step(y)
             if y == nested.vocab.eos_id:
+                break
+
+
+def _views(view) -> dict:
+    """The entries of each relative cover of a ``cover_cache`` or
+    ``_pending`` view, by key."""
+    return {key: cover.entries for key, cover in view.items()}
+
+
+def _next_or_refusal(session):
+    """The next distribution's probs and true marginals, or the refusal."""
+    try:
+        dist = session.next_subtoken_dist()
+    except ReductionError as exc:
+        return str(exc)
+    return dist.probs.tolist(), dist.ptilde.tolist()
+
+
+class TestTopKCarriesTheExactCover:
+    # A top-K session, K drawn once, stepped along a path sampled from the
+    # exact session on the same model: top-K zeroes only what a step adds,
+    # so the cover it carries is the exact one.
+
+    @staticmethod
+    def _sessions(seed):
+        rng = np.random.default_rng(seed)
+        model, nested = _random_instance(rng)
+        assume(has_followers(model.tokenizer))
+        topk = ReductionSession(model, nested, topk=rng.integers(1, len(model.vocab)))
+        return rng, topk, ReductionSession(model, nested, topk=None)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_views_are_the_exact_sessions(self, seed):
+        # cover_cache, _pending and relative_cover list the exact session's
+        # entries, marginals included, bit for bit
+        rng, topk, exact = self._sessions(seed)
+        for _ in range(24):
+            assert _views(topk.cover_cache) == _views(exact.cover_cache), topk.prefix
+            want = exact.next_subtoken_dist()
+            topk.next_subtoken_dist()
+            assert _views(topk._pending) == _views(exact._pending), topk.prefix
+            for y in np.flatnonzero(want.raw_marginals).tolist():
+                y_prefix = exact.prefix + (y,)
+                assert (topk.relative_cover(y_prefix).entries
+                        == exact.relative_cover(y_prefix).entries), y_prefix
+            y = int(rng.choice(len(want.probs), p=want.probs))
+            topk.step(y)
+            exact.step(y)
+            if y == exact.nested.vocab.eos_id:
+                break
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_branch_is_step_on_a_copy(self, seed):
+        # for every sub-token of positive exact mass, whether or not top-K
+        # left it any, branch gives the next distribution that step on a
+        # copy gives, bit for bit, and leaves the parent's distribution
+        rng, topk, exact = self._sessions(seed)
+        eos = exact.nested.vocab.eos_id
+        for _ in range(24):
+            want = exact.next_subtoken_dist()
+            last = topk.next_subtoken_dist()
+            for y in np.flatnonzero(want.raw_marginals).tolist():
+                if y == eos:
+                    continue
+                stepped = copy.copy(topk)
+                stepped.step(y)
+                branched = topk.branch(y)
+                assert topk._last is last
+                assert _next_or_refusal(branched) == _next_or_refusal(stepped), (topk.prefix, y)
+            y = int(rng.choice(len(want.probs), p=want.probs))
+            topk.step(y)
+            exact.step(y)
+            if y == eos:
                 break
 
 
@@ -1104,25 +1192,34 @@ class TestLongGeneration:
 
     @pytest.mark.parametrize("topk, threshold", [(None, None), (2, 2.0)])
     def test_true_values_unscale_each_scaled_one(self, binary, monkeypatch, topk, threshold):
-        # ptilde and dropped are math.ldexp of each scaled value, bit for
-        # bit, subnormal ones too: over a sampled output whose true
+        # ptilde and dropped_mass are math.ldexp of each scaled value, bit
+        # for bit, subnormal ones too: over a sampled output whose true
         # marginals pass below the smallest normal double, and under a
         # threshold that rescales at nearly every step with top-K dropping
-        # mass
+        # mass; the scaled dropped mass is the step's own sum of what its
+        # ranking drops
         if threshold is not None:
             monkeypatch.setattr(reduction, "_RESCALE_BELOW", threshold)
         session = ReductionSession(binary.model, binary.nested, topk=topk)
-        steps = list(decode(session.next_subtoken_dist, session.step, None, 2000, "sample", 1))
+        scaled = []
+
+        def dist():
+            group, _ = session._step_group(None)
+            drop = [] if topk is None else session.model.ranking(group.node)[topk:]
+            scaled.append(float(group.ext[drop].sum()))
+            return session.next_subtoken_dist()
+
+        steps = list(decode(dist, session.step, None, 2000, "sample", 1))
         assert steps[-1].dist.exponent < 0
         subnormal = dropped = 0
-        for s in steps:
+        for s, mass in zip(steps, scaled, strict=True):
             d = s.dist
             true = [math.ldexp(v, d.exponent) for v in d.raw_marginals.tolist()]
             assert d.ptilde.tolist() == true
-            assert d.dropped == math.ldexp(d.dropped_mass, d.exponent)
+            assert d.dropped_mass == math.ldexp(mass, d.exponent)
             assert d.exponent or d.ptilde is d.raw_marginals
             subnormal += any(0.0 < v < sys.float_info.min for v in true)
-            dropped += d.dropped > 0.0
+            dropped += d.dropped_mass > 0.0
         assert subnormal if topk is None else dropped
 
     def test_oracle_reads_true_marginals(self, binary, monkeypatch):

@@ -48,13 +48,13 @@ def test_tracer_installs_and_restores():
 
 @pytest.mark.parametrize("topk, entries, extensions, dropped, output", [
     (None, 7, 17, 0.0, (0, 1, 2, 1, 0, 1)),
-    (2, 7, 10, 0.4375, (2, 0, 1, 1, 0, 1)),
-    (1, 6, 6, 0.98125, (2, 0, 1, 0, 1, 0)),
+    (2, 7, 17, 0.4375, (2, 0, 1, 1, 0, 1)),
+    (1, 7, 17, 0.98125, (2, 0, 1, 0, 1, 0)),
 ])
 def test_view_counters(topk, entries, extensions, dropped, output):
     # the tracer counts cover entries and extensions from the session's
-    # cover_cache and _pending views; a step that leaves a group out of
-    # them reads fewer
+    # cover_cache and _pending views, which list the exact cover at any K;
+    # a step that leaves a group out of them reads fewer
     inst = binary_instance()
     tracer = _import_spans().Tracer()
     tracer.install()
