@@ -3,10 +3,10 @@
 Subcommands: ``tokenize``, ``reduce-generate``, ``build-mcv``,
 ``ensemble-generate``, ``verify-lossless``, ``bench``.  Generation commands
 can write a JSON-lines trace with one record per step (step index, chosen
-sub-token, unnormalized marginals, normalizer, dropped top-K mass); each
-record is written as its step completes, so a failed run keeps the records
-of the steps before the failure, followed by one error record.  Every
-command opens its output paths before it starts its work.
+sub-token, unnormalized marginals, normalizer and its log2, dropped top-K
+mass); each record is written as its step completes, so a failed run keeps
+the records of the steps before the failure, followed by one error record.
+Every command opens its output paths before it starts its work.
 
 Exit codes: 0 on success (and verification PASS), 1 on runtime failure or
 verification FAIL, 2 on usage or file-format errors.
@@ -72,10 +72,12 @@ _non_negative = _at_least(int, 0)
 def _parse_topk(value: str) -> int | None:
     if value == "exact":
         return None
-    k = int(value)
-    if k < 1:
-        raise argparse.ArgumentTypeError("K must be >= 1 or 'exact'")
-    return k
+    try:
+        if (k := int(value)) >= 1:
+            return k
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"K must be an integer >= 1 or 'exact', not {value!r}")
 
 
 def _parse_member(value: str) -> dict[str, str]:
@@ -137,6 +139,7 @@ def _run_generation(next_dist, step_fn, vocab, args) -> None:
                         "chosen_surface": escape_bytes(vocab.surface(s.chosen)),
                         "ptilde": s.dist.ptilde.tolist(),
                         "normalizer": s.dist.normalizer,
+                        "log2_normalizer": s.dist.log2_normalizer,
                         "dropped_mass": s.dist.dropped_mass,
                     }
                     trace.write(json.dumps(record) + "\n")

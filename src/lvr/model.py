@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from collections import Counter
 from functools import cached_property
 from typing import Hashable, Iterator, Mapping, Sequence
@@ -76,16 +77,16 @@ class LanguageModel:
     """Base class: subclasses supply the raw (unmasked) conditional table.
 
     Valid prefixes are cached in a prefix tree rooted at :attr:`root`, one
-    :class:`Node` per valid prefix, reached only through :meth:`node` (by
-    token sequence) or :meth:`child` (one token past a node).  A node is
-    added once its prefix is validated, with its mask: ``p + (x,)`` is
-    valid iff ``p`` is valid and ``p``'s mask admits ``x``, so no prefix is
-    re-encoded to validate it.  The mask is the tokenizer's memoized row
-    (:meth:`DeterministicTokenizer.valid_continuations`) for the node,
-    shared with every other model over that tokenizer.  The tree grows by
-    one node per valid prefix reached, ancestors included, and is never
-    pruned (a node and its parent refer to each other, so the tree is freed
-    with the model by the cyclic collector), but its nodes share one
+    :class:`Node` per valid prefix, made only by :meth:`child` (one token
+    past a node); :meth:`node` walks a token sequence by :meth:`child` from
+    the root.  A node is added once its prefix is validated, with its mask:
+    ``p + (x,)`` is valid iff ``p`` is valid and ``p``'s mask admits ``x``,
+    so no prefix is re-encoded to validate it.  The mask is the tokenizer's
+    memoized row (:meth:`DeterministicTokenizer.valid_continuations`) for
+    the node, shared with every other model over that tokenizer.  The tree
+    grows by one node per valid prefix reached, ancestors included, and is
+    never pruned (a node and its parent refer to each other, so the tree is
+    freed with the model by the cyclic collector), but its nodes share one
     distribution per (:meth:`model_context`, mask) pair, and one
     :meth:`ranking` per distribution, made only when a caller asks for it.
 
@@ -138,49 +139,31 @@ class LanguageModel:
         return {}
 
     def node(self, prefix: Sequence[int]) -> Node:
-        """Tree node of the valid prefix ``prefix``, walked from the root and
-        added with its missing ancestors on first use.  Each missing step is
-        validated by its parent node's mask.  A refusal names the first of:
-        a terminator among the missing steps, an unknown id among them
-        (:class:`TokenizationError`), a step the mask refuses.
-        """
-        parent, start = self.root, 0
-        for t in prefix:
-            node = parent.children.get(t)
-            if node is None:
-                break
-            parent, start = node, start + 1
-        else:
-            return parent
-        key = tuple(prefix)
-        return self._extend(parent, key[start:], key)
+        """Tree node of the valid prefix ``prefix``, a walk of :meth:`child`
+        from the root: it adds the missing nodes or refuses the first bad step."""
+        node = self.root
+        for x in prefix:
+            node = self.child(node, x)
+        return node
 
     def child(self, node: Node, x: int) -> Node:
-        """Node of ``node``'s prefix extended by ``x``: one child read once
-        added, otherwise :meth:`node`'s checks and refusals for the one new
-        step.  Builds no tuple of the prefix unless it refuses."""
+        """Node of ``node``'s prefix extended by ``x``, the one place a node
+        is checked and made: a child read once added, else refused if ``x``
+        is the terminator, is no token id (:class:`TokenizationError`) or
+        is refused by the mask (naming ``node``'s prefix plus ``x``)."""
         out = node.children.get(x)
-        return out if out is not None else self._extend(node, (x,))
-
-    def _extend(self, parent: Node, new: TokenSeq, key: TokenSeq | None = None) -> Node:
-        """Add the nodes of ``parent``'s prefix followed by ``new``, all
-        missing, after the checks :meth:`node` lists; ``key`` is the whole
-        prefix named by a refusal (built from the nodes if ``None``)."""
-        if self.vocab.eos_id in new:
+        if out is not None:
+            return out
+        if x == self.vocab.eos_id:
             raise ModelError("cannot continue a terminated sequence")
-        size = len(parent.mask)
-        for x in new:
-            if not is_token_id(x, size):
-                raise TokenizationError(f"unknown token id {x}")
-        for x in new:
-            if not parent.mask[x]:
-                if key is None:
-                    key = (*parent, x)
-                raise ModelError(f"prefix {key} is not a valid token sequence")
-            node = Node(None, parent, x)
-            node.mask = self.tokenizer.valid_continuations(node)
-            parent.children[x] = parent = node
-        return parent
+        if not is_token_id(x, len(node.mask)):
+            raise TokenizationError(f"unknown token id {x}")
+        if not node.mask[x]:
+            raise ModelError(f"prefix {(*node, x)} is not a valid token sequence")
+        out = Node(None, node, x)
+        out.mask = self.tokenizer.valid_continuations(out)
+        node.children[x] = out
+        return out
 
     def valid_mask(self, prefix: Sequence[int]) -> np.ndarray:
         """Boolean validity mask of a valid prefix's node: entry ``x`` is
@@ -440,10 +423,11 @@ class NgramCounts:
 
 
 def _check_ngram_params(order: int, alpha: float) -> None:
-    if order < 1:
-        raise ModelError("n-gram order must be at least 1")
-    if not 0 < alpha < math.inf:
-        raise ModelError("smoothing constant must be positive and finite")
+    if isinstance(order, bool) or not isinstance(order, (int, np.integer)) or order < 1:
+        raise ModelError(f"n-gram order must be at least 1, an int and no bool: {order!r}")
+    if isinstance(alpha, bool) or not isinstance(alpha, numbers.Real) or not 0 < alpha < math.inf:
+        raise ModelError(
+            f"smoothing constant must be positive and finite, a real and no bool: {alpha!r}")
 
 
 class NgramModel(LanguageModel):

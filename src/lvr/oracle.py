@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, ReductionError
 from .files import escape_bytes
 from .model import LanguageModel
 from .reduction import ReductionSession, naive_restriction_dist
@@ -277,8 +277,14 @@ def naive_restriction_prefix_prob_table(
     it as an autoregressive generator over the sub-vocabulary."""
     bud = _as_budget(budget)
     texts = bud.texts(model.vocab, max_len)
-    tree = _chain(lambda prefix: naive_restriction_dist(model, nested, prefix).probs)
-    return _walk(tree, nested.vocab, texts, bud)
+
+    def restricted(prefix: TokenSeq) -> np.ndarray:
+        try:  # a restriction that keeps no mass ends the prefix
+            return naive_restriction_dist(model, nested, prefix).probs
+        except ReductionError:
+            return np.zeros(len(nested.vocab))
+
+    return _walk(_chain(restricted), nested.vocab, texts, bud)
 
 
 @dataclass

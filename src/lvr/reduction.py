@@ -126,8 +126,15 @@ class SubTokenDistribution:
 
     @property
     def normalizer(self) -> float:
-        """The true sum of the raw marginals."""
+        """The true sum of the raw marginals, which may underflow to 0."""
         return math.ldexp(float(self.raw_marginals.sum()), self.exponent)
+
+    @property
+    def log2_normalizer(self) -> float:
+        """``log2`` of :attr:`normalizer`, finite where it underflows; by the
+        sum's mantissa, so the same bit for bit however the cover is scaled."""
+        mantissa, power = math.frexp(float(self.raw_marginals.sum()))
+        return math.log2(mantissa) + (power + self.exponent)
 
 
 class ReductionSession:
@@ -139,7 +146,7 @@ class ReductionSession:
     otherwise only the K most probable one-token extensions of the canonical
     retokenization, by the model's conditional with ties kept in ascending
     id, add their marginals at each step.  K is fixed at construction, and
-    a branch keeps it; a step or branch falls back to the exact distribution.
+    a branch keeps it; where top-K leaves no mass it falls back to exact.
 
     The cover is a list of ``(trie node, CoverGroup)`` pairs, oldest first:
     each step with extensions appends its group, kept while some of its
@@ -268,9 +275,11 @@ class ReductionSession:
             ext[drop] = 0.0  # the step's own array, not the model's
         return CoverGroup(node, base, ext), dropped
 
-    def _finish(self, raw, dropped, pending) -> SubTokenDistribution:
+    def _finish(self, raw, dropped, pending, exact: bool = True) -> SubTokenDistribution:
         total = np.add.reduce(raw)  # raw.sum() without its Python wrapper
         if total <= 0.0:
+            if not exact:  # top-K zeroed every entry, here or earlier
+                return self.next_subtoken_dist_naive()
             raise ReductionError("no sub-token continuation has positive probability")
         self._last = SubTokenDistribution(
             raw / total, raw, math.ldexp(dropped, self.exponent), self.exponent)
@@ -307,7 +316,7 @@ class ReductionSession:
         else:
             ys, values = np.concatenate(ys or [_NO_IDS]), np.concatenate(values or [_NO_VALUES])
         raw = np.bincount(ys, values, minlength=len(self.nested.vocab))
-        return self._finish(raw, dropped, pending)
+        return self._finish(raw, dropped, pending, self._topk is None)
 
     def next_subtoken_dist_naive(self) -> SubTokenDistribution:
         """Reference variant: enumerate every pending entry, the cover's
@@ -378,9 +387,8 @@ class ReductionSession:
         recomputed the exact distribution (times a power of two)."""
         last = self._checked(chosen, "stepping")
         if last.raw_marginals.item(chosen) <= 0.0:
-            raise ReductionError(
-                f"sub-token {chosen} has zero probability after the current prefix"
-            )
+            raise ReductionError(f"sub-token {chosen} has zero probability "
+                                 "after the current prefix")
         self._adopt(chosen)
 
     def branch(self, chosen: int) -> "ReductionSession":
@@ -399,9 +407,8 @@ class ReductionSession:
         computing (and discarding) any intermediate distributions needed."""
         y_prefix = tuple(y_prefix)
         if y_prefix[: len(self.prefix)] != self.prefix:
-            raise ReductionError(
-                f"{y_prefix} does not extend the session prefix {self.prefix}"
-            )
+            raise ReductionError(f"{y_prefix} does not extend the session prefix "
+                                 f"{self.prefix}")
         walker = self
         for y in y_prefix[len(self.prefix) :]:
             walker.next_subtoken_dist()

@@ -54,6 +54,17 @@ def binary_instance() -> Instance:
     return Instance(model, tokenizer, inner, NestedTokenizer(tokenizer, inner))
 
 
+def restriction_dead_end() -> tuple[TableModel, NestedTokenizer]:
+    """BPE over ``abc`` with merges a+a, a+c, b+b, a+b, reduced to bytes: after
+    the token ``a`` only ``bb`` may follow, so the naive restriction of that
+    prefix keeps no mass."""
+    vocab = Vocabulary([b"a", b"b", b"c", b"aa", b"ac", b"bb", b"ab"], Alphabet.of(b"abc"))
+    tokenizer = BpeTokenizer(vocab, [(0, 0), (0, 2), (1, 1), (0, 1)])
+    model = TableModel(tokenizer, {}, default=np.array([0.1, 0.2, 0.1, 0.1, 0.2, 0.2, 0.1]))
+    inner = GreedyTokenizer(Vocabulary([b"a", b"b", b"c"], vocab.alphabet))
+    return model, NestedTokenizer(tokenizer, inner)
+
+
 @pytest.fixture
 def binary() -> Instance:
     return binary_instance()

@@ -2,11 +2,12 @@
 
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
 
-from conftest import binary_instance, nan_at_root
+from conftest import binary_instance, nan_at_root, restriction_dead_end
 
 from lvr import (
     Alphabet,
@@ -220,6 +221,21 @@ class TestReduceGenerate:
         np.testing.assert_allclose(first["ptilde"], [0.1, 0.1, 0.8], atol=1e-12)
         assert "normalizer" in first and "dropped_mass" in first
 
+    def test_long_trace_keeps_its_log_mass(self, binary_files, capsys):
+        # ptilde is all zeros from step 894 and the normalizer 0.0 from
+        # step 895; log2_normalizer stays finite and never grows
+        trace = binary_files["dir"] / "long.jsonl"
+        code = main(["reduce-generate", "--model", str(binary_files["model"]),
+                     "--subvocab", str(binary_files["subvocab"]), "--max-steps", "1500",
+                     "--decoding", "sample", "--seed", "7", "--trace", str(trace)])
+        assert code == 0
+        records = [json.loads(line) for line in trace.read_text().splitlines()]
+        assert len(records) == 1500 and records[-1]["normalizer"] == 0.0
+        logs = [r["log2_normalizer"] for r in records]
+        assert all(map(math.isfinite, logs))
+        assert all(b <= a for a, b in zip(logs, logs[1:]))
+        assert logs[-1] < -1074
+
     def test_byte_subvocab(self, binary_files, capsys):
         code = main(
             [
@@ -404,6 +420,28 @@ class TestVerifyLossless:
         )
         assert code == 1
         assert capsys.readouterr().out.startswith("FAIL")
+
+    def test_naive_reports_a_restriction_with_no_mass(self, tmp_path, capsys):
+        # after "a" only the token "bb" may follow; the check aborted there
+        # with "restriction removed all probability mass" and no report
+        from lvr.files import save_merges
+
+        model, _ = restriction_dead_end()
+        vocab = model.tokenizer.vocab
+        save_vocabulary(vocab, tmp_path / "vocab.json")
+        save_merges(vocab, model.tokenizer.merges, tmp_path / "merges.txt")
+        save_table_model(model, tmp_path / "model.json", "vocab.json")
+        out = tmp_path / "naive.json"
+        code = main(["verify-lossless", "--model", str(tmp_path / "model.json"),
+                     "--merges", str(tmp_path / "merges.txt"), "--subvocab", "bytes",
+                     "--max-len", "3", "--method", "naive", "--out", str(out)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out.startswith("FAIL") and captured.err == ""
+        doc = json.loads(out.read_text())
+        assert doc["passed"] is False and doc["method"] == "naive"
+        reduced = {row["text"]: row["reduced"] for row in doc["rows"]}
+        assert reduced["a"] == 0.25 and reduced["aa"] == reduced["ab"] == reduced["ac"] == 0.0
 
     def test_a_nan_marginal_fails_exit_one(self, binary_files, capsys, monkeypatch):
         # the NaN row came after the first, so max() skipped it: PASS, exit 0
@@ -737,6 +775,7 @@ class TestUsageErrors:
             "bench zero alpha",
             "bench negative target-bytes",
             "zero k",
+            "k not an integer",
             "member field without =",
             "unknown member field",
             "member without vocab or model",
@@ -787,6 +826,7 @@ class TestUsageErrors:
             "bench zero alpha": [*bench, "--alpha", "0"],
             "bench negative target-bytes": [*bench, "--target-bytes", "-3"],
             "zero k": ["reduce-generate", *binary, "--k", "0"],
+            "k not an integer": ["bench", *bench[1:], "--k", "abc"],
             "member field without =": [
                 "ensemble-generate", "--member", f"model={t1},{m1}", "--subvocab", "bytes",
             ],
@@ -799,7 +839,8 @@ class TestUsageErrors:
         }[case]
         # where another refusal would also exit 2, the message tells them apart
         fragment = {
-            "zero k": "K must be >= 1 or 'exact'",
+            "zero k": "K must be an integer >= 1 or 'exact', not '0'",
+            "k not an integer": "K must be an integer >= 1 or 'exact', not 'abc'",
             "member field without =": "is not KEY=PATH",
             "unknown member field": "unknown member field 'merge'",
             "member without vocab or model": "member needs vocab= or model=",

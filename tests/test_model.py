@@ -458,17 +458,20 @@ class TestParentMaskValidation:
 
 def _reference_dist(model, key):
     """``("ok", dist)`` or the refusal ``("raised", type, message)`` that
-    ``model.next_token_dist(key)`` must give, by re-encoding: the raw row
-    masked by the generic ``mask_row`` over the whole prefix, normalized."""
+    ``model.next_token_dist(key)`` must give, by re-encoding: the key is
+    checked step by step, and step ``key[i]`` is refused if it is the
+    terminator, if it is not a token id, or if ``key[:i + 1]`` is not a
+    valid token sequence (named in the refusal); then the raw row masked by
+    the generic ``mask_row`` over the whole prefix, normalized."""
     tokenizer = model.tokenizer
     eos = tokenizer.vocab.eos_id
-    if eos is not None and eos in key:
-        return ("raised", ModelError, "cannot continue a terminated sequence")
-    for t in key:
+    for i, t in enumerate(key):
+        if t == eos:
+            return ("raised", ModelError, "cannot continue a terminated sequence")
         if not 0 <= t < len(tokenizer.vocab):
             return ("raised", TokenizationError, f"unknown token id {t}")
-    if not tokenizer.is_valid(key):
-        return ("raised", ModelError, f"prefix {key} is not a valid token sequence")
+        if not tokenizer.is_valid(key[: i + 1]):
+            return ("raised", ModelError, f"prefix {key[: i + 1]} is not a valid token sequence")
     mask = DeterministicTokenizer.mask_row(tokenizer, key)
     out = np.where(mask, model.raw_next_token_dist(key), 0.0)
     total = out.sum()
@@ -569,6 +572,50 @@ class TestNodeValidation:
     def test_tuple_calls_encode_nothing_outside_fills(self, seed, build):
         rng = np.random.default_rng(seed)
         _assert_no_encode_outside_fills(build(rng), rng)
+
+
+def _tree_keys(model) -> set[tuple]:
+    """The prefix of every node in ``model``'s tree."""
+    keys, stack = set(), [model.root]
+    while stack:
+        node = stack.pop()
+        keys.add(tuple(node))
+        stack.extend(node.children.values())
+    return keys
+
+
+class TestNodeIsAWalkOfChild:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([_bpe_table, _greedy_table]))
+    def test_node_refuses_and_grows_as_child_does(self, seed, build):
+        # random prefixes, some with a bad step followed by ids outside
+        # the vocabulary: node() on one model and a walk of child() on
+        # another give the same node or refusal, and the same tree
+        rng = np.random.default_rng(seed)
+        model = build(rng)
+        size = len(model.tokenizer.vocab)
+        by_node, by_child = _fresh(model), _fresh(model)
+
+        def walk(key):
+            node = by_child.root
+            for x in key:
+                node = by_child.child(node, x)
+            return tuple(node)
+
+        for key in _random_prefixes(rng, model.tokenizer, 20):
+            tail = rng.integers(-1, size + 1, int(rng.integers(0, 3)))
+            key += tuple(int(t) for t in tail)
+            got = _outcome(lambda: tuple(by_node.node(key)))
+            assert got == _outcome(lambda: walk(key)), key
+            assert _tree_keys(by_node) == _tree_keys(by_child), key
+
+    def test_refusal_names_the_first_bad_step(self, binary):
+        # "00" then "1" re-encodes as "001", so the step onto 1 is refused
+        # before the unknown id 7 is read
+        for call in (binary.model.node, binary.model.valid_mask, binary.model.next_token_dist):
+            with pytest.raises(ModelError, match=re.escape("prefix (2, 1) is not a valid")):
+                call((2, 1, 7))
+        assert _tree_keys(binary.model) == {(), (2,)}
 
 
 def _reference_or_raise(model, key):
@@ -963,6 +1010,34 @@ class TestNgram:
         assert calls == []
         with pytest.raises(ModelError, match=message):
             NgramModel(tok, order, alpha, {})
+
+
+    @pytest.mark.parametrize(
+        "order, alpha, message",
+        [(2.5, 0.5, "order must be at least 1, an int and no bool: 2.5"),
+         (True, 0.5, "order must be at least 1, an int and no bool: True"),
+         (np.bool_(True), 0.5, "order must be at least 1, an int and no bool"),
+         ("2", 0.5, "order must be at least 1, an int and no bool: '2'"),
+         (1, "0.5", "smoothing constant must be positive and finite, a real and no bool: '0.5'"),
+         (1, True, "smoothing constant must be positive and finite, a real and no bool: True"),
+         (1, None, "smoothing constant must be positive and finite")],
+    )
+    def test_order_and_alpha_of_the_wrong_type_refused(self, order, alpha, message):
+        # a bare TypeError at the first comparison, a model that fails at its
+        # first call (order 2.5), or a bigram trained from order=True
+        tok = _letters_tokenizer("ab")
+        with pytest.raises(ModelError, match=re.escape(message)):
+            train_ngram([b"ab"] * 5, tok, order=order, alpha=alpha)
+        counts = NgramCounts(len(tok.vocab), {(0,): 1.0})
+        with pytest.raises(ModelError, match=re.escape(message)):
+            NgramModel(tok, order, alpha, counts)
+
+    def test_numpy_order_and_alpha_accepted(self):
+        tok = _letters_tokenizer("ab")
+        model = train_ngram([b"ab"] * 5, tok, order=np.int64(2), alpha=np.float32(0.5))
+        want = train_ngram([b"ab"] * 5, tok, order=2, alpha=0.5)
+        for prefix in [(), tok.encode(b"a"), tok.encode(b"ab")]:
+            assert np.allclose(model.next_token_dist(prefix), want.next_token_dist(prefix))
 
 
 def _reference_counts(corpus, tokenizer, order):

@@ -20,6 +20,7 @@ from conftest import (
     make_instance,
     nan_at_root,
     random_merge_tokenizer,
+    restriction_dead_end,
 )
 
 from lvr import (
@@ -252,6 +253,20 @@ class TestLosslessCheck:
         assert not report.passed
         assert report.max_discrepancy > 1e-3
 
+    def test_naive_reports_a_prefix_with_no_restricted_mass(self):
+        # after "a" only "bb" may follow: the baseline's distribution there
+        # is refused, and its table gives every text past "a" probability 0
+        model, nested = restriction_dead_end()
+        with pytest.raises(ReductionError, match="restriction removed all probability mass"):
+            naive_restriction_dist(model, nested, (0,))
+        report = lossless_check(model, nested, max_len=3, method="naive")
+        assert not report.passed
+        assert len(report.rows) == 40
+        reduced = {text: r for text, _, r in report.rows}
+        assert reduced[b"a"] == 0.25
+        assert all(r == 0.0 for text, r in reduced.items() if text[:1] == b"a" and len(text) > 1)
+        assert lossless_check(model, nested, max_len=3).passed
+
     @pytest.mark.parametrize("method", ["reduction", "naive"])
     def test_texts_built_once_per_check(self, binary, monkeypatch, method):
         # both tables walk one text list; rows and visits are those of the
@@ -329,8 +344,7 @@ class TestBudget:
 
 def _outcome(walk, limit=None) -> tuple[str, int]:
     """``repr`` of what ``walk(budget)`` returns, or of the refusal it
-    raises, and the visits charged to the budget.  The naive restriction
-    refuses a prefix whose retokenization puts no mass on a sub-token."""
+    raises, and the visits charged to the budget."""
     budget = oracle._Budget(limit)
     try:
         out = repr(walk(budget))
@@ -397,7 +411,11 @@ def _model_routes(rng) -> dict:
         return session, lambda s: s.next_subtoken_dist().ptilde, lambda s, y, w: s.branch(y)
 
     def naive(prefix):
-        return naive_restriction_dist(model, nested, prefix).probs
+        # a restriction that keeps no mass ends the prefix
+        try:
+            return naive_restriction_dist(model, nested, prefix).probs
+        except ReductionError:
+            return np.zeros(len(nested.vocab))
 
     return {
         "original": (

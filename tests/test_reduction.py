@@ -9,7 +9,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bruteforce import brute_relative_cover
@@ -847,9 +847,11 @@ class TestTopKCarriesTheExactCover:
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1))
+    @example(74055678)  # at step 22 top-K has left every pending entry no mass
     def test_views_are_the_exact_sessions(self, seed):
         # cover_cache, _pending and relative_cover list the exact session's
-        # entries, marginals included, bit for bit
+        # entries, marginals included, bit for bit; a distribution top-K
+        # left no mass is the exact one
         rng, topk, exact = self._sessions(seed)
         for _ in range(24):
             assert _views(topk.cover_cache) == _views(exact.cover_cache), topk.prefix
@@ -1142,6 +1144,18 @@ class TestLongGeneration:
             # the true marginal of the prefix is below 2**-5600
             assert session.exponent < -5600
             assert all(s.dist.raw_marginals.sum() >= 2.0**-512 for s in steps)
+
+    def test_log2_normalizer_is_the_prefix_log_mass(self, binary):
+        # with no terminator, the marginals after a prefix sum to its mass,
+        # the product of the chosen conditionals; the float normalizer
+        # underflows to 0 near step 880, its log2 stays finite
+        _, steps = self._run(binary, 5000, 0)
+        running = 0.0
+        for s in steps:
+            assert math.isfinite(s.dist.log2_normalizer)
+            assert math.isclose(s.dist.log2_normalizer, running, rel_tol=1e-9, abs_tol=1e-12)
+            running += math.log2(s.dist.probs[s.chosen])
+        assert steps[-1].dist.normalizer == 0.0 and running < -5600
 
     def test_rescaling_is_exact(self, binary, monkeypatch):
         # without rescaling the first 800 steps choose the same ids, and
